@@ -14,11 +14,8 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import Cube
@@ -54,20 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
-
-
-@dataclass
-class RunConfig:
-    oracle: object = None
-    cubes: list = None
-    s: Fraction = None
-    t: Fraction = None
-    alpha: Fraction = None
-    p: Fraction = None
-    max_gen: int = 40
-    out: str | None = None
-    fmt: str = "csv"
-    jobs: int = 1
 
 
 def _parse_sequence(rule: str, c: str | None) -> ContractionSequence:
@@ -162,13 +145,6 @@ def _fmt_bound(v) -> str:
     if v == math.inf:
         return "inf"
     return repr(float(v))
-
-
-def _ordered_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def cmd_gen_set(args, argv) -> int:
@@ -277,22 +253,19 @@ def cmd_ap_scan(args, argv) -> int:
     oracle = parse_set(args.set)
     cubes = parse_cubes(args.cubes, oracle)
     query = ApQuery(parse_rational(args.alpha), parse_rational(args.p))
-    # The environment variable overrides the flag.
-    jobs = int(os.environ.get("PORE_METRICS_JOBS", args.jobs or 1))
-
-    def one(item):
-        i, cube = item
+    rows = []
+    for i, cube in enumerate(cubes):
         res = ap_product(oracle, cube, query, args.max_gen)
-        return [
-            f"{i}:{cube}",
-            format_rational(query.alpha),
-            format_rational(query.p),
-            _fmt_bound(res.product.lo),
-            _fmt_bound(res.product.hi),
-            res.case,
-        ]
-
-    rows = _ordered_map(one, list(enumerate(cubes)), jobs)
+        rows.append(
+            [
+                f"{i}:{cube}",
+                format_rational(query.alpha),
+                format_rational(query.p),
+                _fmt_bound(res.product.lo),
+                _fmt_bound(res.product.hi),
+                res.case,
+            ]
+        )
     _emit(
         _csv_text(["cube_id", "alpha", "p", "product_lo", "product_hi", "case_tag"], rows),
         args.out,
@@ -370,7 +343,6 @@ def cmd_prob_stats(args, argv) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pore-metrics", description=__doc__)
-    parser.add_argument("--jobs", type=int, default=0, help="worker threads for cube sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-set", help="materialize a generated point set")

@@ -85,18 +85,21 @@ def generate(
         raise PreconditionError(
             f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}"
         )
-    pts = [Fraction(0), Fraction(1)]
-    for i in range(1, level + 1):
-        c = seq.value(i)
-        last = pts[-1]
-        contracted = [last + c * p for p in pts]
-        shifted = [contracted[-1] + p for p in pts]
-        pts = pts + contracted[1:] + shifted[1:]
-    envelope = (pts[0], pts[-1])
+    # Integer numerators over den = prod q_i for c_i = p_i/q_i: a point of
+    # stage i-1 is a multiple of q_i ... q_level, so the contraction by c_i
+    # divides exactly.
+    factors = [seq.value(i) for i in range(1, level + 1)]
+    den = math.prod(c.denominator for c in factors)
+    nums = [0, den]
+    for c in factors:
+        last = nums[-1]
+        contracted = [last + x // c.denominator * c.numerator for x in nums]
+        top = contracted[-1]
+        nums += contracted[1:] + [top + x for x in nums[1:]]
     if with_reflection:
-        pts = [-p for p in reversed(pts[1:])] + pts
-        envelope = (pts[0], pts[-1])
-    return tuple(pts), envelope
+        nums = [-x for x in reversed(nums[1:])] + nums
+    pts = tuple(Fraction(x, den) for x in nums)
+    return pts, (pts[0], pts[-1])
 
 
 def envelope_length(seq: ContractionSequence, level: int) -> Fraction:

@@ -14,7 +14,9 @@ exact whenever the normalized integrals are rational.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 
 from .dyadic import Cube
@@ -24,6 +26,7 @@ from .rationals import power_value, rational_pow, sqrt_bracket
 from .setmodels import SetOracle
 
 _BASE_SLACK = 1e-15
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -181,45 +184,97 @@ class _ScaledMean:
         return _assemble(lo, hi, False, self.n_terms + 2)
 
 
-def _scaled_mean_1d(oracle: SetOracle, q0: Cube, theta: Fraction, max_gen: int) -> _ScaledMean:
-    lo_w, hi_w = q0.as_interval()
-    side = hi_w - lo_w
-    meets = oracle.meets_interval(lo_w, hi_w)
-    if theta <= -1 and meets:
-        return _divergent_partial_1d(oracle, q0, theta, max_gen)
-    comps = oracle.components(lo_w, hi_w)
-    covered = sum((c.length for c in comps), Fraction(0))
-    total = Fraction(0)
-    total_f = 0.0
-    exact = True
-    for comp in comps:
-        d_l = oracle.distance(comp.left)
-        d_r = oracle.distance(comp.right)
-        val, is_exact = profile_integral(
-            comp.length / side, d_l / side, d_r / side, theta
-        )
-        if val == math.inf:
-            return _ScaledMean(side, theta, math.inf, math.inf, False, len(comps))
-        if is_exact and exact:
-            total += val
+@dataclass(frozen=True)
+class _Gaps:
+    """The gap components of a 1-D window, read once for every mean over it.
+
+    A component endpoint other than a window end is a point of the closed
+    set, where the distance is exactly 0.  The first component reaches back
+    to the window's lower end and the last one to its upper end; where they
+    do not, that end lies in the set and its distance is 0 as well.  So only
+    the two window ends need a distance query, and every component between
+    the end ones is determined by its length alone.
+    """
+
+    side: Fraction
+    ends: tuple  # (h, d_left, d_right) of the first and the last component
+    distinct: tuple  # distinct interior lengths
+    order: tuple  # index into ``distinct`` of each interior component, in window order
+    covered: Fraction  # total length of the components
+
+    @classmethod
+    def of(cls, oracle: SetOracle, q0: Cube) -> "_Gaps":
+        lo_w, hi_w = q0.as_interval()
+        lengths = [c.length for c in oracle.components(lo_w, hi_w)]
+        d_lo, d_hi = oracle.distance(lo_w), oracle.distance(hi_w)
+        if len(lengths) > 1:
+            ends = ((lengths[0], d_lo, _ZERO), (lengths[-1], _ZERO, d_hi))
         else:
-            if exact:
-                total_f = float(total)
-                exact = False
-            total_f += float(val)
-    # Distance vanishes on the part of the window inside the set: it adds
-    # nothing for theta > 0, exactly its normalized measure for theta = 0,
-    # and diverges for theta < 0.
-    if covered < side:
-        inside = (side - covered) / side
-        if theta == 0:
-            total += inside
-        elif theta < 0:
-            lo_norm = total if exact else total_f
-            return _ScaledMean(side, theta, lo_norm, math.inf, False, len(comps) + 1)
-    if exact:
-        return _ScaledMean(side, theta, total, total, True, len(comps))
-    return _ScaledMean(side, theta, total_f, total_f, False, len(comps))
+            ends = tuple((h, d_lo, d_hi) for h in lengths)
+        index = {}
+        order = tuple(index.setdefault(h, len(index)) for h in lengths[1:-1])
+        counts = Counter(order)
+        covered = sum((h for h, _, _ in ends), Fraction(0))
+        for h, k in index.items():
+            covered += counts[k] * h
+        return cls(hi_w - lo_w, ends, tuple(index), order, covered)
+
+    def peak(self) -> Fraction:
+        """Maximum of the distance profile: half the longest interior gap,
+        or the peak of an end component."""
+        interior = max(self.distinct, default=_ZERO) / 2
+        return max([interior] + [profile_peak(*end) for end in self.ends])
+
+    def mean(self, theta: Fraction) -> _ScaledMean:
+        """The normalized mean, summed over the components in window order so
+        that the float sum is the same as one integral per component."""
+        side = self.side
+        n = len(self.ends) + len(self.order)
+        interior = [profile_integral(h / side, _ZERO, _ZERO, theta) for h in self.distinct]
+        ends = [profile_integral(h / side, d_l / side, d_r / side, theta) for h, d_l, d_r in self.ends]
+        total = Fraction(0)
+        total_f = 0.0
+        exact = True
+        for val, is_exact in chain(ends[:1], (interior[k] for k in self.order), ends[1:]):
+            if val == math.inf:
+                return _ScaledMean(side, theta, math.inf, math.inf, False, n)
+            if is_exact and exact:
+                total += val
+            else:
+                if exact:
+                    total_f = float(total)
+                    exact = False
+                total_f += float(val)
+        # Distance vanishes on the part of the window inside the set: it adds
+        # nothing for theta > 0, exactly its normalized measure for theta = 0,
+        # and diverges for theta < 0.
+        if self.covered < side:
+            inside = (side - self.covered) / side
+            if theta == 0:
+                total += inside
+            elif theta < 0:
+                lo_norm = total if exact else total_f
+                return _ScaledMean(side, theta, lo_norm, math.inf, False, n + 1)
+        if exact:
+            return _ScaledMean(side, theta, total, total, True, n)
+        return _ScaledMean(side, theta, total_f, total_f, False, n)
+
+
+def _means_1d(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
+    """Normalized means over a 1-D window, one per exponent, from one gap walk.
+
+    For theta <= -1 on a window meeting the set the mean diverges and the
+    growing lower bound over the enumerated pores is reported instead.
+    """
+    out = []
+    for theta in thetas:
+        if theta <= -1 and oracle.meets_interval(*q0.as_interval()):
+            out.append(_divergent_partial_1d(oracle, q0, theta, max_gen))
+            continue
+        if gaps is None:
+            gaps = _Gaps.of(oracle, q0)
+        out.append(gaps.mean(theta))
+    return out
 
 
 def _divergent_partial_1d(oracle, q0, theta, max_gen) -> _ScaledMean:
@@ -333,7 +388,8 @@ def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> Me
     """
     theta = Fraction(theta)
     if q0.dimension == 1:
-        return _scaled_mean_1d(oracle, q0, theta, max_gen).to_mean_value()
+        (sm,) = _means_1d(oracle, q0, (theta,), max_gen)
+        return sm.to_mean_value()
     return _scaled_mean_nd(oracle, q0, theta, max_gen).to_mean_value()
 
 
@@ -388,8 +444,7 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
             _assert_holder_floor(result.product)
             return result
     if q0.dimension == 1:
-        sm1 = _scaled_mean_1d(oracle, q0, -alpha, max_gen)
-        sm2 = _scaled_mean_1d(oracle, q0, alpha / (p - 1), max_gen)
+        sm1, sm2 = _means_1d(oracle, q0, (-alpha, alpha / (p - 1)), max_gen)
     else:
         sm1 = _scaled_mean_nd(oracle, q0, -alpha, max_gen)
         sm2 = _scaled_mean_nd(oracle, q0, alpha / (p - 1), max_gen)
@@ -422,18 +477,16 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> MeanVa
         raise PreconditionError("a1_quotient needs alpha > 0")
     if q0.dimension != 1:
         raise PreconditionError("a1_quotient is implemented for dimension 1")
-    lo_w, hi_w = q0.as_interval()
-    side = hi_w - lo_w
-    comps = oracle.components(lo_w, hi_w)
-    if not comps:
+    gaps = _Gaps.of(oracle, q0)
+    if not gaps.ends:
         raise PreconditionError("window is covered by the set")
-    peak = Fraction(0)
-    for comp in comps:
-        d_l = oracle.distance(comp.left)
-        d_r = oracle.distance(comp.right)
-        peak = max(peak, profile_peak(comp.length, d_l, d_r))
-    sm = _scaled_mean_1d(oracle, q0, -alpha, max_gen)
-    factor, factor_exact = _pow_any(peak / side, alpha)
+    (sm,) = _means_1d(oracle, q0, (-alpha,), max_gen, gaps)
+    return _a1_value(sm, gaps.peak())
+
+
+def _a1_value(sm: _ScaledMean, peak: Fraction) -> MeanValue:
+    """The normalized mean of dist^-alpha times (peak / side)^alpha."""
+    factor, factor_exact = _pow_any(peak / sm.side, -sm.theta)
     if sm.exact and factor_exact and isinstance(factor, Fraction):
         v = sm.lo_norm * factor
         return MeanValue(v, v, True)

@@ -3,8 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: pore
 families come from scanning every dyadic subcube, binomial coefficients from
 Pascal's triangle, and membership checks are linear scans over point lists.
+The 1-D means reuse only the library's single-component profile integral and
+evaluate it once per component, with every endpoint distance queried.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -85,3 +88,66 @@ def fraction_length_law(factors):
             nxt[c * x] = nxt.get(c * x, Fraction(0)) + c * m / (2 + c)
         masses = nxt
     return masses
+
+
+def fraction_generate(seq, level, with_reflection=False):
+    """Generator stage ``level`` as the plain Fraction recursion: append the
+    stage contracted by c_i, then an uncontracted copy, sharing endpoints."""
+    pts = [Fraction(0), Fraction(1)]
+    for i in range(1, level + 1):
+        c = seq.value(i)
+        contracted = [pts[-1] + c * p for p in pts]
+        shifted = [contracted[-1] + p for p in pts]
+        pts = pts + contracted[1:] + shifted[1:]
+    if with_reflection:
+        pts = [-p for p in reversed(pts[1:])] + pts
+    return tuple(pts), (pts[0], pts[-1])
+
+
+def per_component_mean(oracle, q0, theta):
+    """Normalized 1-D mean of dist^theta for a window the set does not make
+    divergent: a distance query at both endpoints of every gap component and
+    one profile integral per component, summed in window order.  Returns the
+    library's ``_ScaledMean`` so the same assembly turns it into a public
+    result."""
+    from poremetrics.weights import _ScaledMean, profile_integral
+
+    theta = Fraction(theta)
+    lo, hi = q0.as_interval()
+    side = hi - lo
+    comps = oracle.components(lo, hi)
+    total, total_f, exact = Fraction(0), 0.0, True
+    for comp in comps:
+        d_l = oracle.distance(comp.left)
+        d_r = oracle.distance(comp.right)
+        val, is_exact = profile_integral(comp.length / side, d_l / side, d_r / side, theta)
+        if val == math.inf:
+            return _ScaledMean(side, theta, math.inf, math.inf, False, len(comps))
+        if is_exact and exact:
+            total += val
+        else:
+            if exact:
+                total_f, exact = float(total), False
+            total_f += float(val)
+    covered = sum((c.length for c in comps), Fraction(0))
+    if covered < side:
+        if theta == 0:
+            total += (side - covered) / side
+        elif theta < 0:
+            lo_norm = total if exact else total_f
+            return _ScaledMean(side, theta, lo_norm, math.inf, False, len(comps) + 1)
+    if exact:
+        return _ScaledMean(side, theta, total, total, True, len(comps))
+    return _ScaledMean(side, theta, total_f, total_f, False, len(comps))
+
+
+def per_component_peak(oracle, q0):
+    """Largest value of dist(., E) over a 1-D window, from the two-ramp
+    profile of every component with both endpoint distances queried."""
+    from poremetrics.weights import profile_peak
+
+    lo, hi = q0.as_interval()
+    return max(
+        profile_peak(c.length, oracle.distance(c.left), oracle.distance(c.right))
+        for c in oracle.components(lo, hi)
+    )

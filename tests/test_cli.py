@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from poremetrics.dyadic import Cube
 from poremetrics.rationals import parse_rational
 from poremetrics.setmodels import ContractionSequence, generate
 
@@ -118,17 +119,18 @@ class TestReports:
         for row in rows:
             assert row[3] == "4/3" and row[4] == "4/3" and row[5] == "III"
 
-    def test_ap_scan_jobs_deterministic(self):
-        base = run_cli(
+    def test_ap_scan_rows_in_cube_order(self):
+        out = run_cli(
             "ap-scan", "--set", "lattice", "--alpha", "1/3", "--p", "2",
             "--cubes", "dyadic:0..3",
         )
-        threaded = run_cli(
-            "--jobs", "4",
+        _, rows = parse_csv(out.stdout)
+        cubes = [str(Cube.interval(0, Fraction(2) ** k)) for k in range(4)]
+        assert [row[0] for row in rows] == [f"{i}:{c}" for i, c in enumerate(cubes)]
+        assert out.stdout == run_cli(
             "ap-scan", "--set", "lattice", "--alpha", "1/3", "--p", "2",
             "--cubes", "dyadic:0..3",
-        )
-        assert base.stdout == threaded.stdout
+        ).stdout
 
     def test_pores_csv_and_json(self):
         out = run_cli("pores", "--set", "lattice", "--cube", "unit:[0,1)", "--max-gen", "5")

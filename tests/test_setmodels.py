@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import component_length_multiset
+from oracles import component_length_multiset, fraction_generate
 from poremetrics.errors import PreconditionError
 from poremetrics.rationals import format_rational, parse_rational
 from poremetrics.setmodels import (
@@ -69,6 +69,19 @@ class TestGenerate:
         assert env == (-Fraction(25, 4), Fraction(25, 4))
         assert all(-p in pts for p in pts)
         assert pts.count(0) == 1
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize(
+        "seq",
+        [HALF, ContractionSequence.constant(Fraction(2, 3)), ContractionSequence.constant(1), HH],
+    )
+    def test_matches_fraction_recursion(self, seq, reflect):
+        # The integer recursion over the common denominator gives the same
+        # Fraction points, envelope and order as the plain Fraction one.
+        for level in range(10):
+            assert repr(generate(seq, level, reflect)) == repr(
+                fraction_generate(seq, level, reflect)
+            )
 
     def test_level_cap(self):
         with pytest.raises(PreconditionError):

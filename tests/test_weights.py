@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import per_component_mean, per_component_peak
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
 from poremetrics.setmodels import (
+    BoxUnion,
     Component,
     ContractionSequence,
     FinitePoints,
@@ -15,6 +17,9 @@ from poremetrics.setmodels import (
 )
 from poremetrics.weights import (
     ApQuery,
+    ApResult,
+    _a1_value,
+    _combine_product,
     a1_quotient,
     ap_product,
     component_integral,
@@ -283,6 +288,95 @@ class TestA1Quotient:
     def test_alpha_must_be_positive(self):
         with pytest.raises(PreconditionError):
             a1_quotient(Z, UNIT, Fraction(-1, 2))
+
+
+def _differential_cases():
+    """(oracle, window) pairs: windows whose ends are set points, windows with
+    clipped ends, and a window disjoint from the set (case II, one component
+    clipped at both ends), plus one window the set covers."""
+    hh = Generated(ContractionSequence.half_harmonic(), 5, True)
+    half = Generated(ContractionSequence.constant(Fraction(1, 2)), 5, True)
+    two_thirds = Generated(ContractionSequence.constant(Fraction(2, 3)), 4)
+    points = FinitePoints(tuple(Fraction(k, 10) for k in (0, 1, 6, 7, 10)))
+    boxes = BoxUnion((((Fraction(0),), (Fraction(1, 4),)), ((Fraction(1, 2),), (Fraction(5, 8),))))
+    cases = [
+        (Z, UNIT),
+        (Z, Cube.interval(Fraction(1, 3), Fraction(7, 3))),
+        (Z, Cube.interval(Fraction(1, 8), Fraction(3, 8))),
+        (points, UNIT),
+        (points, Cube.interval(Fraction(-1, 3), Fraction(4, 3))),
+        (points, Cube.interval(Fraction(1, 8), Fraction(1, 4))),
+        (boxes, UNIT),
+        (boxes, Cube.interval(Fraction(-1, 3), Fraction(2, 3))),
+        (boxes, Cube.interval(Fraction(1, 16), Fraction(1, 8))),
+    ]
+    for g in (hh, half, two_thirds):
+        lo, hi = g.envelope
+        cases += [
+            (g, Cube.interval(lo, hi)),
+            (g, Cube.interval(lo + Fraction(1, 7), hi - Fraction(2, 9))),
+            (g, Cube.interval(g.points[1] + Fraction(1, 1000), g.points[1] + Fraction(1, 200))),
+        ]
+    return cases
+
+
+DIFFERENTIAL_CASES = _differential_cases()
+THETAS = (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(2), Fraction(-1, 2))
+
+
+class TestGapWalkMatchesPerComponent:
+    # The gap walk queries distances only at the window ends and integrates
+    # each distinct interior length once; the oracle queries every endpoint
+    # and integrates every component.  Brackets must agree to the last bit.
+
+    def test_cases_cover_both_window_kinds(self):
+        tags = [
+            ap_product(o, w, ApQuery(Fraction(1, 3), 2)).case for o, w in DIFFERENTIAL_CASES
+        ]
+        assert tags.count("II") == 5 and tags.count("III") == len(tags) - 5
+
+    @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
+    def test_mean_dist_power(self, oracle, window):
+        for theta in THETAS:
+            expected = per_component_mean(oracle, window, theta).to_mean_value()
+            assert repr(mean_dist_power(oracle, window, theta)) == repr(expected)
+
+    @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
+    def test_ap_product(self, oracle, window):
+        meets = oracle.meets_cube(window)
+        for alpha in (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2)):
+            for p in (Fraction(2), Fraction(3, 2)):
+                sm1 = per_component_mean(oracle, window, -alpha)
+                sm2 = per_component_mean(oracle, window, alpha / (p - 1))
+                expected = ApResult(
+                    _combine_product(sm1, sm2, p),
+                    "III" if meets else "II",
+                    sm1.to_mean_value(),
+                    sm2.to_mean_value(),
+                )
+                assert repr(ap_product(oracle, window, ApQuery(alpha, p))) == repr(expected)
+
+    @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
+    def test_a1_quotient(self, oracle, window):
+        if not oracle.components(*window.as_interval()):
+            with pytest.raises(PreconditionError):
+                a1_quotient(oracle, window, Fraction(1, 3))
+            return
+        for alpha in (Fraction(1, 3), Fraction(1, 2)):
+            expected = _a1_value(
+                per_component_mean(oracle, window, -alpha), per_component_peak(oracle, window)
+            )
+            assert repr(a1_quotient(oracle, window, alpha)) == repr(expected)
+
+    def test_exact_rational_case(self):
+        sm = per_component_mean(ORIGIN, UNIT, Fraction(-1, 2))
+        sm2 = per_component_mean(ORIGIN, UNIT, Fraction(1, 2))
+        product = ap_product(ORIGIN, UNIT, ApQuery(Fraction(1, 2), 2)).product
+        assert product == _combine_product(sm, sm2, Fraction(2))
+        assert product.exact and product.lo == Fraction(4, 3)
+        quotient = a1_quotient(ORIGIN, UNIT, Fraction(1, 2))
+        assert quotient == _a1_value(sm, per_component_peak(ORIGIN, UNIT))
+        assert quotient.exact and quotient.lo == 2
 
 
 class TestExponentTransfer:
