@@ -116,7 +116,8 @@ def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
 
     The frontier consists of cubes meeting the set; each child either stays
     on the frontier or is emitted as a pore, which makes the emitted cubes
-    pairwise disjoint by construction.
+    pairwise disjoint by construction.  A child the set covers meets it at
+    every depth, so it has no pores below it and leaves the frontier.
     """
     if max_gen < 1:
         raise PreconditionError("max_gen must be at least 1")
@@ -129,10 +130,10 @@ def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
         nxt = []
         for cube in frontier:
             for child in cube.children():
-                if oracle.meets_cube(child):
-                    nxt.append(child)
-                else:
+                if not oracle.meets_cube(child):
                     yield child
+                elif not oracle.covers_cube(child):
+                    nxt.append(child)
         frontier = nxt
         if not frontier:
             return
@@ -141,56 +142,32 @@ def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
 def _histogram_from_points(points, q0: Cube, max_gen: int) -> dict:
     """Per-generation pore counts for a sorted in-window point list.
 
-    In one dimension the number of pores at generation j equals the number of
-    empty cells minus twice the empty cells one generation up, and empty cells
-    are counted from the distinct dyadic indices of the points.  Index bits
-    come from doubling the remainder of (p - lo)/side, so everything is exact
-    integer arithmetic.
+    With J = max_gen and x = floor(2**J (p - lo)/side), the generation-j cell
+    of a point is x >> (J - j), so two adjacent points first fall into
+    different cells at generation J + 1 - (x ^ x_prev).bit_length().  Then
+    nonempty(j) = 1 + #{pairs split by j}, and the pores of generation j are
+    the empty children of the nonempty cells one generation up:
+    counts[j] = 2 nonempty(j-1) - nonempty(j).  Everything is exact integer
+    arithmetic, and the work per point does not depend on the depth.
     """
     lo, _ = q0.as_interval()
-    side = q0.side
-    nums, dens = [], []
+    c, d = lo.numerator, lo.denominator
+    e, f = q0.side.numerator, q0.side.denominator
+    splits = [0] * (max_gen + 1)
+    prev = None
     for p in points:
-        r = (p - lo) / side
-        nums.append(r.numerator)
-        dens.append(r.denominator)
+        a, b = p.numerator, p.denominator
+        x = ((a * d - c * b) * f << max_gen) // (b * d * e)
+        if prev is not None and x != prev:
+            splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
+        prev = x
     counts: dict = {}
-    prev_empty = 0
-    if max(dens) < (1 << 61) and max_gen <= 60:
-        import numpy as np
-
-        rem = np.array(nums, dtype=np.int64)
-        den = np.array(dens, dtype=np.int64)
-        idx = np.zeros(len(nums), dtype=np.int64)
-        for j in range(1, max_gen + 1):
-            rem = rem << 1
-            bit = rem >= den
-            idx = (idx << 1) + bit
-            rem = rem - den * bit
-            nonempty = 1 + int(np.count_nonzero(idx[1:] != idx[:-1]))
-            empty = (1 << j) - nonempty
-            c = empty - 2 * prev_empty
-            if c:
-                counts[j] = c
-            prev_empty = empty
-    else:
-        rems = list(nums)
-        idxs = [0] * len(nums)
-        for j in range(1, max_gen + 1):
-            for i in range(len(rems)):
-                r = rems[i] * 2
-                if r >= dens[i]:
-                    idxs[i] = idxs[i] * 2 + 1
-                    rems[i] = r - dens[i]
-                else:
-                    idxs[i] = idxs[i] * 2
-                    rems[i] = r
-            nonempty = 1 + sum(1 for a, b in zip(idxs, idxs[1:]) if a != b)
-            empty = (1 << j) - nonempty
-            c = empty - 2 * prev_empty
-            if c:
-                counts[j] = c
-            prev_empty = empty
+    nonempty = 1
+    for j in range(1, max_gen + 1):
+        pores = nonempty - splits[j]
+        if pores:
+            counts[j] = pores
+        nonempty += splits[j]
     return counts
 
 
@@ -213,17 +190,17 @@ def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
         for pore in enumerate_pore_cubes(oracle, q0, max_gen):
             g = pore.generation - q0.generation
             counts[g] = counts.get(g, 0) + 1
-    family = PoreFamily(
-        root=q0,
-        counts=counts,
-        max_generation=max_gen,
-        tail_mass=Fraction(0),
-        tail_is_pore_mass=oracle.is_measure_zero(),
-    )
-    tail = q0.measure - family.enumerated_mass
+    # A generation-g pore has mass |Q0| 2**-(g n), so the tail is a whole
+    # number of units |Q0| 2**-(max_gen n).
+    n = q0.dimension
+    scale = max_gen * n
+    tail = (1 << scale) - sum(k << (scale - g * n) for g, k in counts.items())
     if tail < 0:
         raise AssertionError("pore mass exceeded the window measure")
-    return PoreFamily(q0, counts, max_gen, tail, oracle.is_measure_zero())
+    return PoreFamily(
+        q0, counts, max_gen, q0.measure * Fraction(tail, 1 << scale),
+        oracle.is_measure_zero(),
+    )
 
 
 def maximal_pore_length(family: PoreFamily) -> Fraction:

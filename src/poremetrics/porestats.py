@@ -353,11 +353,6 @@ def _split_half_engine(seq, level):
     return p_ge, p_le, lo_val, 1.0
 
 
-def _split_half_prob(seq, level, threshold_fn):
-    p_ge, p_le, lo, hi = _split_half_engine(seq, level)
-    return threshold_fn(p_ge, p_le, lo, hi)
-
-
 def _solve_largest(t):
     def solve(p_ge, _p_le, lo, hi):
         tf = float(t)
@@ -405,7 +400,7 @@ def tilde_quantile_largest(seq: ContractionSequence, level: int, t) -> Fraction 
         raise PreconditionError("t must lie in (0, 1)")
     if seq.rule == "constant" or level <= EXACT_QUANTILE_LEVEL_CAP:
         return _cum_from_law(length_law(seq, level), t, largest=True)
-    return _split_half_prob(seq, level, _solve_largest(t))
+    return _solve_largest(t)(*_split_half_engine(seq, level))
 
 
 def tilde_quantile_smallest(seq: ContractionSequence, level: int, t) -> Fraction | float:
@@ -415,7 +410,7 @@ def tilde_quantile_smallest(seq: ContractionSequence, level: int, t) -> Fraction
         raise PreconditionError("t must lie in (0, 1)")
     if seq.rule == "constant" or level <= EXACT_QUANTILE_LEVEL_CAP:
         return _cum_from_law(length_law(seq, level), t, largest=False)
-    return _split_half_prob(seq, level, _solve_smallest(t))
+    return _solve_smallest(t)(*_split_half_engine(seq, level))
 
 
 def tilde_quantiles(seq: ContractionSequence, level: int, queries):

@@ -140,6 +140,11 @@ class SetOracle:
             return self.meets_interval(lo, hi)
         raise NotImplementedError
 
+    def covers_cube(self, cube: Cube) -> bool:
+        """Is the half-open cube certainly inside the set?  False when unsure,
+        so the pore BFS only prunes cubes that have no pores below them."""
+        return False
+
     def components(self, lo: Fraction, hi: Fraction) -> list[Component]:
         raise PreconditionError("component enumeration needs a 1-D oracle")
 
@@ -323,6 +328,11 @@ class PointCloud(SetOracle):
             raise PreconditionError("meets_interval is 1-D only")
         return any(lo <= p[0] < hi for p in self.points)
 
+    def points_in_window(self, lo, hi):
+        if self.dimension != 1:
+            return None
+        return tuple(sorted({p[0] for p in self.points if lo <= p[0] < hi}))
+
     def spec_dict(self) -> dict:
         return {
             "type": "points",
@@ -384,6 +394,14 @@ class BoxUnion(SetOracle):
         lo, hi = cube.lower(), cube.upper()
         return any(
             all(l < b and h >= a for l, h, a, b in zip(lows, highs, lo, hi))
+            for lows, highs in self.boxes
+        )
+
+    def covers_cube(self, cube: Cube) -> bool:
+        # A closed box contains the half-open cube iff it contains its closure.
+        lo, hi = cube.lower(), cube.upper()
+        return any(
+            all(l <= a and b <= h for l, h, a, b in zip(lows, highs, lo, hi))
             for lows, highs in self.boxes
         )
 

@@ -425,7 +425,7 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
     """Bracket of the two-factor Muckenhoupt product for w = dist^-alpha.
 
     Far cubes (gap at least twice the diameter) short-circuit to the bracket
-    [1, 4^alpha].  Elsewhere both mean factors are evaluated and multiplied
+    [1, 4^|alpha|].  Elsewhere both mean factors are evaluated and multiplied
     with the window scale cancelled symbolically, so dilation-invariant
     configurations give exactly dilation-invariant products.
     """
@@ -437,7 +437,9 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
         d_lo, d_hi = _cube_distance_bracket(oracle, q0)
         diam_hi = q0.side if q0.dimension == 1 else sqrt_bracket(Fraction(q0.dimension))[1] * q0.side
         if d_lo >= 2 * diam_hi:
-            hi, hi_exact = _pow_any(Fraction(4), alpha)
+            # The weight varies by a factor of at most (3/2)^|alpha| on the cube,
+            # whichever the sign of alpha.
+            hi, hi_exact = _pow_any(Fraction(4), abs(alpha))
             if not hi_exact:
                 hi = float(hi) * (1 + 1e-14)
             result = ApResult(MeanValue(Fraction(1), hi, False), "I")

@@ -1,8 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's own algorithms: pore
-families come from scanning every dyadic subcube, binomial coefficients from
-Pascal's triangle, and membership checks are linear scans over point lists.
+families come from testing the defining condition cube by cube (on every
+dyadic subcube, or on the children of every cube holding a point, which
+scales to any depth), binomial coefficients from Pascal's triangle, and
+membership checks are linear scans over point lists.
 The 1-D means reuse only the library's single-component profile integral and
 evaluate it once per component, with every endpoint distance queried.
 """
@@ -35,17 +37,29 @@ def brute_force_pores(points, window_lo, window_hi, max_gen):
 
 
 def pore_histogram(points, window_lo, window_hi, max_gen):
-    """Generation -> count aggregation of brute_force_pores."""
-    side = Fraction(window_hi) - Fraction(window_lo)
+    """Generation -> count of the pores brute_force_pores finds, at any depth.
+
+    The same defining condition, tested only on the two children of each
+    cube that holds a point (every other cube has a parent missing the set).
+    A point's cube at generation j has index floor(2**j (p - lo)/side), a
+    Fraction floor taken generation by generation.
+    """
+    lo = Fraction(window_lo)
+    side = Fraction(window_hi) - lo
+    inside = [Fraction(p) for p in points if lo <= p < window_hi]
+
+    def cells(j):
+        return {math.floor((p - lo) * 2**j / side) for p in inside}
+
     counts = {}
-    for lo, hi in brute_force_pores(points, window_lo, window_hi, max_gen):
-        length = hi - lo
-        gen = 0
-        probe = side
-        while probe != length:
-            probe /= 2
-            gen += 1
-        counts[gen] = counts.get(gen, 0) + 1
+    for j in range(1, max_gen + 1):
+        occupied = cells(j)
+        pores = sum(
+            1 for i in cells(j - 1) for child in (2 * i, 2 * i + 1)
+            if child not in occupied
+        )
+        if pores:
+            counts[j] = pores
     return counts
 
 

@@ -132,6 +132,19 @@ class TestReports:
             "--cubes", "dyadic:0..3",
         ).stdout
 
+    def test_ap_scan_far_cube_negative_alpha(self):
+        # Case I brackets the product by [1, 4^|alpha|]; with 4^alpha the
+        # upper end fell below 1 for negative alpha.
+        out = run_cli(
+            "ap-scan", "--set", "point:0", "--cubes", "interval:[5,6)",
+            "--alpha=-1/3", "--p", "2",
+        )
+        header, rows = parse_csv(out.stdout)
+        row = dict(zip(header, rows[0]))
+        assert row["case_tag"] == "I"
+        assert row["product_lo"] == "1/1"
+        assert float(row["product_hi"]) >= 1
+
     def test_pores_csv_and_json(self):
         out = run_cli("pores", "--set", "lattice", "--cube", "unit:[0,1)", "--max-gen", "5")
         header, rows = parse_csv(out.stdout)

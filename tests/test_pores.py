@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from poremetrics.setmodels import (
     FinitePoints,
     Generated,
     IntegerLattice,
+    PointCloud,
     envelope_cube,
 )
 
@@ -83,9 +85,9 @@ class TestEnumerate:
             counts[g] = counts.get(g, 0) + 1
         assert enumerate_pores(oracle, window, 11).counts == counts
 
-    def test_histogram_big_denominator_fallback(self):
-        # Denominators beyond 2^61 force the pure-integer loop; it must agree
-        # with the exhaustive scan.
+    def test_histogram_big_denominators(self):
+        # Denominators beyond 2^61 take the same integer algorithm; it must
+        # agree with the exhaustive scan.
         pts = (Fraction(1, 2**70 + 1), Fraction(2**69 + 7, 2**70), Fraction(9, 10))
         fam = enumerate_pores(FinitePoints(pts), UNIT, 8)
         assert fam.counts == pore_histogram(pts, 0, 1, 8)
@@ -109,6 +111,153 @@ class TestEnumerate:
         tails = [enumerate_pores(oracle, UNIT, d).tail_mass for d in (3, 6, 12, 24)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
         assert tails[-1] < Fraction(1, 2**20)
+
+
+def _bfs_counts(oracle, window, max_gen):
+    counts = {}
+    for pore in enumerate_pore_cubes(oracle, window, max_gen):
+        g = pore.generation - window.generation
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
+class TestSplitGenerationHistogram:
+    """The histogram from split generations of adjacent points, against the
+    pore oracle and against the BFS."""
+
+    @pytest.mark.parametrize("max_gen", [1, 2, 7, 16, 33, 60, 61, 62, 70])
+    def test_random_point_sets(self, max_gen):
+        rng = random.Random(max_gen)
+        for _ in range(25):
+            pts = sorted({
+                Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 10**4))
+                for _ in range(rng.randrange(1, 10))
+            })
+            lo = Fraction(rng.randrange(-3 * 10**4, 10**4), rng.randrange(1, 10**4))
+            hi = lo + Fraction(rng.randrange(1, 10**5), rng.randrange(1, 10**4))
+            window = Cube.interval(lo, hi)
+            oracle = FinitePoints(tuple(pts))
+            if not oracle.meets_cube(window):
+                continue
+            gen = rng.randrange(1, max_gen + 1)
+            for j in (gen, max_gen):
+                assert enumerate_pores(oracle, window, j).counts == pore_histogram(pts, lo, hi, j)
+
+    def test_oracle_matches_exhaustive_scan(self):
+        # pore_histogram scans only children of occupied cubes; at small
+        # depth it must agree with the scan of every dyadic subcube.
+        rng = random.Random(1)
+        for _ in range(20):
+            pts = [Fraction(rng.randrange(-50, 50), rng.randrange(1, 30)) for _ in range(5)]
+            lo = Fraction(rng.randrange(-40, 0), rng.randrange(1, 20))
+            hi = lo + Fraction(rng.randrange(1, 60), rng.randrange(1, 20))
+            counts = {}
+            for a, b in brute_force_pores(pts, lo, hi, 8):
+                g = ((hi - lo) / (b - a)).numerator.bit_length() - 1
+                counts[g] = counts.get(g, 0) + 1
+            assert pore_histogram(pts, lo, hi, 8) == counts
+
+    def test_pair_splitting_beyond_generation_61(self):
+        lo, hi = Fraction(-1, 3), Fraction(2, 3)
+        pts = (Fraction(1, 5), Fraction(1, 5) + Fraction(1, 2**66))
+        fam = enumerate_pores(FinitePoints(pts), Cube.interval(lo, hi), 70)
+        assert fam.counts == pore_histogram(pts, lo, hi, 70)
+        # one pore per generation while the pair shares a cell, none at the split
+        split = min(j for j in range(1, 71) if fam.counts.get(j) != 1)
+        assert 61 < split < 70
+        assert split not in fam.counts and fam.counts[split + 1] == 2
+
+    @pytest.mark.parametrize(
+        "oracle,window",
+        [
+            (Generated(HH, 3), envelope_cube(HH, 3)),
+            (Generated(HALF, 2, with_reflection=True), Cube.interval(Fraction(-7, 3), Fraction(13, 5))),
+        ],
+    )
+    @pytest.mark.parametrize("max_gen", [64, 100])
+    def test_matches_bfs_deep(self, oracle, window, max_gen):
+        fam = enumerate_pores(oracle, window, max_gen)
+        assert fam.counts == _bfs_counts(oracle, window, max_gen)
+        assert max(fam.counts) == max_gen
+
+    def test_point_cloud_1d_takes_histogram_path(self):
+        raw = [Fraction(5, 7), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 3),
+               Fraction(3, 2), Fraction(0), Fraction(2, 9)]
+        cloud = PointCloud(tuple((p,) for p in raw))
+        inside = (Fraction(0), Fraction(2, 9), Fraction(1, 3), Fraction(5, 7))
+        assert cloud.points_in_window(Fraction(0), Fraction(1)) == inside
+        fam = enumerate_pores(cloud, UNIT, 30)
+        assert fam.counts == _bfs_counts(cloud, UNIT, 30)
+        assert fam.counts == pore_histogram(raw, 0, 1, 30)
+        assert fam.counts == enumerate_pores(FinitePoints(inside), UNIT, 30).counts
+
+    def test_point_cloud_2d_keeps_bfs(self):
+        cloud = PointCloud(((Fraction(1, 3), Fraction(1, 5)),))
+        assert cloud.points_in_window(Fraction(0), Fraction(1)) is None
+
+
+class _UnprunedBoxUnion(BoxUnion):
+    """A BoxUnion the BFS cannot prune: it never reports a covered cube."""
+
+    def covers_cube(self, cube):
+        return False
+
+
+BOXES_1D = (
+    ((Fraction(0),), (Fraction(1, 4),)),
+    ((Fraction(1, 3),), (Fraction(1, 3),)),  # degenerate
+    ((Fraction(1, 2),), (Fraction(5, 8),)),
+    ((Fraction(5, 8),), (Fraction(3, 4),)),  # touches the previous box
+)
+BOXES_2D = (
+    ((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(1, 3))),
+    ((Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 3))),  # degenerate, touching
+    ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1))),
+    ((Fraction(1, 4), Fraction(0)), (Fraction(1, 2), Fraction(1, 8))),  # touches the first box
+)
+
+
+class TestBoxPruning:
+    """The BFS skips cubes a BoxUnion covers and yields the same pores."""
+
+    @pytest.mark.parametrize(
+        "boxes,window,depth",
+        [
+            (BOXES_1D, UNIT, 12),
+            (BOXES_1D, Cube.interval(Fraction(-1, 3), Fraction(4, 3)), 12),
+            (BOXES_2D, Cube.root((0, 0), 1), 6),
+            (BOXES_2D, Cube.root((Fraction(-1, 5), Fraction(1, 7)), Fraction(6, 5)), 6),
+        ],
+    )
+    def test_pruned_bfs_matches_unpruned(self, boxes, window, depth):
+        pruned, unpruned = BoxUnion(boxes), _UnprunedBoxUnion(boxes)
+        cubes = list(enumerate_pore_cubes(pruned, window, depth))
+        assert cubes
+        assert cubes == list(enumerate_pore_cubes(unpruned, window, depth))
+        fam, ref = enumerate_pores(pruned, window, depth), enumerate_pores(unpruned, window, depth)
+        assert (fam.counts, fam.tail_mass) == (ref.counts, ref.tail_mass)
+
+    def test_covers_cube(self):
+        box = BoxUnion(BOXES_1D)
+        assert box.covers_cube(Cube.interval(0, Fraction(1, 4)))
+        assert not box.covers_cube(Cube.interval(Fraction(1, 4), Fraction(1, 2)))
+        assert not box.covers_cube(Cube.interval(Fraction(1, 2), Fraction(3, 4)))  # two boxes
+        assert not box.covers_cube(Cube.interval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**40)))
+        square = BoxUnion(BOXES_2D)
+        assert square.covers_cube(Cube.root((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)))
+        assert not square.covers_cube(Cube.root((0, 0), Fraction(1, 2)))
+
+    def test_pruning_visits_only_boundary_cubes(self):
+        visited = []
+
+        class Counting(BoxUnion):
+            def meets_cube(self, cube):
+                visited.append(cube)
+                return super().meets_cube(cube)
+
+        list(enumerate_pore_cubes(Counting(BOXES_1D[:1]), UNIT, 20))
+        # two children of the single boundary cube per generation, plus the root
+        assert len(visited) == 2 * 20 + 1
 
 
 class TestMaximalPore:
