@@ -27,6 +27,7 @@ from .porestats import (
     markov_bounds_from_moments,
     moment,
     moment_closed_form,
+    moment_prefixes,
     normal_gap,
     tilde_quantile_largest,
     tilde_quantile_pair,

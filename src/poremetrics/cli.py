@@ -25,9 +25,8 @@ from .porestats import (
     EXPECTATION_PRODUCT_BOUND,
     binomial_check,
     divergence_scan,
-    kakeya_product,
     length_law,
-    moment_closed_form,
+    moment_prefixes,
 )
 from .rationals import format_rational, parse_rational
 from .setmodels import (
@@ -301,12 +300,14 @@ def cmd_porosity(args, argv) -> int:
 def cmd_prob_stats(args, argv) -> int:
     seq = _parse_sequence(args.rule, args.c)
     lo, hi = _parse_range(args.levels)
+    if lo < 0:
+        raise PreconditionError("level must be nonnegative")
     bound = repr(EXPECTATION_PRODUCT_BOUND)
+    ex_all = moment_prefixes(seq, hi, 1)
+    ex_inv_all = moment_prefixes(seq, hi, -1)
     rows = []
     for level in range(lo, hi + 1):
-        ex = moment_closed_form(seq, level, 1)
-        ex_inv = moment_closed_form(seq, level, -1)
-        product = kakeya_product(seq, level)
+        ex, ex_inv = ex_all[level], ex_inv_all[level]
         if seq.rule == "constant" and seq.c == Fraction(1, 2):
             ok, _ = binomial_check(length_law(seq, level))
             binom = "true" if ok else "false"
@@ -315,9 +316,9 @@ def cmd_prob_stats(args, argv) -> int:
         rows.append(
             [
                 level,
-                format_rational(Fraction(ex)),
-                format_rational(Fraction(ex_inv)),
-                format_rational(product),
+                format_rational(ex),
+                format_rational(ex_inv),
+                format_rational(ex * ex_inv),
                 bound,
                 binom,
             ]

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -127,26 +128,40 @@ def moment(law: LengthDistribution, theta) -> Fraction | float:
     return exact_total if exact else float_total
 
 
-def moment_closed_form(seq: ContractionSequence, level: int, theta) -> Fraction | float:
-    """Product form of the moment recursion: prod (2 + c_i^(1+theta)) / (2 + c_i)."""
-    theta = Fraction(theta)
+def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
+    """Closed-form E[X^theta] at every level 0..level, from one pass of prefix
+    products of the stage factors (2 + c_i^(1+theta)) / (2 + c_i).
+
+    Entries are exact Fractions up to the first stage whose power is
+    irrational; from there the running product is a float, updated as
+    out * float(num) / float(den), so entry L has the bits of a product
+    computed for level L alone.
+    """
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    e = 1 + Fraction(theta)
     out: Fraction | float = Fraction(1)
     exact = True
+    prefixes = [out]
     for i in range(1, level + 1):
         c = seq.value(i)
-        p = rational_pow(c, 1 + theta)
+        p = rational_pow(c, e)
         if p is None:
-            p = float(c) ** float(1 + theta)
+            p = float(c) ** float(e)
             if exact:
                 out = float(out)
                 exact = False
-        factor_num = 2 + p
-        factor_den = 2 + c
         if exact:
-            out = out * factor_num / factor_den
+            out *= (2 + p) / (2 + c)
         else:
-            out = out * float(factor_num) / float(factor_den)
-    return out
+            out = out * float(2 + p) / float(2 + c)
+        prefixes.append(out)
+    return prefixes
+
+
+def moment_closed_form(seq: ContractionSequence, level: int, theta) -> Fraction | float:
+    """Product form of the moment recursion: prod (2 + c_i^(1+theta)) / (2 + c_i)."""
+    return moment_prefixes(seq, level, theta)[-1]
 
 
 def kakeya_product(seq: ContractionSequence, level: int) -> Fraction:
@@ -186,31 +201,34 @@ def markov_bounds(law: LengthDistribution, s, k, k_prime) -> MarkovBounds:
     return markov_bounds_from_moments(moment(law, 1), moment(law, -1), s, k, k_prime)
 
 
+def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
+    """P(Y = k) * b^n = comb(n, k) a^k (b - a)^(n - k) for k = 0..n, where
+    Y ~ Bin(n, q) and q = a/b, together with the common denominator b^n."""
+    a, b = q.numerator, q.denominator
+    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)], b**n
+
+
 def binomial_pmf(n: int, k: int, q: Fraction) -> Fraction:
-    return Fraction(math.comb(n, k)) * q**k * (1 - q) ** (n - k)
+    if k > n:
+        return Fraction(0)
+    a, b = q.numerator, q.denominator
+    return Fraction(math.comb(n, k) * a**k * (b - a) ** (n - k), b**n)
 
 
 def binomial_cdf_row(n: int, q: Fraction) -> list[Fraction]:
-    """Exact P(Y <= k) for k = 0..n."""
-    out = []
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += binomial_pmf(n, k, q)
-        out.append(total)
-    return out
+    """Exact P(Y <= k) for k = 0..n, summed in integers over b^n."""
+    nums, den = _binomial_numerators(n, q)
+    return [Fraction(total, den) for total in accumulate(nums)]
 
 
 def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
     """Exact test that a constant-1/2 law is binomial with q = 1/5 in the exponent."""
     if law.seq is None or law.seq.rule != "constant" or law.seq.c != Fraction(1, 2):
         raise PreconditionError("binomial_check applies to the constant-1/2 sequence")
-    n = law.level
-    q = Fraction(1, 5)
+    nums, den = _binomial_numerators(law.level, Fraction(1, 5))
     max_dev = Fraction(0)
     ok = True
-    expected = {
-        Fraction(1, 2**k): binomial_pmf(n, k, q) for k in range(n + 1)
-    }
+    expected = {Fraction(1, 2**k): Fraction(m, den) for k, m in enumerate(nums)}
     for length in set(law.masses) | set(expected):
         dev = abs(law.masses.get(length, Fraction(0)) - expected.get(length, Fraction(0)))
         if dev != 0:

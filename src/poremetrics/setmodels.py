@@ -132,9 +132,12 @@ class SetOracle:
         """Does the set intersect the half-open interval [lo, hi)?"""
         raise NotImplementedError
 
-    def meets_cube(self, cube: Cube) -> bool:
+    def _check_dimension(self, cube: Cube) -> None:
         if cube.dimension != self.dimension:
             raise PreconditionError("cube/oracle dimension mismatch")
+
+    def meets_cube(self, cube: Cube) -> bool:
+        self._check_dimension(cube)
         if self.dimension == 1:
             lo, hi = cube.as_interval()
             return self.meets_interval(lo, hi)
@@ -318,6 +321,7 @@ class PointCloud(SetOracle):
         return sqrt_bracket(self.distance_sq(x))
 
     def meets_cube(self, cube: Cube) -> bool:
+        self._check_dimension(cube)
         lo, hi = cube.lower(), cube.upper()
         return any(
             all(a <= c < b for a, c, b in zip(lo, p, hi)) for p in self.points
@@ -391,6 +395,7 @@ class BoxUnion(SetOracle):
         return sqrt_bracket(self.distance_sq(x))
 
     def meets_cube(self, cube: Cube) -> bool:
+        self._check_dimension(cube)
         lo, hi = cube.lower(), cube.upper()
         return any(
             all(l < b and h >= a for l, h, a, b in zip(lows, highs, lo, hi))
@@ -399,6 +404,7 @@ class BoxUnion(SetOracle):
 
     def covers_cube(self, cube: Cube) -> bool:
         # A closed box contains the half-open cube iff it contains its closure.
+        self._check_dimension(cube)
         lo, hi = cube.lower(), cube.upper()
         return any(
             all(l <= a and b <= h for l, h, a, b in zip(lows, highs, lo, hi))

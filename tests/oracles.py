@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: pore
 families come from testing the defining condition cube by cube (on every
 dyadic subcube, or on the children of every cube holding a point, which
-scales to any depth), binomial coefficients from Pascal's triangle, and
-membership checks are linear scans over point lists.
+scales to any depth), binomial coefficients from Pascal's triangle and
+binomial rows from Fraction powers, closed-form moments rebuilt from stage 1
+at each level, and membership checks are linear scans over point lists.
 The 1-D means reuse only the library's single-component profile integral and
 evaluate it once per component, with every endpoint distance queried.
 """
@@ -78,6 +79,50 @@ def pascal_binomial_cdf(n, k, q):
     if k < 0:
         return Fraction(0)
     return sum(Fraction(row[j]) * q**j * (1 - q) ** (n - j) for j in range(k + 1))
+
+
+def fraction_binomial_pmf(n, k, q):
+    """P(Bin(n, q) = k) as a product of Fraction powers."""
+    q = Fraction(q)
+    return Fraction(math.comb(n, k)) * q**k * (1 - q) ** (n - k)
+
+
+def fraction_binomial_cdf_row(n, q):
+    """P(Bin(n, q) <= k) for k = 0..n, a running Fraction sum of the pmf."""
+    out = []
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += fraction_binomial_pmf(n, k, q)
+        out.append(total)
+    return out
+
+
+def closed_form_moment(seq, level, theta):
+    """prod_{i <= level} (2 + c_i^(1+theta)) / (2 + c_i), rebuilt from stage 1.
+
+    Exact until the first irrational power; from that stage on the product is
+    a float, updated as out * float(num) / float(den).
+    """
+    from poremetrics.rationals import rational_pow
+
+    theta = Fraction(theta)
+    out = Fraction(1)
+    exact = True
+    for i in range(1, level + 1):
+        c = seq.value(i)
+        p = rational_pow(c, 1 + theta)
+        if p is None:
+            p = float(c) ** float(1 + theta)
+            if exact:
+                out = float(out)
+                exact = False
+        factor_num = 2 + p
+        factor_den = 2 + c
+        if exact:
+            out = out * factor_num / factor_den
+        else:
+            out = out * float(factor_num) / float(factor_den)
+    return out
 
 
 def component_length_multiset(points, window_lo, window_hi):

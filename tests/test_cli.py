@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -182,6 +183,36 @@ class TestReports:
         _, rows = parse_csv(out.stdout)
         assert all(row[5] == "true" for row in rows)
 
+    @pytest.mark.parametrize("rule", [["half_harmonic"], ["constant", "--c", "1/2"]])
+    def test_prob_stats_rows_from_a_later_level(self, rule):
+        full = run_cli("prob-stats", "--rule", *rule, "--levels", "0..9").stdout
+        tail = run_cli("prob-stats", "--rule", *rule, "--levels", "5..9").stdout
+        header, *rows = full.splitlines(keepends=True)
+        assert tail == header + "".join(rows[5:])
+
+    @pytest.mark.parametrize("rule", [["half_harmonic"], ["constant", "--c", "1/2"]])
+    def test_prob_stats_negative_level(self, rule):
+        proc = run_cli("prob-stats", "--rule", *rule, "--levels=-2..1", check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "level must be nonnegative" in proc.stderr
+
+    def test_prob_stats_script_lines_byte_stable(self, tmp_path):
+        # The two prob-stats lines of scripts/run_weight_scans.py; digests of
+        # the reports as first recorded.
+        hh, const, div = (tmp_path / n for n in ("hh.csv", "const.csv", "div.csv"))
+        run_cli("prob-stats", "--rule", "half_harmonic", "--levels", "0..200", "--out", str(hh))
+        run_cli(
+            "prob-stats", "--rule", "constant", "--c", "1/2", "--levels", "0..40",
+            "--out", str(const), "--divergence-t", "1/10", "--divergence-out", str(div),
+        )
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (hh, const, div)}
+        assert digests == {
+            "hh.csv": "997ae14cc427b6b7cf4317f5cca299d964d8a55b796da7e9b69c496c9dc05eff",
+            "const.csv": "89d40447fc46b60c2c2d83ed642fd6d93e0b133ea2bd2a737fa0da44bc75e674",
+            "div.csv": "75c2088496833968c6359c00eaa9e86245fa3e2963bb0703a8adba2670b97127",
+        }
+
     def test_divergence_csv(self, tmp_path):
         main = tmp_path / "stats.csv"
         div = tmp_path / "div.csv"
@@ -209,6 +240,15 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "precondition" in proc.stderr
+
+    def test_cube_dimension_differs_from_point_cloud(self, tmp_path):
+        spec = tmp_path / "cloud2d.json"
+        spec.write_text(json.dumps({"type": "points", "points": [["1/3", "5"], ["3/4", "-2"]]}))
+        proc = run_cli(
+            "pores", "--set", str(spec), "--cube", "unit:[0,1)", "--max-gen", "4", check=False
+        )
+        assert proc.returncode == 2
+        assert "dimension" in proc.stderr
 
     def test_insufficient_depth(self):
         proc = run_cli(

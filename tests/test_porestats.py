@@ -1,9 +1,16 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_length_law, pascal_binomial_cdf
+from oracles import (
+    closed_form_moment,
+    fraction_binomial_cdf_row,
+    fraction_binomial_pmf,
+    fraction_length_law,
+    pascal_binomial_cdf,
+)
 from poremetrics import porestats
 from poremetrics.errors import PreconditionError
 from poremetrics.pores import FractionQuery, Side, tilde_fraction_length
@@ -12,6 +19,7 @@ from poremetrics.porestats import (
     BinomialModel,
     binomial_cdf_row,
     binomial_check,
+    binomial_pmf,
     divergence_scan,
     kakeya_product,
     length_law,
@@ -19,6 +27,7 @@ from poremetrics.porestats import (
     markov_bounds_from_moments,
     moment,
     moment_closed_form,
+    moment_prefixes,
     normal_cdf,
     normal_gap,
     tilde_quantile_largest,
@@ -31,6 +40,18 @@ HALF = ContractionSequence.constant(Fraction(1, 2))
 HH = ContractionSequence.half_harmonic()
 QUARTER = ContractionSequence.constant(Fraction(1, 4))
 TWO_SEVENTHS = ContractionSequence.constant(Fraction(2, 7))
+TWO_THIRDS = ContractionSequence.constant(Fraction(2, 3))
+ONE = ContractionSequence.constant(1)
+
+
+@dataclass(frozen=True)
+class _Stages:
+    """A contraction sequence given by its first factors."""
+
+    factors: tuple
+
+    def value(self, n):
+        return self.factors[n - 1]
 
 
 class TestLengthLaw:
@@ -111,6 +132,44 @@ class TestMoments:
         val = moment(length_law(QUARTER, 6), Fraction(1, 2))
         assert isinstance(val, Fraction)
         assert val == moment_closed_form(QUARTER, 6, Fraction(1, 2))
+
+
+class TestMomentPrefixes:
+    @pytest.mark.parametrize("seq", [HH, HALF, QUARTER, TWO_THIRDS, ONE])
+    @pytest.mark.parametrize(
+        "theta", [1, -1, 0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+    )
+    def test_matches_per_level_products(self, seq, theta):
+        # Same type and the same bits at every level, on the exact path, the
+        # float path and across the switch between them.
+        prefixes = moment_prefixes(seq, 60, theta)
+        assert len(prefixes) == 61
+        for level, value in enumerate(prefixes):
+            expected = closed_form_moment(seq, level, theta)
+            assert type(value) is type(expected)
+            assert repr(value) == repr(expected)
+        assert repr(moment_closed_form(seq, 60, theta)) == repr(prefixes[-1])
+
+    def test_switch_to_float_after_exact_stages(self):
+        # c^(3/2) is rational for c = 1/4 and 9/16 but not for 1/2, so the
+        # product turns into a float at stage 4 and then mixes both kinds.
+        q, h, n = Fraction(1, 4), Fraction(1, 2), Fraction(9, 16)
+        seq = _Stages((q, n, q, h, n, h, q, n))
+        theta = Fraction(1, 2)
+        prefixes = moment_prefixes(seq, 8, theta)
+        assert [type(v) for v in prefixes] == [Fraction] * 4 + [float] * 5
+        for level, value in enumerate(prefixes):
+            assert repr(value) == repr(closed_form_moment(seq, level, theta))
+
+    def test_negative_level_rejected(self):
+        for call in (
+            lambda: moment_prefixes(HH, -1, 1),
+            lambda: moment_closed_form(HH, -1, 1),
+            lambda: moment_closed_form(HALF, -3, -1),
+            lambda: kakeya_product(HH, -2),
+        ):
+            with pytest.raises(PreconditionError, match="level must be nonnegative"):
+                call()
 
 
 class TestKakeyaProduct:
@@ -198,6 +257,13 @@ class TestBinomialReduction:
     def test_rejects_other_sequences(self):
         with pytest.raises(PreconditionError):
             binomial_check(length_law(HH, 3))
+
+    @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(1, 3), Fraction(2, 7)])
+    def test_integer_rows_match_fraction_formula(self, q):
+        for n in range(61):
+            assert binomial_cdf_row(n, q) == fraction_binomial_cdf_row(n, q)
+            for k in range(n + 1):
+                assert binomial_pmf(n, k, q) == fraction_binomial_pmf(n, k, q)
 
     @pytest.mark.parametrize("n", [1, 5, 12, 40])
     def test_cdf_matches_pascal_oracle(self, n):

@@ -190,6 +190,17 @@ class TestHigherDimensionalBrackets:
         assert cloud.meets_cube(Cube.root((0, 0), 1))
         assert not cloud.meets_cube(Cube.root((1, 1), 1))
 
+    def test_cube_dimension_must_match_the_set(self):
+        from poremetrics.dyadic import Cube
+        from poremetrics.setmodels import PointCloud
+
+        unit = Cube.interval(0, 1)
+        cloud = PointCloud(((Fraction(1, 3), Fraction(5)), (Fraction(3, 4), Fraction(-2))))
+        boxes = BoxUnion((((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),))
+        for query in (cloud.meets_cube, boxes.meets_cube, boxes.covers_cube):
+            with pytest.raises(PreconditionError):
+                query(unit)
+
 
 class TestSpecRoundTrip:
     def test_lattice(self):
