@@ -23,6 +23,7 @@ from .porestats import (
     divergence_scan,
     kakeya_product,
     length_law,
+    length_laws,
     markov_bounds,
     markov_bounds_from_moments,
     moment,

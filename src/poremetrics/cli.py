@@ -17,15 +17,16 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .dyadic import Cube
 from .errors import InsufficientDepthError, PreconditionError
-from .pores import FractionQuery, Side, enumerate_pores, ratio_condition, weak_porosity_check
+from .pores import enumerate_pores, ratio_condition, weak_porosity_check
 from .porestats import (
     EXPECTATION_PRODUCT_BOUND,
     binomial_check,
     divergence_scan,
-    length_law,
+    length_laws,
     moment_prefixes,
 )
 from .rationals import format_rational, parse_rational
@@ -111,6 +112,13 @@ def parse_cubes(spec: str, oracle=None) -> list[Cube]:
     raise PreconditionError(f"cannot parse cube spec {spec!r}")
 
 
+def _one_cube(spec: str, oracle, command: str) -> Cube:
+    cubes = parse_cubes(spec, oracle)
+    if len(cubes) != 1:
+        raise PreconditionError(f"{command} needs exactly one cube, got {len(cubes)}")
+    return cubes[0]
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     a, _, b = text.partition("..")
     lo, hi = int(a), int(b if b else a)
@@ -147,10 +155,10 @@ def _fmt_bound(v) -> str:
 
 
 def cmd_gen_set(args, argv) -> int:
-    seq = _parse_sequence(args.rule, args.c)
-    points, envelope = generate(seq, args.level, args.reflect)
+    oracle = Generated(_parse_sequence(args.rule, args.c), args.level, args.reflect)
     if args.spec_out:
-        save_set_spec(Generated(seq, args.level, args.reflect), args.spec_out)
+        save_set_spec(oracle, args.spec_out)
+    points, envelope = oracle.points, oracle.envelope
     lines = [format_rational(p) for p in points]
     text = "\n".join(lines) + "\n"
     _emit(text, args.points_out, argv)
@@ -184,7 +192,7 @@ def cmd_fig1(args, argv) -> int:
 
 def cmd_pores(args, argv) -> int:
     oracle = parse_set(args.set)
-    (cube,) = parse_cubes(args.cube, oracle)
+    cube = _one_cube(args.cube, oracle, "pores")
     family = enumerate_pores(oracle, cube, args.max_gen)
     if args.format == "json":
         payload = {
@@ -275,7 +283,7 @@ def cmd_ap_scan(args, argv) -> int:
 
 def cmd_porosity(args, argv) -> int:
     oracle = parse_set(args.set)
-    (cube,) = parse_cubes(args.cube, oracle)
+    cube = _one_cube(args.cube, oracle, "porosity-check")
     result = weak_porosity_check(
         oracle, cube, parse_rational(args.sigma), parse_rational(args.gamma), args.max_gen
     )
@@ -305,11 +313,14 @@ def cmd_prob_stats(args, argv) -> int:
     bound = repr(EXPECTATION_PRODUCT_BOUND)
     ex_all = moment_prefixes(seq, hi, 1)
     ex_inv_all = moment_prefixes(seq, hi, -1)
+    laws = None
+    if seq.rule == "constant" and seq.c == Fraction(1, 2):
+        laws = islice(length_laws(seq, hi), lo, None)
     rows = []
     for level in range(lo, hi + 1):
         ex, ex_inv = ex_all[level], ex_inv_all[level]
-        if seq.rule == "constant" and seq.c == Fraction(1, 2):
-            ok, _ = binomial_check(length_law(seq, level))
+        if laws is not None:
+            ok, _ = binomial_check(next(laws))
             binom = "true" if ok else "false"
         else:
             binom = "na"

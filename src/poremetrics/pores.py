@@ -139,8 +139,9 @@ def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
             return
 
 
-def _histogram_from_points(points, q0: Cube, max_gen: int) -> dict:
-    """Per-generation pore counts for a sorted in-window point list.
+def _histogram_from_points(runs, q0: Cube, max_gen: int) -> dict:
+    """Per-generation pore counts for the sorted in-window points, given as
+    runs (b, (a_1, a_2, ...)) of numerators a over a shared denominator b.
 
     With J = max_gen and x = floor(2**J (p - lo)/side), the generation-j cell
     of a point is x >> (J - j), so two adjacent points first fall into
@@ -148,19 +149,22 @@ def _histogram_from_points(points, q0: Cube, max_gen: int) -> dict:
     nonempty(j) = 1 + #{pairs split by j}, and the pores of generation j are
     the empty children of the nonempty cells one generation up:
     counts[j] = 2 nonempty(j-1) - nonempty(j).  Everything is exact integer
-    arithmetic, and the work per point does not depend on the depth.
+    arithmetic, the work per point does not depend on the depth, and within
+    a run every factor of the floor but a is fixed.
     """
     lo, _ = q0.as_interval()
     c, d = lo.numerator, lo.denominator
     e, f = q0.side.numerator, q0.side.denominator
     splits = [0] * (max_gen + 1)
     prev = None
-    for p in points:
-        a, b = p.numerator, p.denominator
-        x = ((a * d - c * b) * f << max_gen) // (b * d * e)
-        if prev is not None and x != prev:
-            splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
-        prev = x
+    for b, nums in runs:
+        # x = ((a d - c b) f << J) // (b d e)
+        mul, off, div = d * f << max_gen, c * b * f << max_gen, b * d * e
+        for a in nums:
+            x = (a * mul - off) // div
+            if prev is not None and x != prev:
+                splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
+            prev = x
     counts: dict = {}
     nonempty = 1
     for j in range(1, max_gen + 1):
@@ -174,18 +178,18 @@ def _histogram_from_points(points, q0: Cube, max_gen: int) -> dict:
 def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
     """Aggregate the pore cubes of ``q0`` into a generation histogram."""
     counts: dict = {}
-    points = None
+    runs = None
     if q0.dimension == 1:
         lo, hi = q0.as_interval()
-        points = oracle.points_in_window(lo, hi)
-    if points is not None:
+        runs = oracle.numerator_runs(lo, hi)
+    if runs is not None:
         if max_gen < 1:
             raise PreconditionError("max_gen must be at least 1")
-        if not points:
+        if not runs:
             raise PreconditionError(
                 "window does not meet the set; use the whole-cube fast path"
             )
-        counts = _histogram_from_points(points, q0, max_gen)
+        counts = _histogram_from_points(runs, q0, max_gen)
     else:
         for pore in enumerate_pore_cubes(oracle, q0, max_gen):
             g = pore.generation - q0.generation

@@ -13,7 +13,7 @@ that recursion.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -69,15 +69,16 @@ class BinomialModel:
 def _integer_law(seq: ContractionSequence, idxs, cap=math.inf):
     """The two-branch recursion over the stages ``idxs`` in integers.
 
-    Returns (masses, den_x, den_w): each atom x is stored as the key x * den_x
-    with mass masses[key] / den_w, where den_x is the product of the
-    denominators q of the factors c = p/q and den_w the product of 2q + p.
-    Keep multiplies the key by q and the mass by 2q; contract multiplies both
-    by p.  Equal atoms get equal keys, so this is the exact law with no
-    Fraction arithmetic on the way.
+    Yields (masses, den_x, den_w) before the first stage and after each one:
+    each atom x is stored as the key x * den_x with mass masses[key] / den_w,
+    where den_x is the product of the denominators q of the factors c = p/q
+    and den_w the product of 2q + p.  Keep multiplies the key by q and the
+    mass by 2q; contract multiplies both by p.  Equal atoms get equal keys,
+    so this is the exact law with no Fraction arithmetic on the way.
     """
     masses = {1: 1}
     den_x = den_w = 1
+    yield masses, den_x, den_w
     for i in idxs:
         c = seq.value(i)
         p, q = c.numerator, c.denominator
@@ -96,17 +97,30 @@ def _integer_law(seq: ContractionSequence, idxs, cap=math.inf):
                 "or the split-half quantile engine"
             )
         masses = nxt
-    return masses, den_x, den_w
+        yield masses, den_x, den_w
+
+
+def _distribution(law, level: int, seq: ContractionSequence) -> LengthDistribution:
+    masses, den_x, den_w = law
+    return LengthDistribution(
+        {Fraction(x, den_x): Fraction(m, den_w) for x, m in masses.items()}, level, seq
+    )
 
 
 def length_law(seq: ContractionSequence, level: int) -> LengthDistribution:
     """Exact gap-length law at the given level via the two-branch recursion."""
     if level < 0:
         raise PreconditionError("level must be nonnegative")
-    masses, den_x, den_w = _integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP)
-    return LengthDistribution(
-        {Fraction(x, den_x): Fraction(m, den_w) for x, m in masses.items()}, level, seq
-    )
+    (law,) = deque(_integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP), maxlen=1)
+    return _distribution(law, level, seq)
+
+
+def length_laws(seq: ContractionSequence, level: int):
+    """``length_law`` at every level 0..level, from one pass of the recursion."""
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    laws = _integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP)
+    return (_distribution(law, n, seq) for n, law in enumerate(laws))
 
 
 def moment(law: LengthDistribution, theta) -> Fraction | float:
@@ -344,7 +358,7 @@ def _half_arrays(seq: ContractionSequence, idxs):
     Integer keys over one denominator sort in the exact atom order, and
     int / int is correctly rounded, so these are the floats of the exact law.
     """
-    masses, den_x, den_w = _integer_law(seq, idxs)
+    ((masses, den_x, den_w),) = deque(_integer_law(seq, idxs), maxlen=1)
     order = sorted(masses)
     xs = np.array([x / den_x for x in order])
     ws = np.array([masses[x] / den_w for x in order])

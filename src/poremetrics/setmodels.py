@@ -14,6 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .dyadic import Cube
 from .errors import PreconditionError
@@ -69,6 +70,34 @@ class ContractionSequence:
         return 1 - Fraction(1, 2 * n)
 
 
+def _stage_numerators(
+    seq: ContractionSequence, level: int, with_reflection: bool = False
+) -> tuple[list[int], int]:
+    """Integer numerators of the level-``n`` generator stage over one
+    denominator: (nums, den), with the points nums[k] / den in increasing order.
+
+    ``den = prod q_i`` for c_i = p_i/q_i: a point of stage i-1 is a multiple
+    of q_i ... q_level, so the contraction by c_i divides exactly.
+    """
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    if level > GENERATE_LEVEL_CAP:
+        raise PreconditionError(
+            f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}"
+        )
+    factors = [seq.value(i) for i in range(1, level + 1)]
+    den = math.prod(c.denominator for c in factors)
+    nums = [0, den]
+    for c in factors:
+        last, p, q = nums[-1], c.numerator, c.denominator
+        contracted = [last + x // q * p for x in nums]
+        top = contracted[-1]
+        nums += contracted[1:] + [top + x for x in nums[1:]]
+    if with_reflection:
+        nums = [-x for x in reversed(nums[1:])] + nums
+    return nums, den
+
+
 def generate(
     seq: ContractionSequence, level: int, with_reflection: bool = False
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, Fraction]]:
@@ -79,25 +108,7 @@ def generate(
     point of the contracted one; shared endpoints are stored once, so stage n
     has 3**n + 1 points.  With reflection the stage is mirrored through 0.
     """
-    if level < 0:
-        raise PreconditionError("level must be nonnegative")
-    if level > GENERATE_LEVEL_CAP:
-        raise PreconditionError(
-            f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}"
-        )
-    # Integer numerators over den = prod q_i for c_i = p_i/q_i: a point of
-    # stage i-1 is a multiple of q_i ... q_level, so the contraction by c_i
-    # divides exactly.
-    factors = [seq.value(i) for i in range(1, level + 1)]
-    den = math.prod(c.denominator for c in factors)
-    nums = [0, den]
-    for c in factors:
-        last = nums[-1]
-        contracted = [last + x // c.denominator * c.numerator for x in nums]
-        top = contracted[-1]
-        nums += contracted[1:] + [top + x for x in nums[1:]]
-    if with_reflection:
-        nums = [-x for x in reversed(nums[1:])] + nums
+    nums, den = _stage_numerators(seq, level, with_reflection)
     pts = tuple(Fraction(x, den) for x in nums)
     return pts, (pts[0], pts[-1])
 
@@ -151,10 +162,25 @@ class SetOracle:
     def components(self, lo: Fraction, hi: Fraction) -> list[Component]:
         raise PreconditionError("component enumeration needs a 1-D oracle")
 
+    def gap_lengths(self, lo: Fraction, hi: Fraction) -> tuple[list, int]:
+        """Lengths of ``components(lo, hi)`` in window order, as numerators
+        over one scale: (lengths, scale).  Here the lengths are the
+        components' own Fractions over scale 1."""
+        return [c.length for c in self.components(lo, hi)], 1
+
     def points_in_window(self, lo: Fraction, hi: Fraction):
         """Sorted points of the set inside [lo, hi), or None when the set is
         not point-representable there (enables the exact histogram fast path)."""
         return None
+
+    def numerator_runs(self, lo: Fraction, hi: Fraction):
+        """The points of ``points_in_window`` as runs (b, (a_1, a_2, ...)) of
+        numerators over a shared denominator b, in sorted order, or None.
+        Here every point is its own run."""
+        pts = self.points_in_window(lo, hi)
+        if pts is None:
+            return None
+        return [(p.denominator, (p.numerator,)) for p in pts]
 
     def is_measure_zero(self) -> bool:
         return True
@@ -163,51 +189,8 @@ class SetOracle:
         raise NotImplementedError
 
 
-class _SortedPoints1D(SetOracle):
-    """Shared logic for oracles backed by a finite sorted point list."""
-
-    points: tuple
-
-    def distance(self, x) -> Fraction:
-        x = Fraction(x)
-        pts = self.points
-        i = bisect_left(pts, x)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(pts):
-                d = abs(x - pts[j])
-                best = d if best is None or d < best else best
-        if best is None:
-            raise PreconditionError("empty point set")
-        return best
-
-    def meets_interval(self, lo, hi) -> bool:
-        lo, hi = Fraction(lo), Fraction(hi)
-        i = bisect_left(self.points, lo)
-        return i < len(self.points) and self.points[i] < hi
-
-    def _interior_points(self, lo, hi):
-        i = bisect_right(self.points, lo)
-        j = bisect_left(self.points, hi)
-        return self.points[i:j]
-
-    def points_in_window(self, lo, hi):
-        i = bisect_left(self.points, Fraction(lo))
-        j = bisect_left(self.points, Fraction(hi))
-        return self.points[i:j]
-
-    def components(self, lo, hi) -> list[Component]:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        cuts = [lo] + list(self._interior_points(lo, hi)) + [hi]
-        return [
-            Component(a, b) for a, b in zip(cuts, cuts[1:]) if b > a
-        ]
-
-
 @dataclass(frozen=True)
-class FinitePoints(_SortedPoints1D):
+class FinitePoints(SetOracle):
     """A finite set of points on the line, stored strictly sorted."""
 
     points: tuple
@@ -221,6 +204,31 @@ class FinitePoints(_SortedPoints1D):
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise PreconditionError("points must be strictly sorted")
         object.__setattr__(self, "points", pts)
+
+    def distance(self, x) -> Fraction:
+        x = Fraction(x)
+        pts = self.points
+        i = bisect_left(pts, x)
+        return min(abs(x - pts[j]) for j in (i - 1, i) if 0 <= j < len(pts))
+
+    def meets_interval(self, lo, hi) -> bool:
+        lo, hi = Fraction(lo), Fraction(hi)
+        i = bisect_left(self.points, lo)
+        return i < len(self.points) and self.points[i] < hi
+
+    def points_in_window(self, lo, hi):
+        i = bisect_left(self.points, Fraction(lo))
+        j = bisect_left(self.points, Fraction(hi))
+        return self.points[i:j]
+
+    def components(self, lo, hi) -> list[Component]:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if hi <= lo:
+            raise PreconditionError("window needs hi > lo")
+        i = bisect_right(self.points, lo)
+        j = bisect_left(self.points, hi)
+        cuts = [lo, *self.points[i:j], hi]
+        return [Component(a, b) for a, b in zip(cuts, cuts[1:])]
 
     def spec_dict(self) -> dict:
         return {"type": "points", "points": [format_rational(p) for p in self.points]}
@@ -259,21 +267,92 @@ class IntegerLattice(SetOracle):
 
 
 @dataclass(frozen=True)
-class Generated(_SortedPoints1D):
-    """A materialized generator stage E_n (optionally reflected through 0)."""
+class Generated(SetOracle):
+    """A generator stage E_n (optionally reflected through 0), held as the
+    sorted integer numerators of its points over one denominator ``den``.
+
+    A query point x is scaled once: a numerator n has n/den >= x exactly when
+    n >= ceil(x den), so every query bisects the integer list.  ``points``,
+    the Fraction view, is built on first use only.  Equality and hashing go
+    by the spec (sequence, level, reflection), which fixes the points.
+    """
 
     seq: ContractionSequence
     level: int
     with_reflection: bool = False
-    points: tuple = field(init=False)
-    envelope: tuple = field(init=False)
+    numerators: tuple = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    envelope: tuple = field(init=False, repr=False, compare=False)
 
     dimension = 1
 
     def __post_init__(self):
-        pts, env = generate(self.seq, self.level, self.with_reflection)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "envelope", env)
+        nums, den = _stage_numerators(self.seq, self.level, self.with_reflection)
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "envelope", (Fraction(nums[0], den), Fraction(nums[-1], den)))
+
+    @cached_property
+    def points(self) -> tuple:
+        """The points as Fractions, in increasing order."""
+        return tuple(Fraction(n, self.den) for n in self.numerators)
+
+    def _first_at_least(self, x: Fraction) -> int:
+        """Index of the first point >= x."""
+        return bisect_left(self.numerators, -(-x.numerator * self.den // x.denominator))
+
+    def _first_above(self, x: Fraction) -> int:
+        """Index of the first point > x."""
+        return bisect_right(self.numerators, x.numerator * self.den // x.denominator)
+
+    def distance(self, x) -> Fraction:
+        # |x - n/den| = |x.numerator den - n x.denominator| / (x.denominator den)
+        x = Fraction(x)
+        nums = self.numerators
+        i = self._first_at_least(x)
+        xn, xd = x.numerator * self.den, x.denominator
+        best = min(abs(xn - nums[j] * xd) for j in (i - 1, i) if 0 <= j < len(nums))
+        return Fraction(best, xd * self.den)
+
+    def meets_interval(self, lo, hi) -> bool:
+        i = self._first_at_least(Fraction(lo))
+        return i < len(self.numerators) and i < self._first_at_least(Fraction(hi))
+
+    def _in_window(self, lo, hi) -> tuple:
+        """Numerators of the points in [lo, hi)."""
+        return self.numerators[self._first_at_least(Fraction(lo)):self._first_at_least(Fraction(hi))]
+
+    def points_in_window(self, lo, hi):
+        return tuple(Fraction(n, self.den) for n in self._in_window(lo, hi))
+
+    def numerator_runs(self, lo, hi):
+        nums = self._in_window(lo, hi)
+        return [(self.den, nums)] if nums else []
+
+    def _interior(self, lo, hi):
+        """The window ends as Fractions and the numerators strictly between them."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        if hi <= lo:
+            raise PreconditionError("window needs hi > lo")
+        return lo, hi, self.numerators[self._first_above(lo):self._first_at_least(hi)]
+
+    def components(self, lo, hi) -> list[Component]:
+        lo, hi, inner = self._interior(lo, hi)
+        cuts = [lo, *(Fraction(n, self.den) for n in inner), hi]
+        return [Component(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    def gap_lengths(self, lo, hi) -> tuple[list, int]:
+        """Integer component lengths over scale = lcm(den, lo's and hi's
+        denominators), so an off-grid window needs no Fraction either."""
+        lo, hi, inner = self._interior(lo, hi)
+        scale = math.lcm(self.den, lo.denominator, hi.denominator)
+        k = scale // self.den
+        cuts = [
+            lo.numerator * (scale // lo.denominator),
+            *(n * k for n in inner),
+            hi.numerator * (scale // hi.denominator),
+        ]
+        return [b - a for a, b in zip(cuts, cuts[1:])], scale
 
     def envelope_cube(self) -> Cube:
         return Cube.interval(self.envelope[0], self.envelope[1])

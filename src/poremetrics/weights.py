@@ -204,20 +204,24 @@ class _Gaps:
 
     @classmethod
     def of(cls, oracle: SetOracle, q0: Cube) -> "_Gaps":
+        """Read the window's gap lengths as numerators over one scale and
+        build one Fraction per distinct length, indexed in window order."""
         lo_w, hi_w = q0.as_interval()
-        lengths = [c.length for c in oracle.components(lo_w, hi_w)]
+        lengths, scale = oracle.gap_lengths(lo_w, hi_w)
         d_lo, d_hi = oracle.distance(lo_w), oracle.distance(hi_w)
         if len(lengths) > 1:
-            ends = ((lengths[0], d_lo, _ZERO), (lengths[-1], _ZERO, d_hi))
+            edge = [lengths[0], lengths[-1]]
+            ends = ((Fraction(edge[0], scale), d_lo, _ZERO), (Fraction(edge[1], scale), _ZERO, d_hi))
         else:
-            ends = tuple((h, d_lo, d_hi) for h in lengths)
-        index = {}
-        order = tuple(index.setdefault(h, len(index)) for h in lengths[1:-1])
-        counts = Counter(order)
-        covered = sum((h for h, _, _ in ends), Fraction(0))
-        for h, k in index.items():
-            covered += counts[k] * h
-        return cls(hi_w - lo_w, ends, tuple(index), order, covered)
+            edge = lengths
+            ends = tuple((Fraction(h, scale), d_lo, d_hi) for h in edge)
+        interior = lengths[1:-1]
+        counts = Counter(interior)
+        index = {h: k for k, h in enumerate(counts)}
+        order = tuple(map(index.__getitem__, interior))
+        covered = Fraction(sum(edge) + sum(h * m for h, m in counts.items()), scale)
+        distinct = tuple(Fraction(h, scale) for h in counts)
+        return cls(hi_w - lo_w, ends, distinct, order, covered)
 
     def peak(self) -> Fraction:
         """Maximum of the distance profile: half the longest interior gap,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from poremetrics.dyadic import Cube
+from poremetrics.porestats import binomial_check, length_law
 from poremetrics.rationals import parse_rational
 from poremetrics.setmodels import ContractionSequence, generate
 
@@ -213,6 +214,16 @@ class TestReports:
             "div.csv": "75c2088496833968c6359c00eaa9e86245fa3e2963bb0703a8adba2670b97127",
         }
 
+    def test_prob_stats_binomial_column_to_level_200(self):
+        # The one-pass law column against a law rebuilt from stage 1 at each
+        # level.
+        half = ContractionSequence.constant(Fraction(1, 2))
+        out = run_cli("prob-stats", "--rule", "constant", "--c", "1/2", "--levels", "0..200")
+        _, rows = parse_csv(out.stdout)
+        assert [int(row[0]) for row in rows] == list(range(201))
+        expected = [str(binomial_check(length_law(half, n))[0]).lower() for n in range(201)]
+        assert [row[5] for row in rows] == expected
+
     def test_divergence_csv(self, tmp_path):
         main = tmp_path / "stats.csv"
         div = tmp_path / "div.csv"
@@ -240,6 +251,18 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "precondition" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", [["pores"], ["porosity-check", "--sigma", "1/2", "--gamma", "1/2"]]
+    )
+    def test_single_cube_command_given_a_family(self, command):
+        proc = run_cli(
+            *command, "--set", "lattice", "--cube", "dyadic:0..1", "--max-gen", "4",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"precondition violated: {command[0]} needs exactly one cube" in proc.stderr
 
     def test_cube_dimension_differs_from_point_cloud(self, tmp_path):
         spec = tmp_path / "cloud2d.json"
