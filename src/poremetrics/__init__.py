@@ -30,9 +30,6 @@ from .porestats import (
     moment_closed_form,
     moment_prefixes,
     normal_gap,
-    tilde_quantile_largest,
-    tilde_quantile_pair,
-    tilde_quantile_smallest,
     tilde_quantiles,
 )
 from .rationals import format_rational, parse_rational

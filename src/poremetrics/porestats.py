@@ -5,27 +5,28 @@ component containing a uniform point is a random variable whose law obeys a
 two-branch recursion: each generator stage keeps a length with weight
 2/(2+c) and contracts it by c with weight c/(2+c).  Everything here -- exact
 laws, moments, the expectation product bound, Markov bounds for the
-component quantiles, the binomial reduction for the constant-1/2 sequence,
-its normal approximation, and the quantile divergence scan -- is built on
-that recursion.
+component quantiles, the exact component quantiles themselves (Fractions at
+every level, from the law split into two halves), the binomial reduction for
+the constant-1/2 sequence, its normal approximation, and the quantile
+divergence scan -- is built on that recursion.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-
-import numpy as np
+from itertools import accumulate, compress
+from operator import itemgetter, lt, mul, not_
+from statistics import NormalDist
 
 from .errors import PreconditionError
 from .rationals import rational_pow
 from .setmodels import ContractionSequence
 
 LAW_SUPPORT_CAP = 1 << 17
-EXACT_QUANTILE_LEVEL_CAP = 12
 
 EXPECTATION_PRODUCT_BOUND = math.exp(math.pi**2 / 75)
 
@@ -94,7 +95,7 @@ def _integer_law(seq: ContractionSequence, idxs, cap=math.inf):
         if len(nxt) > cap:
             raise PreconditionError(
                 "law support too large to materialize; use closed-form moments "
-                "or the split-half quantile engine"
+                "or tilde_quantiles"
             )
         masses = nxt
         yield masses, den_x, den_w
@@ -236,19 +237,34 @@ def binomial_cdf_row(n: int, q: Fraction) -> list[Fraction]:
 
 
 def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
-    """Exact test that a constant-1/2 law is binomial with q = 1/5 in the exponent."""
+    """Exact test that a constant-1/2 law is binomial with q = 1/5 in the exponent.
+
+    Bin(n, 1/5) puts mass nums[k] / 5^n on the atom 2^-k.  Each atom's mass is
+    compared with its entry in integers over 5^n; a Fraction is built only
+    for a mass off that grid or an atom the row does not have.  Returns
+    whether the law matches and the largest deviation of any atom.
+    """
     if law.seq is None or law.seq.rule != "constant" or law.seq.c != Fraction(1, 2):
         raise PreconditionError("binomial_check applies to the constant-1/2 sequence")
-    nums, den = _binomial_numerators(law.level, Fraction(1, 5))
-    max_dev = Fraction(0)
-    ok = True
-    expected = {Fraction(1, 2**k): Fraction(m, den) for k, m in enumerate(nums)}
-    for length in set(law.masses) | set(expected):
-        dev = abs(law.masses.get(length, Fraction(0)) - expected.get(length, Fraction(0)))
-        if dev != 0:
-            ok = False
-        max_dev = max(max_dev, dev)
-    return ok, max_dev
+    n = law.level
+    nums, den = _binomial_numerators(n, Fraction(1, 5))
+    worst = 0  # largest deviation on the grid, in units of 1 / den
+    off_grid = Fraction(0)
+    seen = [False] * (n + 1)
+    for x, m in law.masses.items():
+        k = x.denominator.bit_length() - 1
+        if x.numerator != 1 or x.denominator != 1 << k or k > n:
+            off_grid = max(off_grid, m)
+            continue
+        seen[k] = True
+        scale, rem = divmod(den, m.denominator)
+        if rem:
+            off_grid = max(off_grid, abs(m - Fraction(nums[k], den)))
+        else:
+            worst = max(worst, abs(m.numerator * scale - nums[k]))
+    worst = max([worst] + [num for num, hit in zip(nums, seen) if not hit])
+    max_dev = max(Fraction(worst, den), off_grid)
+    return max_dev == 0, max_dev
 
 
 def normal_cdf(z: float) -> float:
@@ -279,17 +295,10 @@ def normal_gap(model: BinomialModel) -> float:
 
 
 def normal_quantile(r: float) -> float:
-    """Inverse of the standard normal CDF, by bisection on erfc."""
+    """Inverse of the standard normal CDF."""
     if not 0 < r < 1:
         raise PreconditionError("quantile level must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < r:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return NormalDist().inv_cdf(r)
 
 
 def predicted_exponent_gap(n: int, t, xi1=None, xi2=None, q=Fraction(1, 5)) -> float:
@@ -341,116 +350,195 @@ def divergence_scan(t, levels) -> list[DivergenceRow]:
 
 # -- component quantiles of generated-set laws ------------------------------
 
-def _cum_from_law(law: LengthDistribution, t: Fraction, largest: bool) -> Fraction:
-    target = Fraction(t)
-    atoms = sorted(law.masses, reverse=largest)
-    cum = Fraction(0)
-    for x in atoms:
-        cum += law.masses[x]
-        if cum >= target:
-            return x
-    raise PreconditionError("threshold exceeds total mass")
+QUANTILE_ENUMERATION_PAIRS = 256
+QUANTILE_SHARED_ROWS = 4  # share an evaluated tail while >= 1/4 of the rows are live
 
 
-def _half_arrays(seq: ContractionSequence, idxs):
-    """Sorted atoms and masses of the law over the stages ``idxs``, as floats.
+def _half_law(seq: ContractionSequence, lo: int, hi: int):
+    """Sorted integer keys of the law over the stages lo..hi-1, their integer
+    masses, and the key and mass denominators.
 
-    Integer keys over one denominator sort in the exact atom order, and
-    int / int is correctly rounded, so these are the floats of the exact law.
+    The law is the product of the ``_integer_law`` of each half of the
+    stages: keys and masses multiply, and equal keys merge.
     """
-    ((masses, den_x, den_w),) = deque(_integer_law(seq, idxs), maxlen=1)
-    order = sorted(masses)
-    xs = np.array([x / den_x for x in order])
-    ws = np.array([masses[x] / den_w for x in order])
-    return xs, ws
+    mid = (lo + hi) // 2
+    ((m1, x1, w1),) = deque(_integer_law(seq, range(lo, mid)), maxlen=1)
+    ((m2, x2, w2),) = deque(_integer_law(seq, range(mid, hi)), maxlen=1)
+    masses: dict = {}
+    for a, wa in m1.items():
+        for b, wb in m2.items():
+            k = a * b
+            masses[k] = masses.get(k, 0) + wa * wb
+    keys = sorted(masses)
+    return keys, [masses[k] for k in keys], x1 * x2, w1 * w2
 
 
-def _split_half_engine(seq, level):
-    """Meet-in-the-middle tail-probability closures for the product law."""
-    mid = level // 2
-    xa, wa = _half_arrays(seq, range(1, mid + 1))
-    xb, wb = _half_arrays(seq, range(mid + 1, level + 1))
-    top_b = np.concatenate([np.cumsum(wb[::-1])[::-1], [0.0]])
-    bot_b = np.concatenate([[0.0], np.cumsum(wb)])
-
-    def p_ge(L):
-        idx = np.searchsorted(xb, L / xa, side="left")
-        return float(np.dot(wa, top_b[idx]))
-
-    def p_le(L):
-        idx = np.searchsorted(xb, L / xa, side="right")
-        return float(np.dot(wa, bot_b[idx]))
-
-    lo_val = float(xa[0] * xb[0])
-    return p_ge, p_le, lo_val, 1.0
+def _score(tail: int, den: int) -> float:
+    """Normal score of the upper-tail mass tail/den, growing as the tail
+    shrinks.  It varies with log v far more evenly than the tail does, so
+    regula falsi on it places pivots better."""
+    if 2 * tail <= den:
+        return -normal_quantile(max(tail / den, 1e-300))
+    return normal_quantile(max((den - tail) / den, 1e-300))
 
 
-def _solve_largest(t):
-    def solve(p_ge, _p_le, lo, hi):
-        tf = float(t)
-        if p_ge(hi) >= tf:
-            return hi
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if p_ge(mid) >= tf:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        return lo
-
-    return solve
+def _shrink(old: float, new: float) -> float:
+    """Anderson-Bjorck factor for the score of the end that stayed put."""
+    m = 1 - new / old if old else 0.0
+    return m if m > 0 else 0.5
 
 
-def _solve_smallest(t):
-    def solve(_p_ge, p_le, lo, hi):
-        tf = float(t)
-        if p_le(lo) >= tf:
-            return lo
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if p_le(mid) >= tf:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        return hi
-
-    return solve
+def _log_pivot(lo: int, hi: int, lam: float) -> int:
+    """The integer near lo * (hi/lo)**lam, kept inside [lo + 1, hi - 1]; the
+    float only places the pivot."""
+    span = hi - lo
+    if span << 32 < lo:  # hi/lo < 1 + 2^-32: log and linear scale agree
+        v = lo + (int(lam * (1 << 53)) * span >> 53)
+    else:
+        x = (1 - lam) * math.log2(lo) + lam * math.log2(hi)
+        shift = max(int(x) - 60, 0)
+        v = round(2 ** (x - shift)) << shift
+    return min(max(v, lo + 1), hi - 1)
 
 
-def tilde_quantile_largest(seq: ContractionSequence, level: int, t) -> Fraction | float:
-    """Largest-side component quantile: sup{L : P(X >= L) >= t}.
+def _row_pointers(kb: list, v: int, keys, lo, hi) -> list:
+    """For each row key k, the first j in [lo, hi] with k * kb[j] >= v (hi if
+    none), given that the rows come by rising key and the bounds fall.
 
-    Exact (Fraction) while the law is materializable; a float from the
-    split-half engine beyond that, accurate to ~1e-12 relative.
+    One two-pointer merge: the pointer only falls from row to row, and one
+    more than 8 places down is found by bisection.
     """
-    t = Fraction(t)
-    if not 0 < t < 1:
-        raise PreconditionError("t must lie in (0, 1)")
-    if seq.rule == "constant" or level <= EXACT_QUANTILE_LEVEL_CAP:
-        return _cum_from_law(length_law(seq, level), t, largest=True)
-    return _solve_largest(t)(*_split_half_engine(seq, level))
+    out = []
+    j = hi[0] if hi else 0
+    for k, a, b in zip(keys, lo, hi):
+        if j > b:
+            j = b
+        if j - a > 8 and k * kb[j - 8] >= v:
+            j = bisect_left(kb, -(-v // k), a, j - 8)
+        else:
+            while j > a and k * kb[j - 1] >= v:
+                j -= 1
+        out.append(j)
+    return out
 
 
-def tilde_quantile_smallest(seq: ContractionSequence, level: int, t) -> Fraction | float:
-    """Smallest-side component quantile: inf{L : P(X <= L) >= t}."""
-    t = Fraction(t)
-    if not 0 < t < 1:
-        raise PreconditionError("t must lie in (0, 1)")
-    if seq.rule == "constant" or level <= EXACT_QUANTILE_LEVEL_CAP:
-        return _cum_from_law(length_law(seq, level), t, largest=False)
-    return _solve_smallest(t)(*_split_half_engine(seq, level))
+class _ProductTail:
+    """The exact upper tail of the gap-length law, from two half laws.
+
+    X = A * B with A the law over stages 1..L//2 and B over the rest.  A's
+    atoms are ka[i] / dxa with masses wa[i] / dwa, and B's likewise, so each
+    atom of X is an integer v over K = dxa * dxb, each mass an integer over
+    D = dwa * dwb, and the tail D * P(X >= v / K) is
+
+        T(v) = sum_i wa[i] * top[first j with ka[i] * kb[j] >= v],
+
+    with top the suffix sums of B's masses.  Row i's pointer is that first j.
+
+    ``largest_atom(need)`` returns the largest v with T(v) >= need, which is
+    an atom.  It keeps an exact bracket T(lo) >= need > T(hi) with the row
+    pointers at both ends; the pairs (i, j) between them are the only atoms
+    in [lo, hi).  Pivots come from regula falsi on the normal score of the
+    tail against log v, with the Anderson-Bjorck guard against one end
+    standing still, interpolation on T itself where the float scores cannot
+    separate the target from an end, and a bisection after six steps that
+    each left over half the pairs; floats only place a pivot, and every
+    decision compares integers.  A row whose pointers meet is frozen.  Once
+    at most QUANTILE_ENUMERATION_PAIRS pairs are left they are enumerated,
+    merged by product and walked up from T(lo).  Tails evaluated while many
+    rows are live, and the final walks, serve the later queries.
+    """
+
+    def __init__(self, seq: ContractionSequence, level: int):
+        mid = level // 2
+        self.ka, self.wa, dxa, dwa = _half_law(seq, 1, mid + 1)
+        self.kb, self.wb, dxb, dwb = _half_law(seq, mid + 1, level + 1)
+        self.top = list(accumulate(reversed(self.wb), initial=0))[::-1]
+        self.K, self.D = dxa * dxb, dwa * dwb
+        na, nb, D = len(self.ka), len(self.kb), self.D
+        # (v, T(v), score, pointers) by v; the two ends score the tail just
+        # inside the extreme atoms.
+        self.known = [
+            (self.ka[0] * self.kb[0], D, _score(D - self.wa[0] * self.wb[0], D), [0] * na),
+            (self.ka[-1] * self.kb[-1] + 1, 0, _score(self.wa[-1] * self.wb[-1], D), [nb] * na),
+        ]
+        self.walks = []  # ([(atom, T(atom)), ...] ascending, T past the last atom)
+
+    def largest_atom(self, need: int) -> int:
+        for walk, t_end in self.walks:
+            if walk[0][1] >= need > t_end:
+                return next(v for v, t in reversed(walk) if t >= need)
+        ka, wa, kb, top, D = self.ka, self.wa, self.kb, self.top, self.D
+        h = next(k for k, point in enumerate(self.known) if point[1] < need)
+        (v_lo, t_lo, z_lo, base), (v_hi, t_hi, z_hi, p_hi) = self.known[h - 1 : h + 1]
+        base = base[:]  # the pointer of every frozen row
+        rows = [i for i, (a, b) in enumerate(zip(base, p_hi)) if a < b]
+        ak, aw = [ka[i] for i in rows], [wa[i] for i in rows]
+        alo, ahi = [base[i] for i in rows], [p_hi[i] for i in rows]
+        frozen = t_lo - sum(map(mul, aw, map(top.__getitem__, alo)))
+        z_need = _score(2 * need - 1, 2 * D)
+        side = stalls = 0
+        pairs = sum(ahi) - sum(alo)
+        while pairs > QUANTILE_ENUMERATION_PAIRS and v_hi - v_lo > 1:
+            if stalls > 5:  # six steps running left over half the pairs: bisect
+                lam = 0.5
+            elif z_lo < z_need < z_hi:
+                lam = (z_need - z_lo) / (z_hi - z_lo)
+            else:  # the scores cannot tell the target from an end: interpolate T
+                lam = (2 * (t_lo - need) + 1) / (2 * (t_lo - t_hi))
+            v = _log_pivot(v_lo, v_hi, lam)
+            ptr = _row_pointers(kb, v, ak, alo, ahi)
+            t = frozen + sum(map(mul, aw, map(top.__getitem__, ptr)))
+            z = _score(t, D)
+            # When the same end moves twice running, shrink the other end's
+            # score towards the target (Anderson-Bjorck; halve by default).
+            if t >= need:
+                if side > 0:
+                    z_hi = z_need + (z_hi - z_need) * _shrink(z_lo - z_need, z - z_need)
+                v_lo, t_lo, z_lo, alo, side = v, t, z, ptr, 1
+            else:
+                if side < 0:
+                    z_lo = z_need + (z_lo - z_need) * _shrink(z_hi - z_need, z - z_need)
+                v_hi, t_hi, z_hi, ahi, side = v, t, z, ptr, -1
+            sharing = len(rows) * QUANTILE_SHARED_ROWS >= len(ka)
+            if sharing:
+                full = base[:]
+                for i, p in zip(rows, ptr):
+                    full[i] = p
+                insort(self.known, (v, t, z, full), key=itemgetter(0))
+            # Drop the frozen rows once they are more than an eighth.
+            live = list(map(lt, alo, ahi))
+            if live.count(False) * 8 > len(live):
+                dead = list(map(not_, live))
+                if sharing:
+                    for i, a in zip(compress(rows, dead), compress(alo, dead)):
+                        base[i] = a
+                frozen += sum(map(mul, compress(aw, dead), map(top.__getitem__, compress(alo, dead))))
+                rows, ak, aw, alo, ahi = (list(compress(x, live)) for x in (rows, ak, aw, alo, ahi))
+            before, pairs = pairs, sum(ahi) - sum(alo)
+            stalls = stalls + 1 if 2 * pairs > before else 0
+        wb = self.wb
+        mass: dict = {}
+        for k, w, a, b in zip(ak, aw, alo, ahi):
+            for j in range(a, b):
+                x = k * kb[j]
+                mass[x] = mass.get(x, 0) + w * wb[j]
+        walk = []
+        for x in sorted(mass):
+            walk.append((x, t_lo))
+            t_lo -= mass[x]
+        self.walks.append((walk, t_hi))
+        return next(v for v, t in reversed(walk) if t >= need)
 
 
-def tilde_quantiles(seq: ContractionSequence, level: int, queries):
-    """Answer several (t, side) component-quantile queries from one build.
+def tilde_quantiles(seq: ContractionSequence, level: int, queries) -> list[Fraction]:
+    """Exact component quantiles for several (t, side) queries at one level.
 
-    ``queries`` is an iterable of (t, side) with side "largest" or
-    "smallest"; one exact law (small levels, or any constant sequence) or one
-    split-half engine (large levels) serves every query.
+    side "largest" asks for sup{L : P(X >= L) >= t}, side "smallest" for
+    inf{L : P(X <= L) >= t}.  Both are atoms of the law: with D the mass
+    denominator, the largest atom whose tail D * P(X >= v) reaches
+    ceil(t D), respectively exceeds floor((1 - t) D).  One split-half build
+    serves every query at every level and for every rule, and each answer
+    is a Fraction.
     """
     queries = [(Fraction(t), side) for t, side in queries]
     for t, side in queries:
@@ -458,20 +546,12 @@ def tilde_quantiles(seq: ContractionSequence, level: int, queries):
             raise PreconditionError("t must lie in (0, 1)")
         if side not in ("largest", "smallest"):
             raise PreconditionError(f"unknown side {side!r}")
-    if seq.rule == "constant" or level <= EXACT_QUANTILE_LEVEL_CAP:
-        law = length_law(seq, level)
-        return [
-            _cum_from_law(law, t, largest=(side == "largest")) for t, side in queries
-        ]
-    p_ge, p_le, lo, hi = _split_half_engine(seq, level)
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    tail = _ProductTail(seq, level)
     out = []
     for t, side in queries:
-        solver = _solve_largest(t) if side == "largest" else _solve_smallest(t)
-        out.append(solver(p_ge, p_le, lo, hi))
+        a, b = t.numerator, t.denominator
+        need = -(-a * tail.D // b) if side == "largest" else (b - a) * tail.D // b + 1
+        out.append(Fraction(tail.largest_atom(need), tail.K))
     return out
-
-
-def tilde_quantile_pair(seq: ContractionSequence, level: int, t):
-    """Both component quantiles at once, sharing one law or split-half build."""
-    largest, smallest = tilde_quantiles(seq, level, [(t, "largest"), (t, "smallest")])
-    return largest, smallest

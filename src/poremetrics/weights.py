@@ -199,6 +199,7 @@ class _Gaps:
     side: Fraction
     ends: tuple  # (h, d_left, d_right) of the first and the last component
     distinct: tuple  # distinct interior lengths
+    counts: tuple  # how many interior components have each distinct length
     order: tuple  # index into ``distinct`` of each interior component, in window order
     covered: Fraction  # total length of the components
 
@@ -221,7 +222,7 @@ class _Gaps:
         order = tuple(map(index.__getitem__, interior))
         covered = Fraction(sum(edge) + sum(h * m for h, m in counts.items()), scale)
         distinct = tuple(Fraction(h, scale) for h in counts)
-        return cls(hi_w - lo_w, ends, distinct, order, covered)
+        return cls(hi_w - lo_w, ends, distinct, tuple(counts.values()), order, covered)
 
     def peak(self) -> Fraction:
         """Maximum of the distance profile: half the longest interior gap,
@@ -230,8 +231,10 @@ class _Gaps:
         return max([interior] + [profile_peak(*end) for end in self.ends])
 
     def mean(self, theta: Fraction) -> _ScaledMean:
-        """The normalized mean, summed over the components in window order so
-        that the float sum is the same as one integral per component."""
+        """The normalized mean.  With every term exact it is the sum of
+        count * integral per distinct length; otherwise it is summed over the
+        components in window order, so that the float sum is the same as one
+        integral per component."""
         side = self.side
         n = len(self.ends) + len(self.order)
         interior = [profile_integral(h / side, _ZERO, _ZERO, theta) for h in self.distinct]
@@ -239,16 +242,20 @@ class _Gaps:
         total = Fraction(0)
         total_f = 0.0
         exact = True
-        for val, is_exact in chain(ends[:1], (interior[k] for k in self.order), ends[1:]):
-            if val == math.inf:
-                return _ScaledMean(side, theta, math.inf, math.inf, False, n)
-            if is_exact and exact:
-                total += val
-            else:
-                if exact:
-                    total_f = float(total)
-                    exact = False
-                total_f += float(val)
+        if all(is_exact for _, is_exact in chain(interior, ends)):
+            total = sum((val for val, _ in ends), total)
+            total = sum((val * m for (val, _), m in zip(interior, self.counts)), total)
+        else:
+            for val, is_exact in chain(ends[:1], (interior[k] for k in self.order), ends[1:]):
+                if val == math.inf:
+                    return _ScaledMean(side, theta, math.inf, math.inf, False, n)
+                if is_exact and exact:
+                    total += val
+                else:
+                    if exact:
+                        total_f = float(total)
+                        exact = False
+                    total_f += float(val)
         # Distance vanishes on the part of the window inside the set: it adds
         # nothing for theta > 0, exactly its normalized measure for theta = 0,
         # and diverges for theta < 0.

@@ -5,7 +5,10 @@ families come from testing the defining condition cube by cube (on every
 dyadic subcube, or on the children of every cube holding a point, which
 scales to any depth), binomial coefficients from Pascal's triangle and
 binomial rows from Fraction powers, closed-form moments rebuilt from stage 1
-at each level, and membership checks are linear scans over point lists.
+at each level, component quantiles from cumulative walks over Fraction
+laws and from bisection over Fraction half laws, binomial checks from
+Fraction comparison atom by atom, and membership checks are linear scans
+over point lists.
 The 1-D means reuse only the library's single-component profile integral and
 evaluate it once per component, with every endpoint distance queried.
 """
@@ -210,3 +213,49 @@ def per_component_peak(oracle, q0):
         profile_peak(c.length, oracle.distance(c.left), oracle.distance(c.right))
         for c in oracle.components(lo, hi)
     )
+
+
+def fraction_law_quantiles(masses, ts, largest):
+    """Component quantiles of a Fraction law {atom: mass}, one per threshold
+    in ts, by a cumulative walk: the first atom, from the top for the largest
+    side and from the bottom for the smallest, at which the accumulated mass
+    reaches t."""
+    pending = sorted(set(ts))
+    found = {}
+    cum = Fraction(0)
+    for x in sorted(masses, reverse=largest):
+        cum += masses[x]
+        while pending and pending[0] <= cum:
+            found[pending.pop(0)] = x
+    return [found[t] for t in ts]
+
+
+def product_tails(half_a, half_b, x):
+    """(P(X >= x), P(X > x)) for X = A * B with A, B independent Fraction
+    laws, by bisecting x / a among B's sorted atoms for every atom a of A."""
+    from bisect import bisect_left, bisect_right
+
+    atoms = sorted(half_b)
+    above = [Fraction(0)]
+    for b in reversed(atoms):
+        above.append(above[-1] + half_b[b])
+    above.reverse()  # above[j] = P(B >= atoms[j])
+    ge = gt = Fraction(0)
+    for a, m in half_a.items():
+        y = x / a
+        ge += m * above[bisect_left(atoms, y)]
+        gt += m * above[bisect_right(atoms, y)]
+    return ge, gt
+
+
+def fraction_binomial_check(law):
+    """(ok, max_dev) of a constant-1/2 law against Bin(n, 1/5) in the
+    exponent, comparing Fraction masses atom by atom over the union of the
+    law's atoms and the dyadic atoms 2**-k, k = 0..n."""
+    n = law.level
+    expected = {Fraction(1, 2**k): fraction_binomial_pmf(n, k, Fraction(1, 5)) for k in range(n + 1)}
+    max_dev = Fraction(0)
+    for length in set(law.masses) | set(expected):
+        dev = abs(law.masses.get(length, Fraction(0)) - expected.get(length, Fraction(0)))
+        max_dev = max(max_dev, dev)
+    return max_dev == 0, max_dev

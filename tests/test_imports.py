@@ -1,12 +1,17 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package needs nothing beyond the standard library.
 
 A stdlib-only stand-in for an unused-import lint: each ``src/poremetrics``
 module except ``__init__.py`` (which imports to re-export) is parsed with
 ``ast``, and every name bound by an import must appear as a name somewhere
-else in the module.
+else in the module.  A fresh interpreter imports the package and must not
+have loaded numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,10 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, poremetrics; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

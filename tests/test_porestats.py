@@ -1,15 +1,21 @@
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     closed_form_moment,
     fraction_binomial_cdf_row,
+    fraction_binomial_check,
     fraction_binomial_pmf,
+    fraction_law_quantiles,
     fraction_length_law,
     pascal_binomial_cdf,
+    product_tails,
 )
 from poremetrics import porestats
 from poremetrics.errors import PreconditionError
@@ -17,6 +23,7 @@ from poremetrics.pores import FractionQuery, Side, tilde_fraction_length
 from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
     BinomialModel,
+    LengthDistribution,
     binomial_cdf_row,
     binomial_check,
     binomial_pmf,
@@ -30,9 +37,7 @@ from poremetrics.porestats import (
     moment_prefixes,
     normal_cdf,
     normal_gap,
-    tilde_quantile_largest,
-    tilde_quantile_pair,
-    tilde_quantile_smallest,
+    tilde_quantiles,
 )
 from poremetrics.setmodels import ContractionSequence, Generated
 
@@ -360,32 +365,29 @@ class TestComponentQuantiles:
         comps = g.components(lo, hi)
         tl = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.LARGEST)).value
         ts = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.SMALLEST)).value
-        assert tilde_quantile_largest(seq, level, s) == tl
-        assert tilde_quantile_smallest(seq, level, s) == ts
+        assert tilde_quantiles(seq, level, [(s, "largest"), (s, "smallest")]) == [tl, ts]
 
     def test_half_arrays_match_exact_law(self):
-        # Split-half arrays must be the very floats of the exact law, sorted.
+        # Each half is the sorted integer form of the exact law over its stages.
         for seq in (HH, HALF, QUARTER, TWO_SEVENTHS):
             for level in (0, 1, 5, 9):
-                xs, ws = porestats._half_arrays(seq, range(1, level + 1))
+                keys, masses, den_x, den_w = porestats._half_law(seq, 1, level + 1)
                 law = length_law(seq, level)
                 atoms = law.support()
-                assert xs.tolist() == [float(x) for x in atoms]
-                assert ws.tolist() == [float(law.masses[x]) for x in atoms]
+                assert [Fraction(k, den_x) for k in keys] == atoms
+                assert [Fraction(m, den_w) for m in masses] == [law.masses[x] for x in atoms]
 
-    def test_split_half_engine_matches_exact(self, monkeypatch):
+    def test_split_half_engine_matches_exact(self):
         s = Fraction(1, 10)
-        exact = {lvl: tilde_quantile_pair(HH, lvl, s) for lvl in (8, 10, 12)}
-        monkeypatch.setattr(porestats, "EXACT_QUANTILE_LEVEL_CAP", 0)
-        for lvl, (el, es) in exact.items():
-            al, asml = tilde_quantile_pair(HH, lvl, s)
-            assert math.isclose(float(al), float(el), rel_tol=1e-10)
-            assert math.isclose(float(asml), float(es), rel_tol=1e-10)
+        for lvl in (8, 10, 12):
+            masses = length_law(HH, lvl).masses
+            expected = fraction_law_quantiles(masses, [s], True) + fraction_law_quantiles(masses, [s], False)
+            assert tilde_quantiles(HH, lvl, [(s, "largest"), (s, "smallest")]) == expected
 
     def test_markov_bounds_hold_to_level_30(self):
         s = Fraction(1, 10)
         for level in range(0, 31):
-            L, S = tilde_quantile_pair(HH, level, s)
+            L, S = tilde_quantiles(HH, level, [(s, "largest"), (s, "smallest")])
             mb = markov_bounds_from_moments(
                 moment_closed_form(HH, level, 1),
                 moment_closed_form(HH, level, -1),
@@ -396,3 +398,152 @@ class TestComponentQuantiles:
             assert float(L) <= float(mb.upper_for_tilde_largest) * (1 + 1e-9)
             assert float(S) >= float(mb.lower_for_tilde_smallest) * (1 - 1e-9)
             assert float(L) / float(S) <= float(mb.ratio_bound) * (1 + 1e-9)
+
+
+def _threshold_grid(masses):
+    """Plain thresholds plus ties: the mass up to and the mass beyond a few
+    atoms spread over the support."""
+    atoms = sorted(masses)
+    ts = {Fraction(1, 1000), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)}
+    picks = {0, len(atoms) // 4, len(atoms) // 2, len(atoms) - 2}
+    below = Fraction(0)
+    for k, x in enumerate(atoms[:-1]):
+        below += masses[x]
+        if k in picks:
+            ts |= {below, 1 - below}  # P(X <= atoms[k]) and P(X >= atoms[k + 1])
+    return sorted(ts)
+
+
+class TestExactQuantiles:
+    """tilde_quantiles against the Fraction law and, deep down, against a
+    certificate checked on Fraction half laws."""
+
+    @pytest.mark.parametrize("seq", [HH, HALF, QUARTER, TWO_SEVENTHS], ids=str)
+    def test_matches_fraction_law(self, seq):
+        for level in range(0, 15):
+            masses = length_law(seq, level).masses
+            queries = [(t, side) for t in _threshold_grid(masses) for side in ("largest", "smallest")]
+            got = tilde_quantiles(seq, level, queries)
+            largest = fraction_law_quantiles(masses, [t for t, _ in queries], True)
+            smallest = fraction_law_quantiles(masses, [t for t, _ in queries], False)
+            expected = [(lg if side == "largest" else sm) for (_, side), lg, sm in zip(queries, largest, smallest)]
+            assert all(type(x) is Fraction for x in got)
+            assert got == expected, f"level {level}"
+
+    @pytest.mark.parametrize("level", [20, 25, 30])
+    def test_certificate_at_deep_levels(self, level):
+        mid = level // 2
+        half_a = fraction_length_law(HH.value(i) for i in range(1, mid + 1))
+        half_b = fraction_length_law(HH.value(i) for i in range(mid + 1, level + 1))
+        queries = [(Fraction(1, 10), "largest"), (Fraction(2, 7), "smallest")]
+        if level < 30:  # each Fraction certificate at level 30 takes over a second
+            queries += [(Fraction(1, 10), "smallest"), (Fraction(1, 2), "largest")]
+        for (t, side), x in zip(queries, tilde_quantiles(HH, level, queries)):
+            assert type(x) is Fraction
+            ge, gt = product_tails(half_a, half_b, x)
+            assert ge > gt  # x is an atom
+            if side == "largest":
+                assert ge >= t > gt  # P(X >= x) >= t > P(X > x)
+            else:
+                assert 1 - gt >= t > 1 - ge  # P(X <= x) >= t > P(X < x)
+
+    @pytest.mark.parametrize("level", [60, 200])
+    def test_constant_half_follows_the_binomial_row(self, level):
+        # X = 2^-Y with Y ~ Bin(n, 1/5); D = 5^n and K = 2^n overflow floats.
+        row = fraction_binomial_cdf_row(level, Fraction(1, 5))  # P(Y <= k)
+        for t in (Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2), row[level // 5]):
+            k_lo = next(k for k in range(level + 1) if row[k] >= t)
+            k_hi = max(k for k in range(level + 1) if 1 - (row[k - 1] if k else 0) >= t)
+            got = tilde_quantiles(HALF, level, [(t, "largest"), (t, "smallest")])
+            assert got == [Fraction(1, 2**k_lo), Fraction(1, 2**k_hi)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.fractions(min_value=Fraction(1, 30), max_value=1, max_denominator=30),
+        level=st.integers(min_value=0, max_value=60),
+        t=st.fractions(min_value=Fraction(1, 999), max_value=Fraction(998, 999), max_denominator=999),
+    )
+    def test_random_constant_laws(self, c, level, t):
+        seq = ContractionSequence.constant(c)
+        masses = length_law(seq, level).masses
+        expected = fraction_law_quantiles(masses, [t], True) + fraction_law_quantiles(masses, [t], False)
+        assert tilde_quantiles(seq, level, [(t, "largest"), (t, "smallest")]) == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        level=st.integers(min_value=8, max_value=12),
+        ts=st.lists(st.fractions(min_value=Fraction(1, 999), max_value=Fraction(998, 999), max_denominator=999),
+                    min_size=1, max_size=4),
+    )
+    def test_random_half_harmonic_thresholds(self, level, ts):
+        masses = length_law(HH, level).masses
+        queries = [(t, side) for t in ts for side in ("largest", "smallest")]
+        largest = fraction_law_quantiles(masses, ts, True)
+        smallest = fraction_law_quantiles(masses, ts, False)
+        expected = [x for pair in zip(largest, smallest) for x in pair]
+        assert tilde_quantiles(HH, level, queries) == expected
+
+    def test_row_pointers_match_a_linear_search(self):
+        rng = random.Random(7)
+        kb = sorted(rng.sample(range(1, 10**6), 120))
+        keys = sorted(rng.sample(range(1, 10**6), 80))
+
+        def first(v):
+            return [next((j for j, b in enumerate(kb) if k * b >= v), len(kb)) for k in keys]
+
+        for _ in range(30):
+            k, b = rng.choice(keys), rng.choice(kb)
+            vs = sorted(k * b + d for d in (-rng.randrange(1, 10**9), -1, 0, 1, rng.randrange(1, 10**9)))
+            for v in vs:  # on a product, next to one, and inside wide windows
+                expected = first(v)
+                assert porestats._row_pointers(kb, v, keys, [0] * len(keys), [len(kb)] * len(keys)) == expected
+                assert porestats._row_pointers(kb, v, keys, first(vs[0]), first(vs[-1])) == expected
+
+    def test_one_atom_laws(self):
+        assert tilde_quantiles(ONE, 40, [(Fraction(1, 2), "largest")]) == [Fraction(1)]
+        assert tilde_quantiles(HH, 0, [(Fraction(1, 3), "smallest")]) == [Fraction(1)]
+
+    def test_preconditions(self):
+        with pytest.raises(PreconditionError):
+            tilde_quantiles(HH, 5, [(Fraction(1), "largest")])
+        with pytest.raises(PreconditionError):
+            tilde_quantiles(HH, 5, [(Fraction(1, 2), "middle")])
+        with pytest.raises(PreconditionError):
+            tilde_quantiles(HH, -1, [(Fraction(1, 2), "largest")])
+
+
+def _perturbed(level, moves):
+    """The constant-1/2 law at ``level`` with mass moved between atoms."""
+    masses = dict(length_law(HALF, level).masses)
+    for src, dst, amount in moves:
+        masses[src] -= amount
+        masses[dst] = masses.get(dst, Fraction(0)) + amount
+        if masses[src] == 0:
+            del masses[src]
+    return LengthDistribution(masses, level, HALF)
+
+
+class TestBinomialCheckDifferential:
+    @pytest.mark.parametrize("level", [0, 1, 2, 7, 30, 90])
+    def test_binomial_laws(self, level):
+        law = length_law(HALF, level)
+        assert binomial_check(law) == fraction_binomial_check(law) == (True, Fraction(0))
+
+    @pytest.mark.parametrize("level", [1, 3, 12, 40])
+    def test_perturbed_laws(self, level):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        last = Fraction(1, 2**level)
+        grid = Fraction(1, 5**level)
+        tail = length_law(HALF, level).mass(last)
+        laws = [
+            _perturbed(level, [(1, half, grid)]),  # on the 1/5^n grid
+            _perturbed(level, [(1, half, grid / 7)]),  # off the grid
+            _perturbed(level, [(1, Fraction(3, 8), grid)]),  # an atom that is not 2^-k
+            _perturbed(level, [(last, last / 2, tail)]),  # 2^-n moved past n
+            _perturbed(level, [(last, 2 * last, tail / 2), (last, last / 2, tail / 2)]),  # 2^-n missing
+            _perturbed(level, [(1, half, grid), (half, quarter, 3 * grid)]),
+        ]
+        for law in laws:
+            ok, dev = binomial_check(law)
+            assert (ok, dev) == fraction_binomial_check(law)
+            assert not ok and type(dev) is Fraction and dev > 0
