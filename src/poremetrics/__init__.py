@@ -10,7 +10,6 @@ from .pores import (
     enumerate_pore_cubes,
     enumerate_pores,
     fraction_length,
-    maximal_pore_length,
     ratio_condition,
     tilde_fraction_length,
     weak_porosity_check,

@@ -53,13 +53,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class UsageError(Exception):
+    """A command-line value that does not parse; exits 1."""
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a rational number: {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"not an integer: {text!r}") from None
+
+
 def _parse_sequence(rule: str, c: str | None) -> ContractionSequence:
     if rule == "half_harmonic":
         return ContractionSequence.half_harmonic()
     if rule == "constant":
         if c is None:
             raise PreconditionError("constant rule needs --c")
-        return ContractionSequence.constant(parse_rational(c))
+        return ContractionSequence.constant(_rational(c))
     raise PreconditionError(f"unknown rule {rule!r}")
 
 
@@ -71,22 +89,22 @@ def parse_set(spec: str):
     if spec == "lattice":
         return IntegerLattice()
     if spec.startswith("point:"):
-        return FinitePoints((parse_rational(spec[len("point:"):]),))
+        return FinitePoints((_rational(spec[len("point:"):]),))
     if spec.startswith("points:"):
         parts = spec[len("points:"):].split(",")
-        return FinitePoints(tuple(sorted(parse_rational(p) for p in parts)))
+        return FinitePoints(tuple(sorted(_rational(p) for p in parts)))
     if spec.startswith("generated:"):
         parts = spec.split(":")[1:]
         reflect = parts[-1] == "reflect"
         if reflect:
             parts = parts[:-1]
-        if parts[0] == "half_harmonic":
+        if len(parts) == 2 and parts[0] == "half_harmonic":
             seq = ContractionSequence.half_harmonic()
-            level = int(parts[1])
+        elif len(parts) == 3 and parts[0] == "constant":
+            seq = ContractionSequence.constant(_rational(parts[1]))
         else:
-            seq = ContractionSequence.constant(parse_rational(parts[1]))
-            level = int(parts[2])
-        return Generated(seq, level, reflect)
+            raise UsageError(f"cannot parse set spec {spec!r}: expected generated:RULE[:C]:LEVEL[:reflect]")
+        return Generated(seq, _integer(parts[-1]), reflect)
     raise PreconditionError(f"cannot parse set spec {spec!r}")
 
 
@@ -100,7 +118,7 @@ def parse_cubes(spec: str, oracle=None) -> list[Cube]:
         m = _INTERVAL_RE.match(body)
         if not m:
             raise PreconditionError(f"cannot parse interval {body!r}")
-        return [Cube.interval(parse_rational(m.group(1)), parse_rational(m.group(2)))]
+        return [Cube.interval(_rational(m.group(1)), _rational(m.group(2)))]
     if spec.startswith("dyadic:"):
         a, b = _parse_range(spec[len("dyadic:"):])
         return [Cube.interval(0, Fraction(2) ** k) for k in range(a, b + 1)]
@@ -121,7 +139,7 @@ def _one_cube(spec: str, oracle, command: str) -> Cube:
 
 def _parse_range(text: str) -> tuple[int, int]:
     a, _, b = text.partition("..")
-    lo, hi = int(a), int(b if b else a)
+    lo, hi = _integer(a), _integer(b if b else a)
     if hi < lo:
         raise PreconditionError("empty range")
     return lo, hi
@@ -171,7 +189,7 @@ def cmd_gen_set(args, argv) -> int:
 
 
 def cmd_fig1(args, argv) -> int:
-    bound = parse_rational(args.bound)
+    bound = _rational(args.bound)
     groups = [
         ("c=1", ContractionSequence.constant(1)),
         ("half_harmonic", ContractionSequence.half_harmonic()),
@@ -232,7 +250,7 @@ def cmd_pores(args, argv) -> int:
 def cmd_ls_ratio(args, argv) -> int:
     oracle = parse_set(args.set)
     cubes = parse_cubes(args.cubes, oracle)
-    report = ratio_condition(oracle, cubes, parse_rational(args.s), args.max_gen)
+    report = ratio_condition(oracle, cubes, _rational(args.s), args.max_gen)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -259,7 +277,7 @@ def cmd_ls_ratio(args, argv) -> int:
 def cmd_ap_scan(args, argv) -> int:
     oracle = parse_set(args.set)
     cubes = parse_cubes(args.cubes, oracle)
-    query = ApQuery(parse_rational(args.alpha), parse_rational(args.p))
+    query = ApQuery(_rational(args.alpha), _rational(args.p))
     rows = []
     for i, cube in enumerate(cubes):
         res = ap_product(oracle, cube, query, args.max_gen)
@@ -285,7 +303,7 @@ def cmd_porosity(args, argv) -> int:
     oracle = parse_set(args.set)
     cube = _one_cube(args.cube, oracle, "porosity-check")
     result = weak_porosity_check(
-        oracle, cube, parse_rational(args.sigma), parse_rational(args.gamma), args.max_gen
+        oracle, cube, _rational(args.sigma), _rational(args.gamma), args.max_gen
     )
     payload = {
         "schema": SCHEMA,
@@ -340,7 +358,7 @@ def cmd_prob_stats(args, argv) -> int:
         argv,
     )
     if args.divergence_t:
-        t = parse_rational(args.divergence_t)
+        t = _rational(args.divergence_t)
         scan_rows = [
             [r.level, r.k_min, r.k_max, format_rational(r.tilde_ratio)]
             for r in divergence_scan(t, range(lo, hi + 1))
@@ -427,6 +445,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.fn(args, argv)
+    except UsageError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 1
     except PreconditionError as err:
         sys.stderr.write(f"precondition violated: {err}\n")
         return 2

@@ -72,11 +72,6 @@ class Cube:
             raise PreconditionError("as_interval is only defined in dimension 1")
         return self.lower()[0], self.upper()[0]
 
-    def contains_point(self, x) -> bool:
-        lo, hi = self.lower(), self.upper()
-        xs = x if isinstance(x, tuple) else (x,)
-        return all(a <= c < b for a, c, b in zip(lo, xs, hi))
-
     def children(self) -> list["Cube"]:
         """The 2**n pairwise-disjoint cubes of the next generation covering self."""
         base = tuple(2 * i for i in self.index)

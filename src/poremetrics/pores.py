@@ -32,7 +32,6 @@ class FractionQuery:
 
     t: Fraction
     side: Side
-    over: str = "dyadic"  # "dyadic" (pore histogram) or "component" (gap lengths)
 
     def __post_init__(self):
         t = Fraction(self.t)
@@ -205,10 +204,6 @@ def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
         q0, counts, max_gen, q0.measure * Fraction(tail, 1 << scale),
         oracle.is_measure_zero(),
     )
-
-
-def maximal_pore_length(family: PoreFamily) -> Fraction:
-    return family.maximal_pore_length()
 
 
 def _scan_largest(family: PoreFamily, target: Fraction) -> LengthAnswer:

@@ -223,19 +223,6 @@ def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
     return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)], b**n
 
 
-def binomial_pmf(n: int, k: int, q: Fraction) -> Fraction:
-    if k > n:
-        return Fraction(0)
-    a, b = q.numerator, q.denominator
-    return Fraction(math.comb(n, k) * a**k * (b - a) ** (n - k), b**n)
-
-
-def binomial_cdf_row(n: int, q: Fraction) -> list[Fraction]:
-    """Exact P(Y <= k) for k = 0..n, summed in integers over b^n."""
-    nums, den = _binomial_numerators(n, q)
-    return [Fraction(total, den) for total in accumulate(nums)]
-
-
 def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
     """Exact test that a constant-1/2 law is binomial with q = 1/5 in the exponent.
 
@@ -276,19 +263,20 @@ def normal_gap(model: BinomialModel) -> float:
     """Supremum over x of |P(Y <= x) - Phi((x - nq)/sqrt(nq(1-q)))|.
 
     The supremum is attained at a CDF jump, so both one-sided deviations at
-    every integer point are examined.
+    every integer point are examined.  P(Y <= k) is the integer prefix sum
+    over b^n, and integer true division rounds it correctly.
     """
     n, q = model.n, model.q
     if n < 1:
         raise PreconditionError("normal approximation needs n >= 1")
-    row = binomial_cdf_row(n, q)
+    nums, den = _binomial_numerators(n, q)
     mu = n * float(q)
     sd = math.sqrt(n * float(q) * (1 - float(q)))
     gap = 0.0
     prev = 0.0
-    for k in range(n + 1):
+    for k, total in enumerate(accumulate(nums)):
         phi = normal_cdf((k - mu) / sd)
-        here = float(row[k])
+        here = total / den
         gap = max(gap, abs(here - phi), abs(prev - phi))
         prev = here
     return gap
@@ -331,19 +319,21 @@ def divergence_scan(t, levels) -> list[DivergenceRow]:
     k_min is the smallest exponent whose CDF reaches 4t (the largest-side
     threshold carries the factor-4 adjustment from the dyadic comparison);
     k_max is the largest exponent whose upper tail still holds mass t.  The
-    reported ratio 2^(k_max - k_min) is the component-quantile ratio.
+    reported ratio 2^(k_max - k_min) is the component-quantile ratio.  Both
+    tests compare integers: with t = a/b and below[k] = 5^n P(Y < k),
+    P(Y <= k) >= 4t reads b below[k + 1] >= 4a 5^n and P(Y >= k) >= t reads
+    b (5^n - below[k]) >= a 5^n.
     """
     t = Fraction(t)
     if not 0 < t < Fraction(1, 8):
         raise PreconditionError("divergence scan needs t in (0, 1/8)")
-    q = Fraction(1, 5)
+    a, b = t.numerator, t.denominator
     out = []
     for n in levels:
-        row = binomial_cdf_row(n, q)
-        k_min = next(k for k in range(n + 1) if row[k] >= 4 * t)
-        k_max = max(
-            k for k in range(n + 1) if 1 - (row[k - 1] if k > 0 else Fraction(0)) >= t
-        )
+        nums, den = _binomial_numerators(n, Fraction(1, 5))
+        below = list(accumulate(nums, initial=0))
+        k_min = next(k for k in range(n + 1) if b * below[k + 1] >= 4 * a * den)
+        k_max = max(k for k in range(n + 1) if b * (den - below[k]) >= a * den)
         out.append(DivergenceRow(n, k_min, k_max, Fraction(2) ** (k_max - k_min)))
     return out
 

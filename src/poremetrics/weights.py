@@ -59,10 +59,6 @@ class MeanValue:
     def value(self):
         return self.lo if self.exact else (self.lo + self.hi) / 2
 
-    @property
-    def diverged(self) -> bool:
-        return self.hi == math.inf
-
 
 def _pow_any(v, e: Fraction):
     """(value, is_exact) for v**e over nonnegative v of either numeric kind."""
@@ -80,7 +76,9 @@ def _pow_any(v, e: Fraction):
     return float(v) ** float(e), False
 
 
-def _widen(lo, hi, n_terms):
+def _assemble(lo, hi, n_terms) -> MeanValue:
+    """The float bracket [lo, hi], widened outward by a slack that grows
+    with the number of terms behind it."""
     slack = _BASE_SLACK * max(8, n_terms)
     lo_f = float(lo)
     hi_f = float(hi)
@@ -88,14 +86,28 @@ def _widen(lo, hi, n_terms):
         lo_f = lo_f - abs(lo_f) * slack
     if hi_f != math.inf:
         hi_f = hi_f + abs(hi_f) * slack
-    return lo_f, hi_f
-
-
-def _assemble(lo, hi, exact, n_terms) -> MeanValue:
-    if exact and isinstance(lo, Fraction) and isinstance(hi, Fraction) and lo == hi:
-        return MeanValue(lo, lo, True)
-    lo_f, hi_f = _widen(lo, hi, n_terms)
     return MeanValue(lo_f, hi_f, False)
+
+
+def _sum_terms(terms):
+    """(total, exact, count) of (value, is_exact) terms: summed exactly while
+    every term is exact, as a float from the first inexact term on.  Stops
+    drawing terms at the first infinite one, and the total is then math.inf."""
+    total = _ZERO
+    exact = True
+    n = 0
+    for val, is_exact in terms:
+        n += 1
+        if val == math.inf:
+            return math.inf, False, n
+        if is_exact and exact:
+            total += val
+        else:
+            if exact:
+                total = float(total)
+                exact = False
+            total += float(val)
+    return total, exact, n
 
 
 def _antiderivative(u, theta: Fraction):
@@ -123,13 +135,11 @@ def profile_integral(h: Fraction, d_left: Fraction, d_right: Fraction, theta: Fr
         raise PreconditionError("profile needs h > 0")
     if theta <= -1 and min(d_left, d_right) == 0:
         return math.inf, False
-    if d_left - d_right > h:
-        # Right ramp governs throughout.
-        hi_v, e1 = _antiderivative(d_right + h, theta)
-        lo_v, e2 = _antiderivative(d_right, theta)
-    elif d_right - d_left > h:
-        hi_v, e1 = _antiderivative(d_left + h, theta)
-        lo_v, e2 = _antiderivative(d_left, theta)
+    if abs(d_left - d_right) > h:
+        # The ramp from the nearer end governs throughout.
+        d = min(d_left, d_right)
+        hi_v, e1 = _antiderivative(d + h, theta)
+        lo_v, e2 = _antiderivative(d, theta)
     else:
         peak = (h + d_left + d_right) / 2
         m_v, e0 = _antiderivative(peak, theta)
@@ -174,14 +184,15 @@ class _ScaledMean:
     exact: bool
     n_terms: int
 
-    def to_mean_value(self) -> MeanValue:
-        scale, scale_exact = _pow_any(self.side, self.theta)
+    def to_mean_value(self, base: Fraction, e: Fraction) -> MeanValue:
+        """The normalized mean times base**e: the cube mean for base = side
+        and e = theta, the A_1 quotient for base = peak / side and e = -theta."""
+        scale, scale_exact = _pow_any(base, e)
         if self.exact and scale_exact and isinstance(scale, Fraction):
-            v = scale * self.lo_norm
-            return MeanValue(v, v, True)
+            return MeanValue.exactly(scale * self.lo_norm)
         lo = float(scale) * float(self.lo_norm)
         hi = float(scale) * float(self.hi_norm) if self.hi_norm != math.inf else math.inf
-        return _assemble(lo, hi, False, self.n_terms + 2)
+        return _assemble(lo, hi, self.n_terms + 2)
 
 
 @dataclass(frozen=True)
@@ -239,36 +250,22 @@ class _Gaps:
         n = len(self.ends) + len(self.order)
         interior = [profile_integral(h / side, _ZERO, _ZERO, theta) for h in self.distinct]
         ends = [profile_integral(h / side, d_l / side, d_r / side, theta) for h, d_l, d_r in self.ends]
-        total = Fraction(0)
-        total_f = 0.0
-        exact = True
         if all(is_exact for _, is_exact in chain(interior, ends)):
-            total = sum((val for val, _ in ends), total)
+            total = sum((val for val, _ in ends), _ZERO)
             total = sum((val * m for (val, _), m in zip(interior, self.counts)), total)
+            exact = True
         else:
-            for val, is_exact in chain(ends[:1], (interior[k] for k in self.order), ends[1:]):
-                if val == math.inf:
-                    return _ScaledMean(side, theta, math.inf, math.inf, False, n)
-                if is_exact and exact:
-                    total += val
-                else:
-                    if exact:
-                        total_f = float(total)
-                        exact = False
-                    total_f += float(val)
+            terms = chain(ends[:1], (interior[k] for k in self.order), ends[1:])
+            total, exact, _ = _sum_terms(terms)
         # Distance vanishes on the part of the window inside the set: it adds
         # nothing for theta > 0, exactly its normalized measure for theta = 0,
         # and diverges for theta < 0.
         if self.covered < side:
-            inside = (side - self.covered) / side
             if theta == 0:
-                total += inside
+                total += (side - self.covered) / side
             elif theta < 0:
-                lo_norm = total if exact else total_f
-                return _ScaledMean(side, theta, lo_norm, math.inf, False, n + 1)
-        if exact:
-            return _ScaledMean(side, theta, total, total, True, n)
-        return _ScaledMean(side, theta, total_f, total_f, False, n)
+                return _ScaledMean(side, theta, total, math.inf, False, n + 1)
+        return _ScaledMean(side, theta, total, total, exact, n)
 
 
 def _means_1d(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
@@ -293,29 +290,12 @@ def _divergent_partial_1d(oracle, q0, theta, max_gen) -> _ScaledMean:
     exact integral over the pores enumerated so far as a growing lower bound."""
     lo_w, hi_w = q0.as_interval()
     side = hi_w - lo_w
-    total = Fraction(0)
-    total_f = 0.0
-    exact = True
-    n = 0
-    for pore in enumerate_pore_cubes(oracle, q0, max_gen):
-        a, b = pore.as_interval()
-        d_a = oracle.distance(a)
-        d_b = oracle.distance(b)
-        val, is_exact = profile_integral(
-            (b - a) / side, d_a / side, d_b / side, theta
-        )
-        n += 1
-        if val == math.inf:
-            return _ScaledMean(side, theta, math.inf, math.inf, False, n)
-        if is_exact and exact:
-            total += val
-        else:
-            if exact:
-                total_f = float(total)
-                exact = False
-            total_f += float(val)
-    lo_norm = total if exact else total_f
-    return _ScaledMean(side, theta, lo_norm, math.inf, False, max(n, 1))
+    terms = (
+        profile_integral((b - a) / side, oracle.distance(a) / side, oracle.distance(b) / side, theta)
+        for a, b in (pore.as_interval() for pore in enumerate_pore_cubes(oracle, q0, max_gen))
+    )
+    total, _, n = _sum_terms(terms)
+    return _ScaledMean(side, theta, total, math.inf, False, max(n, 1))
 
 
 def beta_moment(n: int, theta: Fraction) -> Fraction:
@@ -339,7 +319,7 @@ def eq3_constants(n: int, theta: Fraction) -> tuple[float, float]:
     if theta <= -1:
         raise PreconditionError("theta must exceed -1")
     boundary = n * power_value(Fraction(2), -theta) * beta_moment(n, theta)
-    parent_diam, p_exact = _pow_any(Fraction(4 * n), theta / 2)  # (2 sqrt(n))^theta
+    parent_diam, _ = _pow_any(Fraction(4 * n), theta / 2)  # (2 sqrt(n))^theta
     b_f, p_f = float(boundary), float(parent_diam)
     slack = 1e-14
     lo = min(b_f, p_f) * (1 - slack)
@@ -400,16 +380,15 @@ def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> Me
     theta = Fraction(theta)
     if q0.dimension == 1:
         (sm,) = _means_1d(oracle, q0, (theta,), max_gen)
-        return sm.to_mean_value()
-    return _scaled_mean_nd(oracle, q0, theta, max_gen).to_mean_value()
+    else:
+        sm = _scaled_mean_nd(oracle, q0, theta, max_gen)
+    return sm.to_mean_value(sm.side, theta)
 
 
 @dataclass(frozen=True)
 class ApResult:
     product: MeanValue
     case: str  # "I" far cube, "II" near disjoint cube, "III" cube meeting the set
-    neg_mean: MeanValue | None = None
-    pos_mean: MeanValue | None = None
 
 
 def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> MeanValue:
@@ -429,7 +408,7 @@ def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> MeanVal
         return MeanValue.exactly(sm1.lo_norm * lo2)
     lo = float(sm1.lo_norm) * float(lo2)
     hi = math.inf if (sm1.hi_norm == math.inf or hi2 == math.inf) else float(sm1.hi_norm) * float(hi2)
-    return _assemble(lo, hi, False, sm1.n_terms + sm2.n_terms)
+    return _assemble(lo, hi, sm1.n_terms + sm2.n_terms)
 
 
 def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -> ApResult:
@@ -461,13 +440,7 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
     else:
         sm1 = _scaled_mean_nd(oracle, q0, -alpha, max_gen)
         sm2 = _scaled_mean_nd(oracle, q0, alpha / (p - 1), max_gen)
-    product = _combine_product(sm1, sm2, p)
-    result = ApResult(
-        product,
-        "III" if meets else "II",
-        sm1.to_mean_value(),
-        sm2.to_mean_value(),
-    )
+    result = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II")
     _assert_holder_floor(result.product)
     return result
 
@@ -494,18 +467,7 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> MeanVa
     if not gaps.ends:
         raise PreconditionError("window is covered by the set")
     (sm,) = _means_1d(oracle, q0, (-alpha,), max_gen, gaps)
-    return _a1_value(sm, gaps.peak())
-
-
-def _a1_value(sm: _ScaledMean, peak: Fraction) -> MeanValue:
-    """The normalized mean of dist^-alpha times (peak / side)^alpha."""
-    factor, factor_exact = _pow_any(peak / sm.side, -sm.theta)
-    if sm.exact and factor_exact and isinstance(factor, Fraction):
-        v = sm.lo_norm * factor
-        return MeanValue(v, v, True)
-    lo = float(sm.lo_norm) * float(factor)
-    hi = math.inf if sm.hi_norm == math.inf else float(sm.hi_norm) * float(factor)
-    return _assemble(lo, hi, False, sm.n_terms + 2)
+    return sm.to_mean_value(gaps.peak() / sm.side, alpha)
 
 
 def exponent_transfer(theta, p, q) -> Fraction:

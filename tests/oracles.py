@@ -100,6 +100,17 @@ def fraction_binomial_cdf_row(n, q):
     return out
 
 
+def fraction_divergence_row(t, n):
+    """(level, k_min, k_max, 2**(k_max - k_min)) of the quantile divergence
+    scan at level n from the Fraction CDF row of Bin(n, 1/5): k_min is the
+    first k with P(Y <= k) >= 4t, k_max the last k with P(Y >= k) >= t."""
+    t = Fraction(t)
+    row = fraction_binomial_cdf_row(n, Fraction(1, 5))
+    k_min = next(k for k in range(n + 1) if row[k] >= 4 * t)
+    k_max = max(k for k in range(n + 1) if 1 - (row[k - 1] if k else 0) >= t)
+    return n, k_min, k_max, Fraction(2) ** (k_max - k_min)
+
+
 def closed_form_moment(seq, level, theta):
     """prod_{i <= level} (2 + c_i^(1+theta)) / (2 + c_i), rebuilt from stage 1.
 

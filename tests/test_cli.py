@@ -264,6 +264,32 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert f"precondition violated: {command[0]} needs exactly one cube" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--set", "point:abc"], "not a rational number: 'abc'"),
+            (["--set", "generated:half_harmonic"], "cannot parse set spec 'generated:half_harmonic'"),
+            (["--set", "generated:constant:1/2:x"], "not an integer: 'x'"),
+            (["--cubes", "dyadic:x..2"], "not an integer: 'x'"),
+            (["--alpha", "1/0"], "not a rational number: '1/0'"),
+        ],
+        ids=["point-abc", "generated-no-level", "generated-level-x", "dyadic-range-x", "alpha-1-over-0"],
+    )
+    def test_malformed_ap_scan_value(self, args, message):
+        given = {"--set": "point:0", "--cubes": "dyadic:0..2", "--alpha": "1/2", "--p": "2"}
+        given.update(zip(args[::2], args[1::2]))
+        proc = run_cli("ap-scan", *[x for kv in given.items() for x in kv], check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1  # one line, no traceback
+
+    def test_malformed_level_range(self):
+        proc = run_cli("prob-stats", "--rule", "half_harmonic", "--levels", "a..3", check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: not an integer: 'a'\n"
+
     def test_cube_dimension_differs_from_point_cloud(self, tmp_path):
         spec = tmp_path / "cloud2d.json"
         spec.write_text(json.dumps({"type": "points", "points": [["1/3", "5"], ["3/4", "-2"]]}))

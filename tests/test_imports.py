@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module, and the
+"""Every name a package module imports is used in that module, every
+function, class and method the package defines is used somewhere, and the
 package needs nothing beyond the standard library.
 
 A stdlib-only stand-in for an unused-import lint: each ``src/poremetrics``
 module except ``__init__.py`` (which imports to re-export) is parsed with
 ``ast``, and every name bound by an import must appear as a name somewhere
-else in the module.  A fresh interpreter imports the package and must not
-have loaded numpy.
+else in the module.  Likewise every module-level function or class and
+every method of a module-level class must appear as a name or an attribute
+in ``src/``, ``tests/``, ``scripts/`` or ``bench/``; dunder methods are
+called implicitly and are exempt, and a re-export in ``__init__.py`` is no
+use.  A fresh interpreter imports the package and must not have loaded
+numpy.
 """
 
 import ast
@@ -16,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "poremetrics"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "poremetrics"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -42,6 +48,58 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.name`` or ``module.Class.method`` of each definition in
+    ``modules`` (module name to source) that no source in ``modules`` or
+    ``others`` uses as a name or an attribute."""
+    defined = []
+    used = set()
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defined.append((f"{module}.{node.name}.{item.name}", item.name))
+    for source in [*modules.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [qualified for qualified, name in defined if name not in used]
+
+
+def test_check_finds_an_unreferenced_definition():
+    package = {
+        "mod": (
+            "def used(): pass\n"
+            "def unused(): pass\n"
+            "class C:\n"
+            "    def __repr__(self): return 'C'\n"
+            "    def m(self): return used()\n"
+            "    def n(self): pass\n"
+        )
+    }
+    others = ["from mod import unused, C\nC().m()\n"]
+    assert unreferenced_definitions(package, others) == ["mod.unused", "mod.C.n"]
+
+
+def test_no_unreferenced_definitions():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    others = [
+        p.read_text(encoding="utf-8")
+        for top in ("src", "tests", "scripts", "bench")
+        for p in sorted((ROOT / top).rglob("*.py"))
+        if p.parent != PACKAGE
+    ]
+    assert unreferenced_definitions(modules, others) == []
 
 
 def test_package_import_loads_no_numpy():

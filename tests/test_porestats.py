@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from oracles import (
     fraction_binomial_cdf_row,
     fraction_binomial_check,
     fraction_binomial_pmf,
+    fraction_divergence_row,
     fraction_law_quantiles,
     fraction_length_law,
     pascal_binomial_cdf,
@@ -24,9 +26,7 @@ from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
     BinomialModel,
     LengthDistribution,
-    binomial_cdf_row,
     binomial_check,
-    binomial_pmf,
     divergence_scan,
     kakeya_product,
     length_law,
@@ -266,15 +266,16 @@ class TestBinomialReduction:
     @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(1, 3), Fraction(2, 7)])
     def test_integer_rows_match_fraction_formula(self, q):
         for n in range(61):
-            assert binomial_cdf_row(n, q) == fraction_binomial_cdf_row(n, q)
-            for k in range(n + 1):
-                assert binomial_pmf(n, k, q) == fraction_binomial_pmf(n, k, q)
+            nums, den = porestats._binomial_numerators(n, q)
+            assert den == q.denominator**n
+            assert [Fraction(x, den) for x in nums] == [fraction_binomial_pmf(n, k, q) for k in range(n + 1)]
+            assert [Fraction(x, den) for x in accumulate(nums)] == fraction_binomial_cdf_row(n, q)
 
     @pytest.mark.parametrize("n", [1, 5, 12, 40])
     def test_cdf_matches_pascal_oracle(self, n):
-        row = binomial_cdf_row(n, Fraction(1, 5))
-        for k in range(n + 1):
-            assert row[k] == pascal_binomial_cdf(n, k, Fraction(1, 5))
+        nums, den = porestats._binomial_numerators(n, Fraction(1, 5))
+        for k, total in enumerate(accumulate(nums)):
+            assert Fraction(total, den) == pascal_binomial_cdf(n, k, Fraction(1, 5))
 
 
 class TestNormalGap:
@@ -325,6 +326,27 @@ class TestDivergenceScan:
         rows = divergence_scan(Fraction(1, 10), [10, 40, 80, 120, 160, 200])
         ratios = [r.tilde_ratio for r in rows]
         assert ratios == [4, 16, 64, 128, 256, 512]
+
+    @pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(1, 20)])
+    def test_matches_fraction_row(self, t):
+        rows = divergence_scan(t, range(201))
+        got = [(r.level, r.k_min, r.k_max, r.tilde_ratio) for r in rows]
+        assert got == [fraction_divergence_row(t, n) for n in range(201)]
+
+    @pytest.mark.parametrize(
+        "t,n,tied",
+        [(Fraction(1, 25), 2, "k_max"), (Fraction(13, 125), 3, "k_max"), (Fraction(64, 625), 4, "k_min")],
+    )
+    def test_exact_ties(self, t, n, tied):
+        # The threshold equals the CDF (k_min) or the upper tail (k_max) at
+        # the answer exactly, so a strict comparison would move the answer.
+        (row,) = divergence_scan(t, [n])
+        cdf = fraction_binomial_cdf_row(n, Fraction(1, 5))
+        if tied == "k_min":
+            assert cdf[row.k_min] == 4 * t
+        else:
+            assert 1 - cdf[row.k_max - 1] == t
+        assert (row.level, row.k_min, row.k_max, row.tilde_ratio) == fraction_divergence_row(t, n)
 
     def test_threshold_domain(self):
         with pytest.raises(PreconditionError):

@@ -18,7 +18,6 @@ from poremetrics.setmodels import (
 from poremetrics.weights import (
     ApQuery,
     ApResult,
-    _a1_value,
     _combine_product,
     a1_quotient,
     ap_product,
@@ -340,7 +339,7 @@ class TestGapWalkMatchesPerComponent:
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
     def test_mean_dist_power(self, oracle, window):
         for theta in THETAS:
-            expected = per_component_mean(oracle, window, theta).to_mean_value()
+            expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
             assert repr(mean_dist_power(oracle, window, theta)) == repr(expected)
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
@@ -350,12 +349,7 @@ class TestGapWalkMatchesPerComponent:
             for p in (Fraction(2), Fraction(3, 2)):
                 sm1 = per_component_mean(oracle, window, -alpha)
                 sm2 = per_component_mean(oracle, window, alpha / (p - 1))
-                expected = ApResult(
-                    _combine_product(sm1, sm2, p),
-                    "III" if meets else "II",
-                    sm1.to_mean_value(),
-                    sm2.to_mean_value(),
-                )
+                expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II")
                 assert repr(ap_product(oracle, window, ApQuery(alpha, p))) == repr(expected)
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
@@ -365,9 +359,8 @@ class TestGapWalkMatchesPerComponent:
                 a1_quotient(oracle, window, Fraction(1, 3))
             return
         for alpha in (Fraction(1, 3), Fraction(1, 2)):
-            expected = _a1_value(
-                per_component_mean(oracle, window, -alpha), per_component_peak(oracle, window)
-            )
+            peak = per_component_peak(oracle, window)
+            expected = per_component_mean(oracle, window, -alpha).to_mean_value(peak / window.side, alpha)
             assert repr(a1_quotient(oracle, window, alpha)) == repr(expected)
 
     def test_exact_rational_case(self):
@@ -377,7 +370,7 @@ class TestGapWalkMatchesPerComponent:
         assert product == _combine_product(sm, sm2, Fraction(2))
         assert product.exact and product.lo == Fraction(4, 3)
         quotient = a1_quotient(ORIGIN, UNIT, Fraction(1, 2))
-        assert quotient == _a1_value(sm, per_component_peak(ORIGIN, UNIT))
+        assert quotient == sm.to_mean_value(per_component_peak(ORIGIN, UNIT) / UNIT.side, Fraction(1, 2))
         assert quotient.exact and quotient.lo == 2
 
 
