@@ -1,7 +1,7 @@
 """Dyadic pore statistics and distance-weight Muckenhoupt diagnostics."""
 
 from .dyadic import Cube
-from .errors import InsufficientDepthError, PreconditionError
+from .errors import InsufficientDepthError, ParseError, PreconditionError
 from .pores import (
     FractionQuery,
     LengthAnswer,
@@ -43,7 +43,6 @@ from .setmodels import (
     SetOracle,
     envelope_cube,
     envelope_length,
-    generate,
     load_set_spec,
     oracle_from_spec,
     save_set_spec,

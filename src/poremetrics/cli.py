@@ -2,9 +2,10 @@
 checks, Muckenhoupt product sweeps, probability statistics, and the point-dump
 figure data.
 
-Exit codes: 0 success, 1 usage error, 2 precondition violation, 3 a depth
-limit prevented certification.  Output files are byte-stable for a fixed
-command line; run metadata goes to a separate ``.meta.json`` sidecar.
+Exit codes: 0 success, 1 usage error (an option, selector or set-spec file
+that does not parse), 2 precondition violation, 3 a depth limit prevented
+certification.  Output files are byte-stable for a fixed command line; run
+metadata goes to a separate ``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .dyadic import Cube
-from .errors import InsufficientDepthError, PreconditionError
+from .errors import InsufficientDepthError, ParseError, PreconditionError
 from .pores import enumerate_pores, ratio_condition, weak_porosity_check
 from .porestats import (
     EXPECTATION_PRODUCT_BOUND,
@@ -37,7 +38,6 @@ from .setmodels import (
     IntegerLattice,
     envelope_cube,
     envelope_length,
-    generate,
     load_set_spec,
     save_set_spec,
 )
@@ -53,32 +53,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class UsageError(Exception):
-    """A command-line value that does not parse; exits 1."""
-
-
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not a rational number: {text!r}") from None
+        raise ParseError(f"not a rational number: {text!r}") from None
 
 
 def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"not an integer: {text!r}") from None
+        raise ParseError(f"not an integer: {text!r}") from None
 
 
 def _parse_sequence(rule: str, c: str | None) -> ContractionSequence:
-    if rule == "half_harmonic":
-        return ContractionSequence.half_harmonic()
-    if rule == "constant":
-        if c is None:
-            raise PreconditionError("constant rule needs --c")
-        return ContractionSequence.constant(_rational(c))
-    raise PreconditionError(f"unknown rule {rule!r}")
+    return ContractionSequence(rule, None if c is None else _rational(c))
 
 
 def parse_set(spec: str):
@@ -98,14 +88,11 @@ def parse_set(spec: str):
         reflect = parts[-1] == "reflect"
         if reflect:
             parts = parts[:-1]
-        if len(parts) == 2 and parts[0] == "half_harmonic":
-            seq = ContractionSequence.half_harmonic()
-        elif len(parts) == 3 and parts[0] == "constant":
-            seq = ContractionSequence.constant(_rational(parts[1]))
-        else:
-            raise UsageError(f"cannot parse set spec {spec!r}: expected generated:RULE[:C]:LEVEL[:reflect]")
-        return Generated(seq, _integer(parts[-1]), reflect)
-    raise PreconditionError(f"cannot parse set spec {spec!r}")
+        if len(parts) not in (2, 3):
+            raise ParseError(f"cannot parse set spec {spec!r}: expected generated:RULE[:C]:LEVEL[:reflect]")
+        c = _rational(parts[1]) if len(parts) == 3 else None
+        return Generated(ContractionSequence(parts[0], c), _integer(parts[-1]), reflect)
+    raise ParseError(f"cannot parse set spec {spec!r}")
 
 
 _INTERVAL_RE = re.compile(r"^\[([^,]+),([^)]+)\)$")
@@ -117,7 +104,7 @@ def parse_cubes(spec: str, oracle=None) -> list[Cube]:
         body = spec.split(":", 1)[1]
         m = _INTERVAL_RE.match(body)
         if not m:
-            raise PreconditionError(f"cannot parse interval {body!r}")
+            raise ParseError(f"cannot parse interval {body!r}")
         return [Cube.interval(_rational(m.group(1)), _rational(m.group(2)))]
     if spec.startswith("dyadic:"):
         a, b = _parse_range(spec[len("dyadic:"):])
@@ -127,7 +114,7 @@ def parse_cubes(spec: str, oracle=None) -> list[Cube]:
             raise PreconditionError("envelope cubes need a generated set")
         a, b = _parse_range(spec[len("envelopes:"):])
         return [envelope_cube(oracle.seq, m) for m in range(a, b + 1)]
-    raise PreconditionError(f"cannot parse cube spec {spec!r}")
+    raise ParseError(f"cannot parse cube spec {spec!r}")
 
 
 def _one_cube(spec: str, oracle, command: str) -> Cube:
@@ -200,8 +187,7 @@ def cmd_fig1(args, argv) -> int:
         level = 0
         while envelope_length(seq, level) < bound:
             level += 1
-        points, _ = generate(seq, level, with_reflection=True)
-        for p in points:
+        for p in Generated(seq, level, True).points:
             if -bound <= p <= bound:
                 rows.append([label, format_rational(p), repr(float(p))])
     _emit(_csv_text(["sequence", "point", "value"], rows), args.out, argv)
@@ -376,7 +362,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-set", help="materialize a generated point set")
-    p.add_argument("--rule", required=True, choices=["constant", "half_harmonic"])
+    p.add_argument("--rule", required=True, choices=ContractionSequence.RULES)
     p.add_argument("--c", help="contraction value for the constant rule, e.g. 1/2")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--reflect", action="store_true")
@@ -425,7 +411,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_porosity)
 
     p = sub.add_parser("prob-stats", help="moment table of the gap-length law")
-    p.add_argument("--rule", required=True, choices=["constant", "half_harmonic"])
+    p.add_argument("--rule", required=True, choices=ContractionSequence.RULES)
     p.add_argument("--c")
     p.add_argument("--levels", required=True, help="range A..B")
     p.add_argument("--out")
@@ -445,7 +431,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.fn(args, argv)
-    except UsageError as err:
+    except ParseError as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except PreconditionError as err:

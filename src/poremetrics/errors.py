@@ -1,6 +1,10 @@
 """Shared exception types for the pore-metrics package."""
 
 
+class ParseError(ValueError):
+    """A value, selector, set-spec file or rule name that does not parse."""
+
+
 class PreconditionError(ValueError):
     """An operation was called outside its documented domain."""
 

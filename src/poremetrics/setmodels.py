@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dyadic import Cube
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .rationals import format_rational, parse_rational, sqrt_bracket
 
 GENERATE_LEVEL_CAP = 14  # 3**14 + 1 points; beyond this use the length-law recursion
@@ -41,17 +41,27 @@ class Component:
 
 @dataclass(frozen=True)
 class ContractionSequence:
-    """The sequence {c_n} in (0, 1] driving the copy-contract-copy generator."""
+    """The sequence {c_n} in (0, 1] driving the copy-contract-copy generator.
+
+    The constructor is the one place that knows the rules: ``constant`` needs
+    ``c``, ``half_harmonic`` (c_n = 1 - 1/(2n)) takes none and ignores one.
+    An unknown rule name or a missing ``c`` does not parse.
+    """
+
+    RULES = ("constant", "half_harmonic")
 
     rule: str
     c: Fraction | None = None
 
     def __post_init__(self):
-        if self.rule not in ("constant", "half_harmonic"):
-            raise PreconditionError(f"unknown contraction rule {self.rule!r}")
-        if self.rule == "constant":
-            if self.c is None or not 0 < self.c <= 1:
-                raise PreconditionError("constant rule needs c in (0, 1]")
+        if self.rule not in self.RULES:
+            raise ParseError(f"unknown contraction rule {self.rule!r}")
+        if self.rule == "half_harmonic":
+            object.__setattr__(self, "c", None)
+        elif self.c is None:
+            raise ParseError("constant rule needs c")
+        elif not 0 < self.c <= 1:
+            raise PreconditionError("constant rule needs c in (0, 1]")
 
     @classmethod
     def constant(cls, c) -> "ContractionSequence":
@@ -98,21 +108,6 @@ def _stage_numerators(
     return nums, den
 
 
-def generate(
-    seq: ContractionSequence, level: int, with_reflection: bool = False
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, Fraction]]:
-    """Point set of the level-``n`` generator stage and its envelope interval.
-
-    Stage 0 is {0, 1}.  Each stage appends a copy contracted by c_n starting
-    at the current last point, then an uncontracted copy starting at the last
-    point of the contracted one; shared endpoints are stored once, so stage n
-    has 3**n + 1 points.  With reflection the stage is mirrored through 0.
-    """
-    nums, den = _stage_numerators(seq, level, with_reflection)
-    pts = tuple(Fraction(x, den) for x in nums)
-    return pts, (pts[0], pts[-1])
-
-
 def envelope_length(seq: ContractionSequence, level: int) -> Fraction:
     """|Q_n| for the generator: the exact product of (2 + c_i)."""
     out = Fraction(1)
@@ -132,7 +127,7 @@ class SetOracle:
     dimension: int = 1
 
     def distance(self, x) -> Fraction:
-        raise NotImplementedError
+        raise PreconditionError("exact distance is 1-D only; use distance_bracket")
 
     def distance_bracket(self, x) -> tuple[Fraction, Fraction]:
         """Certified [lo, hi] containing the Euclidean distance (n >= 1)."""
@@ -160,7 +155,18 @@ class SetOracle:
         return False
 
     def components(self, lo: Fraction, hi: Fraction) -> list[Component]:
-        raise PreconditionError("component enumeration needs a 1-D oracle")
+        """The window cut at the set points of ``numerator_runs``; a point
+        equal to ``lo`` cuts nothing."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        if hi <= lo:
+            raise PreconditionError("window needs hi > lo")
+        runs = self.numerator_runs(lo, hi)
+        if runs is None:
+            raise PreconditionError("component enumeration needs a 1-D oracle")
+        cuts = [lo, *(Fraction(a, b) for b, nums in runs for a in nums), hi]
+        if cuts[1] == lo:
+            del cuts[1]
+        return [Component(a, b) for a, b in zip(cuts, cuts[1:])]
 
     def gap_lengths(self, lo: Fraction, hi: Fraction) -> tuple[list, int]:
         """Lengths of ``components(lo, hi)`` in window order, as numerators
@@ -168,19 +174,12 @@ class SetOracle:
         components' own Fractions over scale 1."""
         return [c.length for c in self.components(lo, hi)], 1
 
-    def points_in_window(self, lo: Fraction, hi: Fraction):
-        """Sorted points of the set inside [lo, hi), or None when the set is
-        not point-representable there (enables the exact histogram fast path)."""
-        return None
-
     def numerator_runs(self, lo: Fraction, hi: Fraction):
-        """The points of ``points_in_window`` as runs (b, (a_1, a_2, ...)) of
-        numerators over a shared denominator b, in sorted order, or None.
-        Here every point is its own run."""
-        pts = self.points_in_window(lo, hi)
-        if pts is None:
-            return None
-        return [(p.denominator, (p.numerator,)) for p in pts]
+        """The set points in [lo, hi) as runs (b, (a_1, a_2, ...)) of
+        numerators over a shared denominator b, in increasing order, or None
+        when the set is not a point set (1-D point sets take the exact
+        histogram and derive their components from this)."""
+        return None
 
     def is_measure_zero(self) -> bool:
         return True
@@ -216,19 +215,10 @@ class FinitePoints(SetOracle):
         i = bisect_left(self.points, lo)
         return i < len(self.points) and self.points[i] < hi
 
-    def points_in_window(self, lo, hi):
+    def numerator_runs(self, lo, hi):
         i = bisect_left(self.points, Fraction(lo))
         j = bisect_left(self.points, Fraction(hi))
-        return self.points[i:j]
-
-    def components(self, lo, hi) -> list[Component]:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        i = bisect_right(self.points, lo)
-        j = bisect_left(self.points, hi)
-        cuts = [lo, *self.points[i:j], hi]
-        return [Component(a, b) for a, b in zip(cuts, cuts[1:])]
+        return [(p.denominator, (p.numerator,)) for p in self.points[i:j]]
 
     def spec_dict(self) -> dict:
         return {"type": "points", "points": [format_rational(p) for p in self.points]}
@@ -248,19 +238,9 @@ class IntegerLattice(SetOracle):
     def meets_interval(self, lo, hi) -> bool:
         return math.ceil(Fraction(lo)) < Fraction(hi)
 
-    def components(self, lo, hi) -> list[Component]:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        first = math.floor(lo) + 1
-        last = math.ceil(hi) - 1
-        cuts = [lo] + [Fraction(k) for k in range(first, last + 1) if lo < k < hi] + [hi]
-        return [Component(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-
-    def points_in_window(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        first = math.ceil(lo)
-        return tuple(Fraction(k) for k in range(first, math.ceil(hi)) if k < hi)
+    def numerator_runs(self, lo, hi):
+        ks = range(math.ceil(Fraction(lo)), math.ceil(Fraction(hi)))
+        return [(1, ks)] if ks else []
 
     def spec_dict(self) -> dict:
         return {"type": "lattice"}
@@ -318,33 +298,17 @@ class Generated(SetOracle):
         i = self._first_at_least(Fraction(lo))
         return i < len(self.numerators) and i < self._first_at_least(Fraction(hi))
 
-    def _in_window(self, lo, hi) -> tuple:
-        """Numerators of the points in [lo, hi)."""
-        return self.numerators[self._first_at_least(Fraction(lo)):self._first_at_least(Fraction(hi))]
-
-    def points_in_window(self, lo, hi):
-        return tuple(Fraction(n, self.den) for n in self._in_window(lo, hi))
-
     def numerator_runs(self, lo, hi):
-        nums = self._in_window(lo, hi)
+        nums = self.numerators[self._first_at_least(Fraction(lo)):self._first_at_least(Fraction(hi))]
         return [(self.den, nums)] if nums else []
-
-    def _interior(self, lo, hi):
-        """The window ends as Fractions and the numerators strictly between them."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        return lo, hi, self.numerators[self._first_above(lo):self._first_at_least(hi)]
-
-    def components(self, lo, hi) -> list[Component]:
-        lo, hi, inner = self._interior(lo, hi)
-        cuts = [lo, *(Fraction(n, self.den) for n in inner), hi]
-        return [Component(a, b) for a, b in zip(cuts, cuts[1:])]
 
     def gap_lengths(self, lo, hi) -> tuple[list, int]:
         """Integer component lengths over scale = lcm(den, lo's and hi's
         denominators), so an off-grid window needs no Fraction either."""
-        lo, hi, inner = self._interior(lo, hi)
+        lo, hi = Fraction(lo), Fraction(hi)
+        if hi <= lo:
+            raise PreconditionError("window needs hi > lo")
+        inner = self.numerators[self._first_above(lo):self._first_at_least(hi)]
         scale = math.lcm(self.den, lo.denominator, hi.denominator)
         k = scale // self.den
         cuts = [
@@ -353,9 +317,6 @@ class Generated(SetOracle):
             hi.numerator * (scale // hi.denominator),
         ]
         return [b - a for a, b in zip(cuts, cuts[1:])], scale
-
-    def envelope_cube(self) -> Cube:
-        return Cube.interval(self.envelope[0], self.envelope[1])
 
     def spec_dict(self) -> dict:
         contraction = {"rule": self.seq.rule}
@@ -371,7 +332,8 @@ class Generated(SetOracle):
 
 @dataclass(frozen=True)
 class PointCloud(SetOracle):
-    """A finite point set in R**n; distances are certified brackets."""
+    """A finite point set in R**n, n >= 2; distances are certified brackets.
+    A point set on the line is a ``FinitePoints``."""
 
     points: tuple  # tuple of coordinate tuples
 
@@ -382,6 +344,8 @@ class PointCloud(SetOracle):
         dims = {len(p) for p in pts}
         if len(dims) != 1:
             raise PreconditionError("points must share a dimension")
+        if dims == {1}:
+            raise PreconditionError("a point set on the line is a FinitePoints, not a PointCloud")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dimension", len(pts[0]))
 
@@ -390,11 +354,6 @@ class PointCloud(SetOracle):
         return min(
             sum((a - b) ** 2 for a, b in zip(xs, p)) for p in self.points
         )
-
-    def distance(self, x) -> Fraction:
-        if self.dimension == 1:
-            return min(abs(Fraction(x[0] if isinstance(x, tuple) else x) - p[0]) for p in self.points)
-        raise PreconditionError("exact distance is 1-D only; use distance_bracket")
 
     def distance_bracket(self, x):
         return sqrt_bracket(self.distance_sq(x))
@@ -405,16 +364,6 @@ class PointCloud(SetOracle):
         return any(
             all(a <= c < b for a, c, b in zip(lo, p, hi)) for p in self.points
         )
-
-    def meets_interval(self, lo, hi) -> bool:
-        if self.dimension != 1:
-            raise PreconditionError("meets_interval is 1-D only")
-        return any(lo <= p[0] < hi for p in self.points)
-
-    def points_in_window(self, lo, hi):
-        if self.dimension != 1:
-            return None
-        return tuple(sorted({p[0] for p in self.points if lo <= p[0] < hi}))
 
     def spec_dict(self) -> dict:
         return {
@@ -462,7 +411,7 @@ class BoxUnion(SetOracle):
 
     def distance(self, x) -> Fraction:
         if self.dimension != 1:
-            raise PreconditionError("exact distance is 1-D only; use distance_bracket")
+            return super().distance(x)
         xs = Fraction(x if not isinstance(x, tuple) else x[0])
         best = None
         for (l,), (h,) in self.boxes:
@@ -489,11 +438,6 @@ class BoxUnion(SetOracle):
             all(l <= a and b <= h for l, h, a, b in zip(lows, highs, lo, hi))
             for lows, highs in self.boxes
         )
-
-    def meets_interval(self, lo, hi) -> bool:
-        if self.dimension != 1:
-            raise PreconditionError("meets_interval is 1-D only")
-        return any(l < hi and h >= lo for (l,), (h,) in self.boxes)
 
     def components(self, lo, hi) -> list[Component]:
         if self.dimension != 1:
@@ -524,28 +468,47 @@ class BoxUnion(SetOracle):
 
 
 def oracle_from_spec(spec: dict) -> SetOracle:
-    """Build an oracle from the set-spec JSON dictionary."""
-    kind = spec.get("type")
+    """Build an oracle from the set-spec JSON dictionary.
+
+    ``points`` is a list of rationals, or of coordinate lists; one-coordinate
+    lists are the line again and load as the ``FinitePoints`` of their
+    distinct values.  A spec that does not parse (a missing key, a malformed
+    number, an unknown type or rule) raises ``ParseError``; one that parses
+    but lies outside a set's domain raises ``PreconditionError``.
+    """
+    try:
+        kind = spec["type"]
+        if kind == "points":
+            raw = spec["points"]
+            nested = bool(raw) and all(isinstance(p, list) for p in raw)
+            pts = [tuple(map(parse_rational, p)) if nested else parse_rational(p) for p in raw]
+        elif kind == "generated":
+            contraction = spec["contraction"]
+            rule, c = contraction["rule"], contraction.get("c")
+            c = None if c is None else parse_rational(c)
+            level, reflect = int(spec["level"]), bool(spec.get("reflect", False))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ParseError(f"malformed set spec: {type(err).__name__}: {err}") from None
     if kind == "lattice":
         return IntegerLattice()
     if kind == "points":
-        raw = spec["points"]
-        if raw and isinstance(raw[0], list):
-            return PointCloud(tuple(tuple(parse_rational(c) for c in p) for p in raw))
-        return FinitePoints(tuple(parse_rational(p) for p in raw))
+        if not nested:
+            return FinitePoints(tuple(pts))
+        if all(len(p) == 1 for p in pts):
+            return FinitePoints(tuple(sorted({x for x, in pts})))
+        return PointCloud(tuple(pts))
     if kind == "generated":
-        contraction = spec["contraction"]
-        if contraction["rule"] == "constant":
-            seq = ContractionSequence.constant(parse_rational(contraction["c"]))
-        else:
-            seq = ContractionSequence.half_harmonic()
-        return Generated(seq, int(spec["level"]), bool(spec.get("reflect", False)))
-    raise PreconditionError(f"unknown set spec type {kind!r}")
+        return Generated(ContractionSequence(rule, c), level, reflect)
+    raise ParseError(f"unknown set spec type {kind!r}")
 
 
 def load_set_spec(path) -> SetOracle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return oracle_from_spec(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ParseError(f"cannot read set spec {str(path)!r}: {err}") from None
+    return oracle_from_spec(spec)
 
 
 def save_set_spec(oracle: SetOracle, path) -> None:

@@ -276,7 +276,7 @@ def _means_1d(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> l
     """
     out = []
     for theta in thetas:
-        if theta <= -1 and oracle.meets_interval(*q0.as_interval()):
+        if theta <= -1 and oracle.meets_cube(q0):
             out.append(_divergent_partial_1d(oracle, q0, theta, max_gen))
             continue
         if gaps is None:

@@ -12,7 +12,7 @@ import pytest
 from poremetrics.dyadic import Cube
 from poremetrics.porestats import binomial_check, length_law
 from poremetrics.rationals import parse_rational
-from poremetrics.setmodels import ContractionSequence, generate
+from poremetrics.setmodels import ContractionSequence, Generated
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -80,7 +80,7 @@ class TestFig1:
             assert all(-p in pts for p in pts)
         # Positive constant-1/2 points agree with the generator stage whose
         # envelope first clears the bound.
-        ref, _ = generate(ContractionSequence.constant(Fraction(1, 2)), 3)
+        ref = Generated(ContractionSequence.constant(Fraction(1, 2)), 3).points
         assert [p for p in by_group["c=1/2"] if p > 0] == [p for p in ref if 0 < p <= 8]
 
     def test_byte_identical_and_sidecar(self, tmp_path):
@@ -224,6 +224,39 @@ class TestReports:
         expected = [str(binomial_check(length_law(half, n))[0]).lower() for n in range(201)]
         assert [row[5] for row in rows] == expected
 
+    def test_script_drivers_byte_stable(self, tmp_path):
+        # Both scripts/run_*.py drivers; digests of the reports as first
+        # recorded.  Sidecars hold the argv and are left out; the three
+        # prob-stats reports are pinned by the test above.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        for script, sub in (("run_reference_sets.py", "ref"), ("run_weight_scans.py", "ws")):
+            subprocess.run(
+                [sys.executable, str(REPO / "scripts" / script), "--out-dir", str(tmp_path / sub)],
+                check=True, capture_output=True, env=env, cwd=tmp_path,
+            )
+        digests = {
+            f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.glob("*/*"))
+            if not p.name.endswith(".meta.json") and not p.name.endswith("_moments.csv")
+            and p.name != "constant_half_divergence.csv"
+        }
+        assert digests == {
+            "ref/constant_half_8.json": "8124449e8f333c1636e7af5f89b217140af8f36de444b211724ef16a59af8bf3",
+            "ref/constant_half_8_points.txt": "2efcb6d93265484baf8a8d8ceb1a68db822eaead9d1e349e89583608c31cd120",
+            "ref/constant_half_porosity.json": "3b35fa9d57719d8fb951272fabd24a9d17feab602d50611ab957a34b59798a3d",
+            "ref/half_harmonic_8.json": "bfcae83c1547c0d3a598ee0098732e46fb4edb700e1865c4cfcd7f221cfd760b",
+            "ref/half_harmonic_8_points.txt": "d72ef522d6c2a9e9c2a3e23b8921f4591fe5700b4b8998148d7360516b21921c",
+            "ref/half_harmonic_envelope_ratios.csv": "b4e57de1d02d69367c8cce61aa28d1404c56e94cd827fc8dd29504af9e20197d",
+            "ref/lattice_pores.csv": "cfed2f145563702de88d90359b2f9d667ebacee3dd482123545c0731a6cc12a9",
+            "ref/lattice_porosity.json": "b11dcbcfb5fc9b011f143b85180dbfb45029be3697e07faf1656512ef7194b4e",
+            "ref/lattice_ratio.csv": "18109b71c6374024c3a01cf15a56cfbf5d78a2e7fdcc508d29869bee4498b586",
+            "ref/reference_points.csv": "3f4e6c4ca64b50831957977b9a933738280ee0a18a3dbe9b95a004c6b69089e6",
+            "ws/ap_lattice.csv": "51684048a8d6e36f4a542fefd73cab65c076eeb3474938fdb16f8cef70c97be5",
+            "ws/ap_origin_alpha_half.csv": "d93f01d92031227f692485d7af63185c327775a007021fea4f6f8ab7424db10c",
+            "ws/ap_origin_alpha_three_halves.csv": "f4eff5ff719bd1e4c9c9c536938a15aa4acf2058eea05ae1335fe8cc461ce79b",
+        }
+
     def test_divergence_csv(self, tmp_path):
         main = tmp_path / "stats.csv"
         div = tmp_path / "div.csv"
@@ -234,6 +267,33 @@ class TestReports:
         header, rows = parse_csv(div.read_text())
         assert header == ["level", "k_min", "k_max", "tilde_ratio"]
         assert rows[0] == ["40", "7", "11", "16/1"]
+
+
+class TestPointCloudFile:
+    # One-coordinate points, a duplicate and one outside the unit window: the
+    # file loads as the FinitePoints of its distinct values.
+    CLOUD = [["5/7"], ["1/3"], ["-1/4"], ["1/3"], ["3/2"], ["0"], ["2/9"]]
+    SELECTOR = "points:-1/4,0,2/9,1/3,5/7,3/2"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pores", "--cube", "unit:[0,1)", "--max-gen", "30"],
+            ["ls-ratio", "--cubes", "dyadic:-2..1", "--s", "1/10"],
+            ["porosity-check", "--cube", "unit:[0,1)", "--sigma", "1/2", "--gamma", "1/8"],
+            ["ap-scan", "--cubes", "dyadic:-3..2", "--alpha", "1/3", "--p", "2"],
+            ["ap-scan", "--cubes", "dyadic:-3..2", "--alpha", "3/2", "--p", "2"],
+        ],
+        ids=["pores", "ls-ratio", "porosity-check", "ap-scan-alpha-1/3", "ap-scan-alpha-3/2"],
+    )
+    def test_matches_points_selector(self, tmp_path, command):
+        spec = tmp_path / "cloud.json"
+        spec.write_text(json.dumps({"type": "points", "points": self.CLOUD}))
+        name, *rest = command
+        from_file = run_cli(name, "--set", str(spec), *rest)
+        from_selector = run_cli(name, "--set", self.SELECTOR, *rest)
+        assert from_file.stdout == from_selector.stdout
+        assert from_file.stdout.count("\n") > 1
 
 
 class TestExitCodes:
@@ -283,6 +343,63 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: {message}")
         assert proc.stderr.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "cannot read set spec"),
+            ('{"type": "points"', "cannot read set spec"),
+            ('{"type": "points"}', "malformed set spec: KeyError: 'points'"),
+            ('{"type": "cantor"}', "unknown set spec type 'cantor'"),
+            (
+                '{"type": "generated", "contraction": {"rule": "foo"}, "level": 3}',
+                "unknown contraction rule 'foo'",
+            ),
+        ],
+        ids=["missing-file", "truncated-json", "no-points-key", "unknown-type", "unknown-rule"],
+    )
+    def test_spec_file_that_does_not_load(self, tmp_path, content, message):
+        spec = tmp_path / "set.json"
+        if content is not None:
+            spec.write_text(content)
+        proc = run_cli("pores", "--set", str(spec), "--cube", "unit:[0,1)", check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--set", "foo"], "cannot parse set spec 'foo'"),
+            (["--cube", "bogus"], "cannot parse cube spec 'bogus'"),
+            (["--cube", "unit:[1/2"], "cannot parse interval '[1/2'"),
+        ],
+        ids=["set-foo", "cube-bogus", "cube-open-interval"],
+    )
+    def test_unparsable_selector(self, args, message):
+        given = {"--set": "lattice", "--cube": "unit:[0,1)"}
+        given.update(zip(args[::2], args[1::2]))
+        proc = run_cli("pores", *[x for kv in given.items() for x in kv], check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--cubes", "envelopes:0..2"], "envelope cubes need a generated set"),
+            (["--cubes", "dyadic:3..2"], "empty range"),
+            (["--set", "generated:half_harmonic:-1"], "level must be nonnegative"),
+        ],
+        ids=["envelopes-on-lattice", "empty-range", "negative-level"],
+    )
+    def test_selector_outside_its_domain(self, args, message):
+        given = {"--set": "lattice", "--cubes": "dyadic:0..2", "--alpha": "1/2", "--p": "2"}
+        given.update(zip(args[::2], args[1::2]))
+        proc = run_cli("ap-scan", *[x for kv in given.items() for x in kv], check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == f"precondition violated: {message}\n"
 
     def test_malformed_level_range(self):
         proc = run_cli("prob-stats", "--rule", "half_harmonic", "--levels", "a..3", check=False)

@@ -7,6 +7,7 @@ import pytest
 from oracles import brute_force_pores, pore_histogram
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
+from poremetrics.rationals import format_rational
 from poremetrics.pores import (
     FractionQuery,
     Side,
@@ -26,6 +27,7 @@ from poremetrics.setmodels import (
     IntegerLattice,
     PointCloud,
     envelope_cube,
+    oracle_from_spec,
 )
 
 UNIT = Cube.interval(0, 1)
@@ -183,9 +185,15 @@ class TestSplitGenerationHistogram:
     def test_point_cloud_1d_takes_histogram_path(self):
         raw = [Fraction(5, 7), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 3),
                Fraction(3, 2), Fraction(0), Fraction(2, 9)]
-        cloud = PointCloud(tuple((p,) for p in raw))
+        # A cloud file of one-coordinate points loads as the FinitePoints of
+        # its distinct values; a PointCloud on the line is refused.
+        cloud = oracle_from_spec({"type": "points", "points": [[format_rational(p)] for p in raw]})
+        assert cloud == FinitePoints(tuple(sorted(set(raw))))
+        with pytest.raises(PreconditionError):
+            PointCloud(tuple((p,) for p in raw))
         inside = (Fraction(0), Fraction(2, 9), Fraction(1, 3), Fraction(5, 7))
-        assert cloud.points_in_window(Fraction(0), Fraction(1)) == inside
+        runs = cloud.numerator_runs(Fraction(0), Fraction(1))
+        assert tuple(Fraction(a, b) for b, nums in runs for a in nums) == inside
         fam = enumerate_pores(cloud, UNIT, 30)
         assert fam.counts == _bfs_counts(cloud, UNIT, 30)
         assert fam.counts == pore_histogram(raw, 0, 1, 30)
@@ -193,7 +201,7 @@ class TestSplitGenerationHistogram:
 
     def test_point_cloud_2d_keeps_bfs(self):
         cloud = PointCloud(((Fraction(1, 3), Fraction(1, 5)),))
-        assert cloud.points_in_window(Fraction(0), Fraction(1)) is None
+        assert cloud.numerator_runs(Fraction(0), Fraction(1)) is None
 
 
 class _UnprunedBoxUnion(BoxUnion):
@@ -418,7 +426,7 @@ class TestWeakPorosity:
         fractions_seen = []
         for level in range(2, 9):
             g = Generated(HALF, level)
-            window = g.envelope_cube()
+            window = Cube.interval(*g.envelope)
             res = weak_porosity_check(g, window, Fraction(1, 2), Fraction(1, 2), max_gen=40)
             assert not res.holds
             fractions_seen.append(res.achieved_mass / window.measure)

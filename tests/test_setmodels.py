@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import component_length_multiset, fraction_generate
-from poremetrics.errors import PreconditionError
+from poremetrics.errors import ParseError, PreconditionError
 from poremetrics.rationals import format_rational, parse_rational
 from poremetrics.setmodels import (
     BoxUnion,
@@ -15,7 +15,6 @@ from poremetrics.setmodels import (
     Generated,
     IntegerLattice,
     envelope_length,
-    generate,
     oracle_from_spec,
 )
 
@@ -25,28 +24,27 @@ HH = ContractionSequence.half_harmonic()
 
 class TestGenerate:
     def test_level_zero(self):
-        pts, env = generate(HALF, 0)
-        assert pts == (0, 1)
-        assert env == (0, 1)
+        g = Generated(HALF, 0)
+        assert g.points == (0, 1)
+        assert g.envelope == (0, 1)
 
     def test_level_one_constant_half(self):
-        pts, env = generate(HALF, 1)
-        assert pts == (0, 1, Fraction(3, 2), Fraction(5, 2))
-        assert env == (0, Fraction(5, 2))
+        g = Generated(HALF, 1)
+        assert g.points == (0, 1, Fraction(3, 2), Fraction(5, 2))
+        assert g.envelope == (0, Fraction(5, 2))
 
     def test_level_one_half_harmonic(self):
-        pts, _ = generate(HH, 1)
-        assert pts == (0, 1, Fraction(3, 2), Fraction(5, 2))
+        assert Generated(HH, 1).points == (0, 1, Fraction(3, 2), Fraction(5, 2))
 
     def test_constant_one_gives_consecutive_integers(self):
-        pts, env = generate(ContractionSequence.constant(1), 2)
-        assert pts == tuple(range(10))
-        assert env == (0, 9)
+        g = Generated(ContractionSequence.constant(1), 2)
+        assert g.points == tuple(range(10))
+        assert g.envelope == (0, 9)
 
     @pytest.mark.parametrize("seq", [HALF, HH, ContractionSequence.constant(Fraction(3, 4))])
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 5])
     def test_point_count(self, seq, level):
-        pts, _ = generate(seq, level)
+        pts = Generated(seq, level).points
         assert len(pts) == 3**level + 1
         assert all(b > a for a, b in zip(pts, pts[1:]))
 
@@ -60,13 +58,14 @@ class TestGenerate:
 
     def test_envelope_matches_points(self):
         for level in range(0, 8):
-            pts, env = generate(HH, level)
-            assert env == (pts[0], pts[-1])
-            assert env[1] == envelope_length(HH, level)
+            g = Generated(HH, level)
+            assert g.envelope == (g.points[0], g.points[-1])
+            assert g.envelope[1] == envelope_length(HH, level)
 
     def test_reflection(self):
-        pts, env = generate(HALF, 2, with_reflection=True)
-        assert env == (-Fraction(25, 4), Fraction(25, 4))
+        g = Generated(HALF, 2, with_reflection=True)
+        pts = g.points
+        assert g.envelope == (-Fraction(25, 4), Fraction(25, 4))
         assert all(-p in pts for p in pts)
         assert pts.count(0) == 1
 
@@ -79,23 +78,21 @@ class TestGenerate:
         # The integer recursion over the common denominator gives the same
         # Fraction points, envelope and order as the plain Fraction one.
         for level in range(10):
-            assert repr(generate(seq, level, reflect)) == repr(
-                fraction_generate(seq, level, reflect)
-            )
+            g = Generated(seq, level, reflect)
+            assert repr((g.points, g.envelope)) == repr(fraction_generate(seq, level, reflect))
 
     def test_level_cap(self):
         with pytest.raises(PreconditionError):
-            generate(HALF, 15)
+            Generated(HALF, 15)
 
     @pytest.mark.parametrize("seq", [HALF, HH])
     def test_component_multiset_recursion(self, seq):
         # Gap lengths at level n are two copies of the previous multiset plus
         # a contracted copy.
         for level in range(1, 9):
-            prev_pts, prev_env = generate(seq, level - 1)
-            cur_pts, cur_env = generate(seq, level)
-            prev_lengths = component_length_multiset(prev_pts, prev_env[0], prev_env[1])
-            cur_lengths = component_length_multiset(cur_pts, cur_env[0], cur_env[1])
+            prev, cur = Generated(seq, level - 1), Generated(seq, level)
+            prev_lengths = component_length_multiset(prev.points, *prev.envelope)
+            cur_lengths = component_length_multiset(cur.points, *cur.envelope)
             c = seq.value(level)
             expected = sorted(prev_lengths * 2 + [c * x for x in prev_lengths])
             assert cur_lengths == expected
@@ -153,6 +150,18 @@ class TestComponents:
         comps = g.components(Fraction(1, 3), Fraction(19, 2))
         assert sum(c.length for c in comps) == Fraction(19, 2) - Fraction(1, 3)
 
+    def test_lattice_window_starting_on_a_point(self):
+        # A set point equal to the lower end cuts nothing; an empty run list
+        # leaves the whole window.
+        Z = IntegerLattice()
+        assert Z.numerator_runs(Fraction(1, 3), Fraction(1, 2)) == []
+        assert [(c.left, c.right) for c in Z.components(Fraction(1, 3), Fraction(1, 2))] == [
+            (Fraction(1, 3), Fraction(1, 2))
+        ]
+        assert [(c.left, c.right) for c in Z.components(1, Fraction(7, 2))] == [
+            (1, 2), (2, 3), (3, Fraction(7, 2))
+        ]
+
     def test_box_union(self):
         boxes = BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))
         comps = boxes.components(Fraction(-1, 2), 1)
@@ -200,6 +209,24 @@ class TestHigherDimensionalBrackets:
         for query in (cloud.meets_cube, boxes.meets_cube, boxes.covers_cube):
             with pytest.raises(PreconditionError):
                 query(unit)
+
+
+class TestRuleNames:
+    def test_unknown_rule_does_not_parse(self):
+        with pytest.raises(ParseError):
+            ContractionSequence("foo")
+        with pytest.raises(ParseError):
+            oracle_from_spec({"type": "generated", "contraction": {"rule": "foo"}, "level": 2})
+
+    def test_constant_rule_needs_c_in_range(self):
+        with pytest.raises(ParseError):
+            ContractionSequence("constant")
+        with pytest.raises(PreconditionError):
+            ContractionSequence("constant", Fraction(3, 2))
+
+    def test_half_harmonic_ignores_c(self):
+        assert ContractionSequence("half_harmonic", Fraction(1, 2)) == HH
+        assert ContractionSequence("constant", Fraction(1, 2)) == HALF
 
 
 class TestSpecRoundTrip:
