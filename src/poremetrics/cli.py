@@ -82,7 +82,7 @@ def parse_set(spec: str):
         return FinitePoints((_rational(spec[len("point:"):]),))
     if spec.startswith("points:"):
         parts = spec[len("points:"):].split(",")
-        return FinitePoints(tuple(sorted(_rational(p) for p in parts)))
+        return FinitePoints(tuple(_rational(p) for p in parts))
     if spec.startswith("generated:"):
         parts = spec.split(":")[1:]
         reflect = parts[-1] == "reflect"
@@ -233,6 +233,18 @@ def cmd_pores(args, argv) -> int:
     return 0
 
 
+def _ratio_row(r) -> dict:
+    """One ls-ratio row as JSON cells; L_s, S_s and ratio are None unless exact."""
+    return {
+        "cube_id": r.cube_id,
+        "L_s": format_rational(r.largest.value) if r.largest and r.largest.exact else None,
+        "S_s": format_rational(r.smallest.value) if r.smallest and r.smallest.exact else None,
+        "ratio": format_rational(r.ratio) if r.ratio is not None else None,
+        "depth_ok": r.depth_ok,
+        "note": r.note,
+    }
+
+
 def cmd_ls_ratio(args, argv) -> int:
     oracle = parse_set(args.set)
     cubes = parse_cubes(args.cubes, oracle)
@@ -242,21 +254,16 @@ def cmd_ls_ratio(args, argv) -> int:
             "schema": SCHEMA,
             "s": format_rational(report.s),
             "max_ratio": format_rational(report.max_ratio) if report.max_ratio is not None else None,
-            "rows": [
-                {
-                    "cube_id": r.cube_id,
-                    "L_s": format_rational(r.largest.value) if r.largest and r.largest.exact else None,
-                    "S_s": format_rational(r.smallest.value) if r.smallest and r.smallest.exact else None,
-                    "ratio": format_rational(r.ratio) if r.ratio is not None else None,
-                    "depth_ok": r.depth_ok,
-                    "note": r.note,
-                }
-                for r in report.rows
-            ],
+            "rows": [_ratio_row(r) for r in report.rows],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out, argv)
     else:
-        _emit(report.to_csv(), args.out, argv)
+        # csv writes None as an empty cell
+        rows = [
+            [c["cube_id"], format_rational(r.s), c["L_s"], c["S_s"], c["ratio"], "true" if r.depth_ok else "false"]
+            for r, c in zip(report.rows, map(_ratio_row, report.rows))
+        ]
+        _emit(_csv_text(["cube_id", "s", "L_s", "S_s", "ratio", "depth_ok"], rows), args.out, argv)
     return 0
 
 

@@ -8,8 +8,6 @@ mass not yet classified below the deepest generation reached.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,7 +15,6 @@ from fractions import Fraction
 
 from .dyadic import Cube
 from .errors import InsufficientDepthError, PreconditionError
-from .rationals import format_rational
 from .setmodels import Component, SetOracle
 
 
@@ -382,23 +379,6 @@ class RatioReport:
     def max_ratio(self) -> Fraction | None:
         ratios = [r.ratio for r in self.rows if r.ratio is not None]
         return max(ratios) if ratios else None
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["cube_id", "s", "L_s", "S_s", "ratio", "depth_ok"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.cube_id,
-                    format_rational(row.s),
-                    format_rational(row.largest.value) if row.largest and row.largest.exact else "",
-                    format_rational(row.smallest.value) if row.smallest and row.smallest.exact else "",
-                    format_rational(row.ratio) if row.ratio is not None else "",
-                    "true" if row.depth_ok else "false",
-                ]
-            )
-        return buf.getvalue()
 
 
 def ratio_condition(

@@ -8,7 +8,10 @@ laws, moments, the expectation product bound, Markov bounds for the
 component quantiles, the exact component quantiles themselves (Fractions at
 every level, from the law split into two halves), the binomial reduction for
 the constant-1/2 sequence, its normal approximation, and the quantile
-divergence scan -- is built on that recursion.
+divergence scan -- is built on that recursion.  The recursion runs in
+integers, and a ``LengthDistribution`` stores its output as is: integer atom
+keys over one length denominator, integer masses over one mass denominator.
+Its Fraction view ``masses`` is built only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress
 from operator import itemgetter, lt, mul, not_
 from statistics import NormalDist
@@ -33,24 +37,27 @@ EXPECTATION_PRODUCT_BOUND = math.exp(math.pi**2 / 75)
 
 @dataclass(frozen=True)
 class LengthDistribution:
-    """Exact map from gap length to probability mass at one generator level."""
+    """Exact gap-length law at one generator level, in integers: the atom
+    key / den_x carries the mass weights[key] / den_w."""
 
-    masses: dict
+    weights: dict
+    den_x: int
+    den_w: int
     level: int
     seq: ContractionSequence | None = None
 
     def __post_init__(self):
-        total = sum(self.masses.values(), Fraction(0))
-        if total != 1:
+        if sum(self.weights.values()) != self.den_w:
             raise PreconditionError("probability masses must sum to one")
-        if any(x <= 0 for x in self.masses):
+        if any(key <= 0 for key in self.weights):
             raise PreconditionError("lengths must be positive")
 
-    def support(self):
-        return sorted(self.masses)
-
-    def mass(self, length) -> Fraction:
-        return self.masses.get(Fraction(length), Fraction(0))
+    @cached_property
+    def masses(self) -> dict:
+        """The law as a map from Fraction length to Fraction mass, built on
+        first use, in the recursion's insertion order."""
+        den_x, den_w = self.den_x, self.den_w
+        return {Fraction(k, den_x): Fraction(m, den_w) for k, m in self.weights.items()}
 
 
 @dataclass(frozen=True)
@@ -101,27 +108,18 @@ def _integer_law(seq: ContractionSequence, idxs, cap=math.inf):
         yield masses, den_x, den_w
 
 
-def _distribution(law, level: int, seq: ContractionSequence) -> LengthDistribution:
-    masses, den_x, den_w = law
-    return LengthDistribution(
-        {Fraction(x, den_x): Fraction(m, den_w) for x, m in masses.items()}, level, seq
-    )
+def length_laws(seq: ContractionSequence, level: int):
+    """The gap-length law at every level 0..level, from one pass of the recursion."""
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    laws = _integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP)
+    return (LengthDistribution(*law, n, seq) for n, law in enumerate(laws))
 
 
 def length_law(seq: ContractionSequence, level: int) -> LengthDistribution:
     """Exact gap-length law at the given level via the two-branch recursion."""
-    if level < 0:
-        raise PreconditionError("level must be nonnegative")
-    (law,) = deque(_integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP), maxlen=1)
-    return _distribution(law, level, seq)
-
-
-def length_laws(seq: ContractionSequence, level: int):
-    """``length_law`` at every level 0..level, from one pass of the recursion."""
-    if level < 0:
-        raise PreconditionError("level must be nonnegative")
-    laws = _integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP)
-    return (_distribution(law, n, seq) for n, law in enumerate(laws))
+    (law,) = deque(length_laws(seq, level), maxlen=1)
+    return law
 
 
 def moment(law: LengthDistribution, theta) -> Fraction | float:
@@ -226,31 +224,28 @@ def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
 def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
     """Exact test that a constant-1/2 law is binomial with q = 1/5 in the exponent.
 
-    Bin(n, 1/5) puts mass nums[k] / 5^n on the atom 2^-k.  Each atom's mass is
-    compared with its entry in integers over 5^n; a Fraction is built only
-    for a mass off that grid or an atom the row does not have.  Returns
-    whether the law matches and the largest deviation of any atom.
+    Bin(n, 1/5) puts mass nums[k] / 5^n on the atom 2^-k.  Every deviation
+    is an integer over 5^n * den_w: the atom key / den_x is 2^-k exactly when
+    key << k == den_x, and then deviates by |w * 5^n - nums[k] * den_w|; any
+    other atom, and any k the law lacks, deviates by its whole mass.
+    Returns whether the law matches and the largest deviation of any atom.
     """
     if law.seq is None or law.seq.rule != "constant" or law.seq.c != Fraction(1, 2):
         raise PreconditionError("binomial_check applies to the constant-1/2 sequence")
     n = law.level
     nums, den = _binomial_numerators(n, Fraction(1, 5))
-    worst = 0  # largest deviation on the grid, in units of 1 / den
-    off_grid = Fraction(0)
+    den_x, den_w = law.den_x, law.den_w
+    worst = 0
     seen = [False] * (n + 1)
-    for x, m in law.masses.items():
-        k = x.denominator.bit_length() - 1
-        if x.numerator != 1 or x.denominator != 1 << k or k > n:
-            off_grid = max(off_grid, m)
-            continue
-        seen[k] = True
-        scale, rem = divmod(den, m.denominator)
-        if rem:
-            off_grid = max(off_grid, abs(m - Fraction(nums[k], den)))
+    for key, w in law.weights.items():
+        k = den_x.bit_length() - key.bit_length()
+        if 0 <= k <= n and key << k == den_x:
+            seen[k] = True
+            worst = max(worst, abs(w * den - nums[k] * den_w))
         else:
-            worst = max(worst, abs(m.numerator * scale - nums[k]))
-    worst = max([worst] + [num for num, hit in zip(nums, seen) if not hit])
-    max_dev = max(Fraction(worst, den), off_grid)
+            worst = max(worst, abs(w) * den)
+    worst = max([worst] + [num * den_w for num, hit in zip(nums, seen) if not hit])
+    max_dev = Fraction(worst, den * den_w)
     return max_dev == 0, max_dev
 
 

@@ -44,8 +44,8 @@ class ContractionSequence:
     """The sequence {c_n} in (0, 1] driving the copy-contract-copy generator.
 
     The constructor is the one place that knows the rules: ``constant`` needs
-    ``c``, ``half_harmonic`` (c_n = 1 - 1/(2n)) takes none and ignores one.
-    An unknown rule name or a missing ``c`` does not parse.
+    ``c``, ``half_harmonic`` (c_n = 1 - 1/(2n)) takes none.  An unknown rule
+    name, a missing ``c`` or a ``c`` given to ``half_harmonic`` does not parse.
     """
 
     RULES = ("constant", "half_harmonic")
@@ -57,7 +57,8 @@ class ContractionSequence:
         if self.rule not in self.RULES:
             raise ParseError(f"unknown contraction rule {self.rule!r}")
         if self.rule == "half_harmonic":
-            object.__setattr__(self, "c", None)
+            if self.c is not None:
+                raise ParseError("half_harmonic rule takes no c")
         elif self.c is None:
             raise ParseError("constant rule needs c")
         elif not 0 < self.c <= 1:
@@ -190,18 +191,17 @@ class SetOracle:
 
 @dataclass(frozen=True)
 class FinitePoints(SetOracle):
-    """A finite set of points on the line, stored strictly sorted."""
+    """A finite set of points on the line, stored as its distinct values
+    in increasing order, however they were given."""
 
     points: tuple
 
     dimension = 1
 
     def __post_init__(self):
-        pts = tuple(Fraction(p) for p in self.points)
+        pts = tuple(sorted({Fraction(p) for p in self.points}))
         if not pts:
             raise PreconditionError("FinitePoints needs at least one point")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise PreconditionError("points must be strictly sorted")
         object.__setattr__(self, "points", pts)
 
     def distance(self, x) -> Fraction:
@@ -470,18 +470,19 @@ class BoxUnion(SetOracle):
 def oracle_from_spec(spec: dict) -> SetOracle:
     """Build an oracle from the set-spec JSON dictionary.
 
-    ``points`` is a list of rationals, or of coordinate lists; one-coordinate
-    lists are the line again and load as the ``FinitePoints`` of their
-    distinct values.  A spec that does not parse (a missing key, a malformed
-    number, an unknown type or rule) raises ``ParseError``; one that parses
-    but lies outside a set's domain raises ``PreconditionError``.
+    ``points`` is a list of rationals, or of coordinate lists; a flat list
+    and a list of one-coordinate lists are both the line and load as the
+    ``FinitePoints`` of their distinct values.  A spec that does not parse
+    (a missing key, a malformed number, an unknown type or rule) raises
+    ``ParseError``; one that parses but lies outside a set's domain raises
+    ``PreconditionError``.
     """
     try:
         kind = spec["type"]
         if kind == "points":
             raw = spec["points"]
             nested = bool(raw) and all(isinstance(p, list) for p in raw)
-            pts = [tuple(map(parse_rational, p)) if nested else parse_rational(p) for p in raw]
+            pts = [tuple(map(parse_rational, p)) if nested else (parse_rational(p),) for p in raw]
         elif kind == "generated":
             contraction = spec["contraction"]
             rule, c = contraction["rule"], contraction.get("c")
@@ -492,10 +493,8 @@ def oracle_from_spec(spec: dict) -> SetOracle:
     if kind == "lattice":
         return IntegerLattice()
     if kind == "points":
-        if not nested:
-            return FinitePoints(tuple(pts))
         if all(len(p) == 1 for p in pts):
-            return FinitePoints(tuple(sorted({x for x, in pts})))
+            return FinitePoints(tuple(x for x, in pts))
         return PointCloud(tuple(pts))
     if kind == "generated":
         return Generated(ContractionSequence(rule, c), level, reflect)

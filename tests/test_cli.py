@@ -100,6 +100,30 @@ class TestReports:
         header, rows = parse_csv(out.stdout)
         assert header == ["cube_id", "s", "L_s", "S_s", "ratio", "depth_ok"]
         assert rows[0][1:] == ["1/10", "1/2", "1/16", "8/1", "true"]
+        lines = out.stdout.strip().split("\n")
+        assert lines[0] == "cube_id,s,L_s,S_s,ratio,depth_ok"
+        assert lines[1].endswith("1/10,1/2,1/16,8/1,true")
+
+    @pytest.mark.parametrize(
+        "args,note",
+        [
+            (["--set", "point:5", "--cubes", "dyadic:0..1"], "disjoint from set; skipped"),
+            (["--set", "lattice", "--cubes", "dyadic:0..1", "--max-gen", "2"], "insufficient depth:"),
+        ],
+        ids=["disjoint", "insufficient-depth"],
+    )
+    def test_ls_ratio_rows_without_values(self, args, note):
+        # Rows with no exact value: empty cells in CSV, nulls in JSON.
+        out = run_cli("ls-ratio", *args, "--s", "1/10")
+        assert out.stdout == (
+            "cube_id,s,L_s,S_s,ratio,depth_ok\n"
+            '"0:[0,1)",1/10,,,,false\n"1:[0,2)",1/10,,,,false\n'
+        )
+        data = json.loads(run_cli("ls-ratio", *args, "--s", "1/10", "--format", "json").stdout)
+        assert data["max_ratio"] is None
+        for row in data["rows"]:
+            assert (row["L_s"], row["S_s"], row["ratio"], row["depth_ok"]) == (None, None, None, False)
+            assert row["note"].startswith(note)
 
     def test_ls_ratio_json_schema(self):
         out = run_cli(
@@ -295,6 +319,26 @@ class TestPointCloudFile:
         assert from_file.stdout == from_selector.stdout
         assert from_file.stdout.count("\n") > 1
 
+    @pytest.mark.parametrize(
+        "given,selector",
+        [
+            ("points:0,1/3,0", "points:0,1/3"),
+            ({"type": "points", "points": ["1/2", "1/3"]}, "points:1/3,1/2"),
+        ],
+        ids=["selector", "flat-file"],
+    )
+    def test_unsorted_points_load_sorted(self, tmp_path, given, selector):
+        # An unsorted point list, with or without a duplicate, is the set of
+        # its distinct values.
+        if isinstance(given, dict):
+            spec = tmp_path / "flat.json"
+            spec.write_text(json.dumps(given))
+            given = str(spec)
+        from_given = run_cli("pores", "--set", given, "--cube", "unit:[0,1)")
+        from_sorted = run_cli("pores", "--set", selector, "--cube", "unit:[0,1)")
+        assert from_given.stdout == from_sorted.stdout
+        assert from_given.stdout.count("\n") > 1
+
 
 class TestExitCodes:
     def test_unknown_flag(self):
@@ -331,9 +375,13 @@ class TestExitCodes:
             (["--set", "generated:half_harmonic"], "cannot parse set spec 'generated:half_harmonic'"),
             (["--set", "generated:constant:1/2:x"], "not an integer: 'x'"),
             (["--cubes", "dyadic:x..2"], "not an integer: 'x'"),
+            (["--set", "generated:half_harmonic:1/2:3"], "half_harmonic rule takes no c"),
             (["--alpha", "1/0"], "not a rational number: '1/0'"),
         ],
-        ids=["point-abc", "generated-no-level", "generated-level-x", "dyadic-range-x", "alpha-1-over-0"],
+        ids=[
+            "point-abc", "generated-no-level", "generated-level-x", "dyadic-range-x",
+            "generated-half-harmonic-c", "alpha-1-over-0",
+        ],
     )
     def test_malformed_ap_scan_value(self, args, message):
         given = {"--set": "point:0", "--cubes": "dyadic:0..2", "--alpha": "1/2", "--p": "2"}
@@ -355,8 +403,12 @@ class TestExitCodes:
                 '{"type": "generated", "contraction": {"rule": "foo"}, "level": 3}',
                 "unknown contraction rule 'foo'",
             ),
+            (
+                '{"type": "generated", "contraction": {"rule": "half_harmonic", "c": "1/2"}, "level": 3}',
+                "half_harmonic rule takes no c",
+            ),
         ],
-        ids=["missing-file", "truncated-json", "no-points-key", "unknown-type", "unknown-rule"],
+        ids=["missing-file", "truncated-json", "no-points-key", "unknown-type", "unknown-rule", "half-harmonic-c"],
     )
     def test_spec_file_that_does_not_load(self, tmp_path, content, message):
         spec = tmp_path / "set.json"
@@ -400,6 +452,15 @@ class TestExitCodes:
         proc = run_cli("ap-scan", *[x for kv in given.items() for x in kv], check=False)
         assert proc.returncode == 2
         assert proc.stderr == f"precondition violated: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command", [["gen-set", "--level", "2"], ["prob-stats", "--levels", "0..2"]]
+    )
+    def test_half_harmonic_given_c(self, command):
+        proc = run_cli(*command, "--rule", "half_harmonic", "--c", "1/2", check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: half_harmonic rule takes no c\n"
 
     def test_malformed_level_range(self):
         proc = run_cli("prob-stats", "--rule", "half_harmonic", "--levels", "a..3", check=False)

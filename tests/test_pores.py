@@ -375,12 +375,6 @@ class TestRatioCondition:
         with pytest.warns(UserWarning):
             ratio_condition(Z, [UNIT], Fraction(1, 2))
 
-    def test_csv_shape(self):
-        text = ratio_condition(Z, [UNIT], Fraction(1, 10)).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "cube_id,s,L_s,S_s,ratio,depth_ok"
-        assert lines[1].endswith("1/10,1/2,1/16,8/1,true")
-
     def test_single_threshold_extends_downward(self):
         # If the measured data satisfies the bound at one threshold, the
         # constant C0' (t')^-sigma covers every larger threshold as well.

@@ -69,6 +69,16 @@ class TestLengthLaw:
             Fraction(1, 2): Fraction(1, 5),
         }
 
+    def test_weights_must_sum_to_den_w(self):
+        with pytest.raises(PreconditionError, match="sum to one"):
+            LengthDistribution({2: 1, 1: 1}, 2, 3, 1)
+        assert LengthDistribution({2: 2, 1: 1}, 2, 3, 1).masses == {1: Fraction(2, 3), Fraction(1, 2): Fraction(1, 3)}
+
+    @pytest.mark.parametrize("key", [0, -1])
+    def test_keys_must_be_positive(self, key):
+        with pytest.raises(PreconditionError, match="positive"):
+            LengthDistribution({2: 2, key: 1}, 2, 3, 1)
+
     def test_half_harmonic_level_one(self):
         assert length_law(HH, 1).masses == {
             Fraction(1): Fraction(4, 5),
@@ -395,7 +405,7 @@ class TestComponentQuantiles:
             for level in (0, 1, 5, 9):
                 keys, masses, den_x, den_w = porestats._half_law(seq, 1, level + 1)
                 law = length_law(seq, level)
-                atoms = law.support()
+                atoms = sorted(law.masses)
                 assert [Fraction(k, den_x) for k in keys] == atoms
                 assert [Fraction(m, den_w) for m in masses] == [law.masses[x] for x in atoms]
 
@@ -535,14 +545,16 @@ class TestExactQuantiles:
 
 
 def _perturbed(level, moves):
-    """The constant-1/2 law at ``level`` with mass moved between atoms."""
-    masses = dict(length_law(HALF, level).masses)
+    """The constant-1/2 law at ``level`` over 8 den_x and 7 den_w, with
+    integer mass moved between atom keys."""
+    law = length_law(HALF, level)
+    weights = {8 * key: 7 * w for key, w in law.weights.items()}
     for src, dst, amount in moves:
-        masses[src] -= amount
-        masses[dst] = masses.get(dst, Fraction(0)) + amount
-        if masses[src] == 0:
-            del masses[src]
-    return LengthDistribution(masses, level, HALF)
+        weights[src] -= amount
+        weights[dst] = weights.get(dst, 0) + amount
+        if weights[src] == 0:
+            del weights[src]
+    return LengthDistribution(weights, 8 * law.den_x, 7 * law.den_w, level, HALF)
 
 
 class TestBinomialCheckDifferential:
@@ -551,21 +563,34 @@ class TestBinomialCheckDifferential:
         law = length_law(HALF, level)
         assert binomial_check(law) == fraction_binomial_check(law) == (True, Fraction(0))
 
+    @pytest.mark.parametrize("level", [0, 1, 7, 30])
+    def test_binomial_law_over_scaled_denominators(self, level):
+        law = length_law(HALF, level)
+        scaled = LengthDistribution(
+            {3 * key: 3 * w for key, w in law.weights.items()}, 3 * law.den_x, 3 * law.den_w, level, HALF
+        )
+        assert scaled.masses == law.masses
+        assert binomial_check(scaled) == (True, Fraction(0))
+
     @pytest.mark.parametrize("level", [1, 3, 12, 40])
     def test_perturbed_laws(self, level):
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
-        last = Fraction(1, 2**level)
-        grid = Fraction(1, 5**level)
-        tail = length_law(HALF, level).mass(last)
+        one = 8 << level  # keys: the atom x is x * one, so 2^-level is 8
+        half, quarter, last = one // 2, one // 4, 8
+        grid = 7  # 1 / 5^level in mass units 1 / (7 * 5^level); the mass of 2^-level
         laws = [
-            _perturbed(level, [(1, half, grid)]),  # on the 1/5^n grid
-            _perturbed(level, [(1, half, grid / 7)]),  # off the grid
-            _perturbed(level, [(1, Fraction(3, 8), grid)]),  # an atom that is not 2^-k
-            _perturbed(level, [(last, last / 2, tail)]),  # 2^-n moved past n
-            _perturbed(level, [(last, 2 * last, tail / 2), (last, last / 2, tail / 2)]),  # 2^-n missing
-            _perturbed(level, [(1, half, grid), (half, quarter, 3 * grid)]),
+            _perturbed(level, [(one, half, grid)]),  # on the 1/5^n grid
+            _perturbed(level, [(one, half, 1)]),  # off the grid
+            _perturbed(level, [(one, 3 * one // 8, grid)]),  # an atom that is not 2^-k
+            _perturbed(level, [(last, last // 2, grid)]),  # 2^-n moved past n
+            _perturbed(level, [(last, 2 * last, 3), (last, last // 2, 4)]),  # 2^-n missing
+            _perturbed(level, [(one, half, grid), (half, quarter, 3 * grid)]),
         ]
         for law in laws:
             ok, dev = binomial_check(law)
             assert (ok, dev) == fraction_binomial_check(law)
             assert not ok and type(dev) is Fraction and dev > 0
+
+    def test_reads_the_integer_law_only(self):
+        for law in porestats.length_laws(HALF, 60):
+            assert binomial_check(law) == (True, Fraction(0))
+            assert "masses" not in law.__dict__

@@ -224,8 +224,14 @@ class TestRuleNames:
         with pytest.raises(PreconditionError):
             ContractionSequence("constant", Fraction(3, 2))
 
-    def test_half_harmonic_ignores_c(self):
-        assert ContractionSequence("half_harmonic", Fraction(1, 2)) == HH
+    def test_half_harmonic_rejects_c(self):
+        with pytest.raises(ParseError):
+            ContractionSequence("half_harmonic", Fraction(1, 2))
+        with pytest.raises(ParseError):
+            oracle_from_spec(
+                {"type": "generated", "contraction": {"rule": "half_harmonic", "c": "1/2"}, "level": 2}
+            )
+        assert ContractionSequence("half_harmonic") == HH
         assert ContractionSequence("constant", Fraction(1, 2)) == HALF
 
 
