@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_force_pores, pore_histogram
+from poremetrics import cli
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
 from poremetrics.rationals import format_rational
@@ -374,6 +375,13 @@ class TestRatioCondition:
     def test_warns_outside_admissible_range(self):
         with pytest.warns(UserWarning):
             ratio_condition(Z, [UNIT], Fraction(1, 2))
+
+    def test_csv_shape(self, capsys):
+        # The ratio report's CSV is formatted by ls-ratio.
+        assert cli.main(["ls-ratio", "--set", "lattice", "--cubes", "unit:[0,1)", "--s", "1/10"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "cube_id,s,L_s,S_s,ratio,depth_ok"
+        assert lines[1].endswith("1/10,1/2,1/16,8/1,true")
 
     def test_single_threshold_extends_downward(self):
         # If the measured data satisfies the bound at one threshold, the
