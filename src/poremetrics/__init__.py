@@ -23,7 +23,6 @@ from .porestats import (
     kakeya_product,
     length_law,
     length_laws,
-    markov_bounds,
     markov_bounds_from_moments,
     moment,
     moment_closed_form,
@@ -39,7 +38,6 @@ from .setmodels import (
     FinitePoints,
     Generated,
     IntegerLattice,
-    PointCloud,
     SetOracle,
     envelope_cube,
     envelope_length,
@@ -53,10 +51,6 @@ from .weights import (
     MeanValue,
     a1_quotient,
     ap_product,
-    component_integral,
-    dilate,
-    dual_exponent,
-    exponent_transfer,
     mean_dist_power,
 )
 

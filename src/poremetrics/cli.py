@@ -4,8 +4,9 @@ figure data.
 
 Exit codes: 0 success, 1 usage error (an option, selector or set-spec file
 that does not parse), 2 precondition violation, 3 a depth limit prevented
-certification.  Output files are byte-stable for a fixed command line; run
-metadata goes to a separate ``.meta.json`` sidecar.
+certification (the message ends with the tail mass left undecided).  Output
+files are byte-stable for a fixed command line; run metadata goes to a
+separate ``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"precondition violated: {err}\n")
         return 2
     except InsufficientDepthError as err:
-        sys.stderr.write(f"insufficient depth: {err}\n")
+        sys.stderr.write(f"insufficient depth: {err}; tail mass {format_rational(err.tail_mass)}\n")
         return 3
 
 

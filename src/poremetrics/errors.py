@@ -10,14 +10,13 @@ class PreconditionError(ValueError):
 
 
 class InsufficientDepthError(RuntimeError):
-    """A truncated dyadic enumeration cannot certify the requested quantity.
+    """A truncated dyadic enumeration of an interval cannot certify the
+    requested quantity.
 
-    ``tail_mass`` is the mass still unaccounted for below the deepest
-    enumerated generation; ``partial`` carries whatever one-sided bound was
-    achieved before giving up.
+    ``tail_mass`` is the length of the interval still unaccounted for below
+    the deepest enumerated generation.
     """
 
-    def __init__(self, message, tail_mass=None, partial=None):
+    def __init__(self, message, tail_mass):
         super().__init__(message)
         self.tail_mass = tail_mass
-        self.partial = partial

@@ -81,8 +81,7 @@ class PoreFamily:
         return self.root.side / (1 << gen)
 
     def mass_of(self, gen: int) -> Fraction:
-        n = self.root.dimension
-        return self.counts[gen] * self.length_of(gen) ** n
+        return self.counts[gen] * self.length_of(gen)
 
     def entries(self):
         """(generation, length, count, mass) rows, largest length first."""
@@ -99,12 +98,6 @@ class PoreFamily:
         if not self.counts:
             raise PreconditionError("empty pore family")
         return self.length_of(min(self.counts))
-
-    def maximal_pore_count(self) -> int:
-        """Number of pores attaining the maximal length (the cube itself may not be unique)."""
-        if not self.counts:
-            raise PreconditionError("empty pore family")
-        return self.counts[min(self.counts)]
 
 
 def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
@@ -174,10 +167,7 @@ def _histogram_from_points(runs, q0: Cube, max_gen: int) -> dict:
 def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
     """Aggregate the pore cubes of ``q0`` into a generation histogram."""
     counts: dict = {}
-    runs = None
-    if q0.dimension == 1:
-        lo, hi = q0.as_interval()
-        runs = oracle.numerator_runs(lo, hi)
+    runs = oracle.numerator_runs(*q0.as_interval())
     if runs is not None:
         if max_gen < 1:
             raise PreconditionError("max_gen must be at least 1")
@@ -190,15 +180,13 @@ def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
         for pore in enumerate_pore_cubes(oracle, q0, max_gen):
             g = pore.generation - q0.generation
             counts[g] = counts.get(g, 0) + 1
-    # A generation-g pore has mass |Q0| 2**-(g n), so the tail is a whole
-    # number of units |Q0| 2**-(max_gen n).
-    n = q0.dimension
-    scale = max_gen * n
-    tail = (1 << scale) - sum(k << (scale - g * n) for g, k in counts.items())
+    # A generation-g pore has mass |Q0| 2**-g, so the tail is a whole
+    # number of units |Q0| 2**-max_gen.
+    tail = (1 << max_gen) - sum(k << (max_gen - g) for g, k in counts.items())
     if tail < 0:
         raise AssertionError("pore mass exceeded the window measure")
     return PoreFamily(
-        q0, counts, max_gen, q0.measure * Fraction(tail, 1 << scale),
+        q0, counts, max_gen, q0.measure * Fraction(tail, 1 << max_gen),
         oracle.is_measure_zero(),
     )
 
@@ -388,19 +376,20 @@ def ratio_condition(
 
     The maximal ratio over the supplied cubes is the fitted uniform constant.
     Cubes disjoint from the set are skipped with a note.  Values of s at or
-    above 1/(1+2**n) are allowed for exploration but draw a warning, since
-    the single-threshold characterization needs s below that bound.
+    above 1/(1+2**n) = 1/3 on the line are allowed for exploration but draw a
+    warning, since the single-threshold characterization needs s below that
+    bound.
     """
     s = Fraction(s)
     if not 0 < s < 1:
         raise PreconditionError("s must lie in (0, 1)")
+    if s >= Fraction(1, 3):
+        warnings.warn(
+            "s is at or above 1/(1+2^n); ratios are exploratory only",
+            stacklevel=2,
+        )
     report = RatioReport(s=s)
     for i, cube in enumerate(cubes):
-        if s >= Fraction(1, 1 + 2**cube.dimension):
-            warnings.warn(
-                "s is at or above 1/(1+2^n); ratios are exploratory only",
-                stacklevel=2,
-            )
         cube_id = f"{i}:{cube}"
         if not oracle.meets_cube(cube):
             report.rows.append(

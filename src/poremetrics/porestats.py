@@ -51,6 +51,8 @@ class LengthDistribution:
             raise PreconditionError("probability masses must sum to one")
         if any(key <= 0 for key in self.weights):
             raise PreconditionError("lengths must be positive")
+        if any(w < 0 for w in self.weights.values()):
+            raise PreconditionError("masses must be nonnegative")
 
     @cached_property
     def masses(self) -> dict:
@@ -192,6 +194,12 @@ class MarkovBounds:
 
 
 def markov_bounds_from_moments(ex, ex_inv, s, k, k_prime) -> MarkovBounds:
+    """Quantile bounds from the first and inverse-first moments of a law.
+
+    The largest-side component quantile at s is at most k E[X] for k > 1/s;
+    the smallest-side quantile is at least k'/E[X^-1] for k' < s; their ratio
+    is bounded by (k/k') E[X] E[X^-1].
+    """
     s, k, k_prime = Fraction(s), Fraction(k), Fraction(k_prime)
     if k <= 1 / s:
         raise PreconditionError("Markov upper bound needs k > 1/s")
@@ -202,16 +210,6 @@ def markov_bounds_from_moments(ex, ex_inv, s, k, k_prime) -> MarkovBounds:
         lower_for_tilde_smallest=k_prime / ex_inv,
         ratio_bound=(k / k_prime) * ex * ex_inv,
     )
-
-
-def markov_bounds(law: LengthDistribution, s, k, k_prime) -> MarkovBounds:
-    """Quantile bounds from the first and inverse-first moments of a law.
-
-    The largest-side component quantile at s is at most k E[X] for k > 1/s;
-    the smallest-side quantile is at least k'/E[X^-1] for k' < s; their ratio
-    is bounded by (k/k') E[X] E[X^-1].
-    """
-    return markov_bounds_from_moments(moment(law, 1), moment(law, -1), s, k, k_prime)
 
 
 def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
@@ -282,22 +280,6 @@ def normal_quantile(r: float) -> float:
     if not 0 < r < 1:
         raise PreconditionError("quantile level must lie in (0, 1)")
     return NormalDist().inv_cdf(r)
-
-
-def predicted_exponent_gap(n: int, t, xi1=None, xi2=None, q=Fraction(1, 5)) -> float:
-    """Normal-approximation prediction of k_max - k_min in the quantile scan.
-
-    The auxiliary levels must interlace as t < xi1 < 4t < xi2 < 1/2; they
-    default to 2t and 6t.  This is an asymptotic prediction only; the scan
-    itself always uses the exact CDF.
-    """
-    t = Fraction(t)
-    xi1 = 2 * t if xi1 is None else Fraction(xi1)
-    xi2 = 6 * t if xi2 is None else Fraction(xi2)
-    if not t < xi1 < 4 * t < xi2 < Fraction(1, 2):
-        raise PreconditionError("need t < xi1 < 4t < xi2 < 1/2")
-    sd = math.sqrt(n * float(q) * (1 - float(q)))
-    return (normal_quantile(1 - float(xi1)) - normal_quantile(float(xi2))) * sd
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Exact rational parsing, formatting and power helpers.
 
-All cube geometry and 1-D integral bookkeeping runs on
+All cube geometry and integral bookkeeping runs on
 :class:`fractions.Fraction`.  Floats appear only when a rational power of a
 rational is irrational, and callers are expected to widen such values into
 explicit brackets.
@@ -83,17 +83,3 @@ def power_value(x: Fraction, e: Fraction) -> Fraction | float:
         return exact
     return float(x) ** float(e)
 
-
-def sqrt_bracket(x: Fraction, bits: int = 60) -> tuple[Fraction, Fraction]:
-    """Rational ``(lo, hi)`` with ``lo <= sqrt(x) <= hi`` and relative width ~2**-bits."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt_bracket requires x >= 0")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    scale = 1 << bits
-    n = (x.numerator * scale * scale) // x.denominator
-    r = math.isqrt(n)
-    lo = Fraction(r, scale)
-    hi = Fraction(r + 1, scale)
-    return lo, hi

@@ -1,10 +1,9 @@
-"""Closed-set oracles: distance queries, gap components, and the copy-contract-copy generator.
+"""Closed subsets of the line: distance queries, gap components, and the copy-contract-copy generator.
 
-Every oracle represents a closed set.  One-dimensional oracles answer exact
-Fraction distance queries and enumerate the connected components of a window
-minus the set; higher-dimensional oracles answer certified distance brackets
-and half-open box intersection tests, which is all the dyadic pore machinery
-needs.
+Every oracle represents a closed set on the line.  It answers exact Fraction
+distance queries and half-open interval intersection tests, and enumerates
+the connected components of a window minus the set, which is all the dyadic
+pore machinery and the weight means need.
 """
 
 from __future__ import annotations
@@ -12,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .dyadic import Cube
 from .errors import ParseError, PreconditionError
-from .rationals import format_rational, parse_rational, sqrt_bracket
+from .rationals import format_rational, parse_rational
 
 GENERATE_LEVEL_CAP = 14  # 3**14 + 1 points; beyond this use the length-law recursion
 
@@ -118,37 +117,22 @@ def envelope_length(seq: ContractionSequence, level: int) -> Fraction:
 
 
 def envelope_cube(seq: ContractionSequence, level: int) -> Cube:
-    """The envelope Q_n = [0, |Q_n|) as a one-dimensional root cube."""
+    """The envelope Q_n = [0, |Q_n|) as a root cube."""
     return Cube.interval(0, envelope_length(seq, level))
 
 
 class SetOracle:
     """Common query surface over all set representations."""
 
-    dimension: int = 1
-
     def distance(self, x) -> Fraction:
-        raise PreconditionError("exact distance is 1-D only; use distance_bracket")
-
-    def distance_bracket(self, x) -> tuple[Fraction, Fraction]:
-        """Certified [lo, hi] containing the Euclidean distance (n >= 1)."""
-        d = self.distance(x)
-        return d, d
+        raise NotImplementedError
 
     def meets_interval(self, lo: Fraction, hi: Fraction) -> bool:
         """Does the set intersect the half-open interval [lo, hi)?"""
         raise NotImplementedError
 
-    def _check_dimension(self, cube: Cube) -> None:
-        if cube.dimension != self.dimension:
-            raise PreconditionError("cube/oracle dimension mismatch")
-
     def meets_cube(self, cube: Cube) -> bool:
-        self._check_dimension(cube)
-        if self.dimension == 1:
-            lo, hi = cube.as_interval()
-            return self.meets_interval(lo, hi)
-        raise NotImplementedError
+        return self.meets_interval(*cube.as_interval())
 
     def covers_cube(self, cube: Cube) -> bool:
         """Is the half-open cube certainly inside the set?  False when unsure,
@@ -162,8 +146,6 @@ class SetOracle:
         if hi <= lo:
             raise PreconditionError("window needs hi > lo")
         runs = self.numerator_runs(lo, hi)
-        if runs is None:
-            raise PreconditionError("component enumeration needs a 1-D oracle")
         cuts = [lo, *(Fraction(a, b) for b, nums in runs for a in nums), hi]
         if cuts[1] == lo:
             del cuts[1]
@@ -178,8 +160,8 @@ class SetOracle:
     def numerator_runs(self, lo: Fraction, hi: Fraction):
         """The set points in [lo, hi) as runs (b, (a_1, a_2, ...)) of
         numerators over a shared denominator b, in increasing order, or None
-        when the set is not a point set (1-D point sets take the exact
-        histogram and derive their components from this)."""
+        when the set is not a point set (point sets take the exact histogram
+        and derive their components from this)."""
         return None
 
     def is_measure_zero(self) -> bool:
@@ -195,8 +177,6 @@ class FinitePoints(SetOracle):
     in increasing order, however they were given."""
 
     points: tuple
-
-    dimension = 1
 
     def __post_init__(self):
         pts = tuple(sorted({Fraction(p) for p in self.points}))
@@ -227,8 +207,6 @@ class FinitePoints(SetOracle):
 @dataclass(frozen=True)
 class IntegerLattice(SetOracle):
     """The integers as a subset of the line."""
-
-    dimension = 1
 
     def distance(self, x) -> Fraction:
         x = Fraction(x)
@@ -263,8 +241,6 @@ class Generated(SetOracle):
     numerators: tuple = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
     envelope: tuple = field(init=False, repr=False, compare=False)
-
-    dimension = 1
 
     def __post_init__(self):
         nums, den = _stage_numerators(self.seq, self.level, self.with_reflection)
@@ -330,138 +306,87 @@ class Generated(SetOracle):
         }
 
 
-@dataclass(frozen=True)
-class PointCloud(SetOracle):
-    """A finite point set in R**n, n >= 2; distances are certified brackets.
-    A point set on the line is a ``FinitePoints``."""
-
-    points: tuple  # tuple of coordinate tuples
-
-    def __post_init__(self):
-        pts = tuple(tuple(Fraction(c) for c in p) for p in self.points)
-        if not pts:
-            raise PreconditionError("PointCloud needs at least one point")
-        dims = {len(p) for p in pts}
-        if len(dims) != 1:
-            raise PreconditionError("points must share a dimension")
-        if dims == {1}:
-            raise PreconditionError("a point set on the line is a FinitePoints, not a PointCloud")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dimension", len(pts[0]))
-
-    def distance_sq(self, x) -> Fraction:
-        xs = tuple(Fraction(c) for c in x)
-        return min(
-            sum((a - b) ** 2 for a, b in zip(xs, p)) for p in self.points
+def _box_interval(box) -> tuple[Fraction, Fraction]:
+    """The closed interval [lo, hi] of a ``((lo,), (hi,))`` corner pair."""
+    lows, highs = box
+    if len(lows) != 1 or len(highs) != 1:
+        raise PreconditionError(
+            f"box corners of dimension {max(len(lows), len(highs))}: sets must lie on the line"
         )
-
-    def distance_bracket(self, x):
-        return sqrt_bracket(self.distance_sq(x))
-
-    def meets_cube(self, cube: Cube) -> bool:
-        self._check_dimension(cube)
-        lo, hi = cube.lower(), cube.upper()
-        return any(
-            all(a <= c < b for a, c, b in zip(lo, p, hi)) for p in self.points
-        )
-
-    def spec_dict(self) -> dict:
-        return {
-            "type": "points",
-            "points": [[format_rational(c) for c in p] for p in self.points],
-        }
+    lo, hi = Fraction(lows[0]), Fraction(highs[0])
+    if hi < lo:
+        raise PreconditionError("box needs hi >= lo")
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class BoxUnion(SetOracle):
-    """A finite union of closed axis-aligned boxes (possibly degenerate)."""
+    """A finite union of closed intervals [lo, hi] (lo == hi is a point),
+    given as ``((lo,), (hi,))`` corner pairs.
 
-    boxes: tuple  # tuple of (lows, highs) coordinate tuples
+    Construction sorts the intervals and merges any that overlap or touch,
+    so the set is held as disjoint closed intervals [los[k], his[k]] with
+    his[k] < los[k + 1]; both tuples are sorted and every query bisects them.
+    """
 
-    def __post_init__(self):
-        bx = []
-        for lows, highs in self.boxes:
-            lows = tuple(Fraction(c) for c in lows)
-            highs = tuple(Fraction(c) for c in highs)
-            if len(lows) != len(highs):
-                raise PreconditionError("box corner dimension mismatch")
-            if any(h < l for l, h in zip(lows, highs)):
-                raise PreconditionError("box needs highs >= lows")
-            bx.append((lows, highs))
-        if not bx:
+    boxes: InitVar[tuple]
+    los: tuple = field(init=False)
+    his: tuple = field(init=False)
+
+    def __post_init__(self, boxes):
+        spans = sorted(map(_box_interval, boxes))
+        if not spans:
             raise PreconditionError("BoxUnion needs at least one box")
-        dims = {len(l) for l, _ in bx}
-        if len(dims) != 1:
-            raise PreconditionError("boxes must share a dimension")
-        object.__setattr__(self, "boxes", tuple(bx))
-        object.__setattr__(self, "dimension", len(bx[0][0]))
-
-    def distance_sq(self, x) -> Fraction:
-        xs = tuple(Fraction(c) for c in (x if isinstance(x, tuple) else (x,)))
-        best = None
-        for lows, highs in self.boxes:
-            d = Fraction(0)
-            for c, l, h in zip(xs, lows, highs):
-                if c < l:
-                    d += (l - c) ** 2
-                elif c > h:
-                    d += (c - h) ** 2
-            best = d if best is None or d < best else best
-        return best
+        los, his = [spans[0][0]], [spans[0][1]]
+        for lo, hi in spans[1:]:
+            if lo <= his[-1]:
+                his[-1] = max(his[-1], hi)
+            else:
+                los.append(lo)
+                his.append(hi)
+        object.__setattr__(self, "los", tuple(los))
+        object.__setattr__(self, "his", tuple(his))
 
     def distance(self, x) -> Fraction:
-        if self.dimension != 1:
-            return super().distance(x)
-        xs = Fraction(x if not isinstance(x, tuple) else x[0])
-        best = None
-        for (l,), (h,) in self.boxes:
-            d = max(Fraction(0), l - xs, xs - h)
-            best = d if best is None or d < best else best
-        return best
+        x = Fraction(x)
+        k = bisect_right(self.los, x) - 1  # the last interval starting at or before x
+        if k >= 0 and x <= self.his[k]:
+            return Fraction(0)
+        gaps = [x - self.his[k]] if k >= 0 else []
+        if k + 1 < len(self.los):
+            gaps.append(self.los[k + 1] - x)
+        return min(gaps)
 
-    def distance_bracket(self, x):
-        return sqrt_bracket(self.distance_sq(x))
-
-    def meets_cube(self, cube: Cube) -> bool:
-        self._check_dimension(cube)
-        lo, hi = cube.lower(), cube.upper()
-        return any(
-            all(l < b and h >= a for l, h, a, b in zip(lows, highs, lo, hi))
-            for lows, highs in self.boxes
-        )
+    def meets_interval(self, lo, hi) -> bool:
+        k = bisect_left(self.his, Fraction(lo))  # the first interval ending at or after lo
+        return k < len(self.los) and self.los[k] < Fraction(hi)
 
     def covers_cube(self, cube: Cube) -> bool:
-        # A closed box contains the half-open cube iff it contains its closure.
-        self._check_dimension(cube)
-        lo, hi = cube.lower(), cube.upper()
-        return any(
-            all(l <= a and b <= h for l, h, a, b in zip(lows, highs, lo, hi))
-            for lows, highs in self.boxes
-        )
+        # A closed interval contains the half-open cube iff it contains its
+        # closure, and only the last interval starting at or before the
+        # cube's lower end can.
+        lo, hi = cube.as_interval()
+        k = bisect_right(self.los, lo) - 1
+        return k >= 0 and hi <= self.his[k]
 
     def components(self, lo, hi) -> list[Component]:
-        if self.dimension != 1:
-            raise PreconditionError("component enumeration needs a 1-D oracle")
         lo, hi = Fraction(lo), Fraction(hi)
         if hi <= lo:
             raise PreconditionError("window needs hi > lo")
-        segs = sorted((l, h) for (l,), (h,) in self.boxes if l < hi and h > lo)
+        # The intervals reaching past lo and starting before hi.
+        first, stop = bisect_right(self.his, lo), bisect_left(self.los, hi)
         out = []
         cursor = lo
-        for l, h in segs:
+        for l, h in zip(self.los[first:stop], self.his[first:stop]):
             if l > cursor:
-                out.append(Component(cursor, min(l, hi)))
-            cursor = max(cursor, h)
-            if cursor >= hi:
-                break
+                out.append(Component(cursor, l))
+            cursor = h
         if cursor < hi:
             out.append(Component(cursor, hi))
         return out
 
     def is_measure_zero(self) -> bool:
-        return all(
-            any(l == h for l, h in zip(lows, highs)) for lows, highs in self.boxes
-        )
+        return self.los == self.his
 
     def spec_dict(self) -> dict:
         raise PreconditionError("box unions have no file representation")
@@ -470,12 +395,11 @@ class BoxUnion(SetOracle):
 def oracle_from_spec(spec: dict) -> SetOracle:
     """Build an oracle from the set-spec JSON dictionary.
 
-    ``points`` is a list of rationals, or of coordinate lists; a flat list
-    and a list of one-coordinate lists are both the line and load as the
-    ``FinitePoints`` of their distinct values.  A spec that does not parse
-    (a missing key, a malformed number, an unknown type or rule) raises
-    ``ParseError``; one that parses but lies outside a set's domain raises
-    ``PreconditionError``.
+    ``points`` is a list of rationals, or of one-coordinate lists; both load
+    as the ``FinitePoints`` of their distinct values.  A spec that does not
+    parse (a missing key, a malformed number, an unknown type or rule) raises
+    ``ParseError``; one that parses but lies outside a set's domain, such as
+    a point with two or more coordinates, raises ``PreconditionError``.
     """
     try:
         kind = spec["type"]
@@ -493,9 +417,10 @@ def oracle_from_spec(spec: dict) -> SetOracle:
     if kind == "lattice":
         return IntegerLattice()
     if kind == "points":
-        if all(len(p) == 1 for p in pts):
-            return FinitePoints(tuple(x for x, in pts))
-        return PointCloud(tuple(pts))
+        dims = sorted({len(p) for p in pts} - {1})
+        if dims:
+            raise PreconditionError(f"set-spec points of dimension {dims[-1]}: sets must lie on the line")
+        return FinitePoints(tuple(x for x, in pts))
     if kind == "generated":
         return Generated(ContractionSequence(rule, c), level, reflect)
     raise ParseError(f"unknown set spec type {kind!r}")

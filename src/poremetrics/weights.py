@@ -1,10 +1,8 @@
-"""Mean values of dist(.,E)^theta over cubes and the Muckenhoupt products built from them.
+"""Mean values of dist(.,E)^theta over intervals and the Muckenhoupt products built from them.
 
-One-dimensional evaluations are exact closed forms over gap components: the
-distance profile inside a gap is the minimum of two linear ramps, so each
-piece integrates to a difference of antiderivatives F(u) = u^(theta+1)/(theta+1).
-Higher dimensions fall back to the two-sided comparability between the mean
-and the dyadic pore sum, with explicitly computed constants.
+Means are closed forms over the gap components of the window: the distance
+profile inside a gap is the minimum of two linear ramps, so each piece
+integrates to a difference of antiderivatives F(u) = u^(theta+1)/(theta+1).
 
 Exponent bookkeeping keeps the window side length symbolic, so products in
 which the side's powers cancel (the A_p product, the A_1 quotient) come out
@@ -20,9 +18,9 @@ from itertools import chain
 from fractions import Fraction
 
 from .dyadic import Cube
-from .errors import InsufficientDepthError, PreconditionError
-from .pores import enumerate_pore_cubes, enumerate_pores
-from .rationals import power_value, rational_pow, sqrt_bracket
+from .errors import PreconditionError
+from .pores import enumerate_pore_cubes
+from .rationals import rational_pow
 from .setmodels import SetOracle
 
 _BASE_SLACK = 1e-15
@@ -160,19 +158,6 @@ def profile_peak(h: Fraction, d_left: Fraction, d_right: Fraction) -> Fraction:
     return min(d_left, d_right) + h
 
 
-def component_integral(component, theta: Fraction, d_left=Fraction(0), d_right=Fraction(0)):
-    """Exact integral of dist^theta over one gap component.
-
-    Endpoints inside the set carry distance 0; window-clipped endpoints must
-    supply their true distances to the set.
-    """
-    theta = Fraction(theta)
-    if theta <= -1:
-        raise PreconditionError("divergent integral: theta must exceed -1")
-    value, _ = profile_integral(component.length, d_left, d_right, theta)
-    return value
-
-
 @dataclass(frozen=True)
 class _ScaledMean:
     """Normalized mean: the cube mean of dist^theta equals side**theta * norm."""
@@ -197,7 +182,7 @@ class _ScaledMean:
 
 @dataclass(frozen=True)
 class _Gaps:
-    """The gap components of a 1-D window, read once for every mean over it.
+    """The gap components of a window, read once for every mean over it.
 
     A component endpoint other than a window end is a point of the closed
     set, where the distance is exactly 0.  The first component reaches back
@@ -268,8 +253,8 @@ class _Gaps:
         return _ScaledMean(side, theta, total, total, exact, n)
 
 
-def _means_1d(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
-    """Normalized means over a 1-D window, one per exponent, from one gap walk.
+def _means(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
+    """Normalized means over a window, one per exponent, from one gap walk.
 
     For theta <= -1 on a window meeting the set the mean diverges and the
     growing lower bound over the enumerated pores is reported instead.
@@ -277,7 +262,7 @@ def _means_1d(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> l
     out = []
     for theta in thetas:
         if theta <= -1 and oracle.meets_cube(q0):
-            out.append(_divergent_partial_1d(oracle, q0, theta, max_gen))
+            out.append(_divergent_partial(oracle, q0, theta, max_gen))
             continue
         if gaps is None:
             gaps = _Gaps.of(oracle, q0)
@@ -285,7 +270,7 @@ def _means_1d(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> l
     return out
 
 
-def _divergent_partial_1d(oracle, q0, theta, max_gen) -> _ScaledMean:
+def _divergent_partial(oracle, q0, theta, max_gen) -> _ScaledMean:
     """theta <= -1 on a window meeting the set: the mean diverges; report the
     exact integral over the pores enumerated so far as a growing lower bound."""
     lo_w, hi_w = q0.as_interval()
@@ -298,90 +283,15 @@ def _divergent_partial_1d(oracle, q0, theta, max_gen) -> _ScaledMean:
     return _ScaledMean(side, theta, total, math.inf, False, max(n, 1))
 
 
-def beta_moment(n: int, theta: Fraction) -> Fraction:
-    """Exact value of the Beta-type integral of v^theta (1-v)^(n-1) over [0,1]."""
-    if theta <= -1:
-        raise PreconditionError("divergent boundary integral")
-    out = Fraction(0)
-    for j in range(n):
-        out += Fraction((-1) ** j * math.comb(n - 1, j), 1) / (theta + 1 + j)
-    return out
-
-
-def eq3_constants(n: int, theta: Fraction) -> tuple[float, float]:
-    """Sound (C1, C2) with C1 * dyadic sum <= mean <= C2 * dyadic sum.
-
-    One constant comes from the in-pore distance to the pore boundary, the
-    other from the diameter of the pore's parent; which is the lower one
-    depends on the sign of theta.
-    """
-    theta = Fraction(theta)
-    if theta <= -1:
-        raise PreconditionError("theta must exceed -1")
-    boundary = n * power_value(Fraction(2), -theta) * beta_moment(n, theta)
-    parent_diam, _ = _pow_any(Fraction(4 * n), theta / 2)  # (2 sqrt(n))^theta
-    b_f, p_f = float(boundary), float(parent_diam)
-    slack = 1e-14
-    lo = min(b_f, p_f) * (1 - slack)
-    hi = max(b_f, p_f) * (1 + slack)
-    return lo, hi
-
-
-def _scaled_mean_nd(oracle, q0, theta, max_gen) -> _ScaledMean:
-    n = q0.dimension
-    theta = Fraction(theta)
-    if not oracle.meets_cube(q0):
-        d_lo, d_hi = _cube_distance_bracket(oracle, q0)
-        diam_hi = sqrt_bracket(Fraction(n))[1] * q0.side
-        far = d_hi + diam_hi
-        side = q0.side
-        lo_p, _ = _pow_any(d_lo / side if d_lo > 0 else Fraction(0), theta)
-        hi_p, _ = _pow_any(far / side, theta)
-        lo_v, hi_v = (lo_p, hi_p) if theta >= 0 else (hi_p, lo_p)
-        return _ScaledMean(side, theta, lo_v, hi_v, False, 4)
-    family = enumerate_pores(oracle, q0, max_gen)
-    norm_sum = Fraction(0)
-    for g in family.counts:
-        norm_sum += family.counts[g] * Fraction(1, 1 << g) ** (theta + n)
-    # The normalized dyadic sum uses length ratios, so it is dimensionless.
-    c1, c2 = eq3_constants(n, theta)
-    if theta < 0:
-        raise InsufficientDepthError(
-            "no finite-depth upper bound exists for negative powers in n > 1",
-            tail_mass=family.tail_mass,
-            partial=c1 * float(norm_sum),
-        )
-    tail_norm = (family.tail_mass / q0.measure) * Fraction(1, 1 << (family.max_generation + 1)) ** theta
-    return _ScaledMean(
-        q0.side, theta, c1 * float(norm_sum), c2 * float(norm_sum + tail_norm), False, 8
-    )
-
-
-def _cube_distance_bracket(oracle, q0):
-    """Bracket of dist(Q0, E) for a cube disjoint from the set."""
-    if q0.dimension == 1:
-        lo_w, hi_w = q0.as_interval()
-        d = min(oracle.distance(lo_w), oracle.distance(hi_w))
-        return d, d
-    corner_lo = oracle.distance_bracket(q0.lower())
-    corner_hi = oracle.distance_bracket(q0.upper())
-    lo = max(Fraction(0), min(corner_lo[0], corner_hi[0]) - sqrt_bracket(Fraction(q0.dimension))[1] * q0.side)
-    hi = min(corner_lo[1], corner_hi[1])
-    return lo, hi
-
-
 def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> MeanValue:
-    """Mean of dist(.,E)^theta over the cube, exact in dimension one.
+    """Mean of dist(.,E)^theta over the cube, exact whenever every power is rational.
 
     For theta <= -1 on a window meeting the set, the true mean is infinite;
     the bracket's lower end is the exact integral over the pores enumerated
     to ``max_gen`` and grows without bound as the depth increases.
     """
     theta = Fraction(theta)
-    if q0.dimension == 1:
-        (sm,) = _means_1d(oracle, q0, (theta,), max_gen)
-    else:
-        sm = _scaled_mean_nd(oracle, q0, theta, max_gen)
+    (sm,) = _means(oracle, q0, (theta,), max_gen)
     return sm.to_mean_value(sm.side, theta)
 
 
@@ -424,9 +334,10 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
     alpha, p = query.alpha, query.p
     meets = oracle.meets_cube(q0)
     if not meets:
-        d_lo, d_hi = _cube_distance_bracket(oracle, q0)
-        diam_hi = q0.side if q0.dimension == 1 else sqrt_bracket(Fraction(q0.dimension))[1] * q0.side
-        if d_lo >= 2 * diam_hi:
+        # The set lies outside the window, so its nearest point to the window
+        # is nearest to one of the window's ends.
+        lo_w, hi_w = q0.as_interval()
+        if min(oracle.distance(lo_w), oracle.distance(hi_w)) >= 2 * q0.side:
             # The weight varies by a factor of at most (3/2)^|alpha| on the cube,
             # whichever the sign of alpha.
             hi, hi_exact = _pow_any(Fraction(4), abs(alpha))
@@ -435,11 +346,7 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
             result = ApResult(MeanValue(Fraction(1), hi, False), "I")
             _assert_holder_floor(result.product)
             return result
-    if q0.dimension == 1:
-        sm1, sm2 = _means_1d(oracle, q0, (-alpha, alpha / (p - 1)), max_gen)
-    else:
-        sm1 = _scaled_mean_nd(oracle, q0, -alpha, max_gen)
-        sm2 = _scaled_mean_nd(oracle, q0, alpha / (p - 1), max_gen)
+    sm1, sm2 = _means(oracle, q0, (-alpha, alpha / (p - 1)), max_gen)
     result = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II")
     _assert_holder_floor(result.product)
     return result
@@ -461,44 +368,9 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> MeanVa
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise PreconditionError("a1_quotient needs alpha > 0")
-    if q0.dimension != 1:
-        raise PreconditionError("a1_quotient is implemented for dimension 1")
     gaps = _Gaps.of(oracle, q0)
     if not gaps.ends:
         raise PreconditionError("window is covered by the set")
-    (sm,) = _means_1d(oracle, q0, (-alpha,), max_gen, gaps)
+    (sm,) = _means(oracle, q0, (-alpha,), max_gen, gaps)
     return sm.to_mean_value(gaps.peak() / sm.side, alpha)
 
-
-def exponent_transfer(theta, p, q) -> Fraction:
-    """Move a distance-weight exponent from class index p to index q.
-
-    Raising the index keeps the exponent; lowering it rescales by
-    (q-1)/(p-1), preserving the sign.
-    """
-    theta, p, q = Fraction(theta), Fraction(p), Fraction(q)
-    if p < 1 or q <= 1:
-        raise PreconditionError("exponent transfer needs p >= 1 and q > 1")
-    if q >= p:
-        return theta
-    return theta * (q - 1) / (p - 1)
-
-
-def dual_exponent(theta, p) -> Fraction:
-    """Exponent of the dual weight w^(1-p') with 1/p + 1/p' = 1."""
-    theta, p = Fraction(theta), Fraction(p)
-    if p <= 1:
-        raise PreconditionError("duality needs p > 1")
-    p_prime = p / (p - 1)
-    return theta * (1 - p_prime)
-
-
-def dilate(q0: Cube, factor: int) -> Cube:
-    """Concentric cube with the side scaled by an integer factor."""
-    if factor < 1:
-        raise PreconditionError("factor must be a positive integer")
-    side = q0.side
-    center = tuple(c + side / 2 for c in q0.lower())
-    new_side = side * factor
-    origin = tuple(c - new_side / 2 for c in center)
-    return Cube.root(origin, new_side)

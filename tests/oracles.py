@@ -8,7 +8,8 @@ binomial rows from Fraction powers, closed-form moments rebuilt from stage 1
 at each level, component quantiles from cumulative walks over Fraction
 laws and from bisection over Fraction half laws, binomial checks from
 Fraction comparison atom by atom, and membership checks are linear scans
-over point lists.
+over point lists.  Queries on a union of closed intervals scan every
+interval as given, unsorted and unmerged.
 The 1-D means reuse only the library's single-component profile integral and
 evaluate it once per component, with every endpoint distance queried.
 """
@@ -65,6 +66,45 @@ def pore_histogram(points, window_lo, window_hi, max_gen):
         if pores:
             counts[j] = pores
     return counts
+
+
+def box_scan_distance(boxes, x):
+    """Distance from x to the union of the closed intervals (lo, hi)."""
+    return min(max(Fraction(0), lo - x, x - hi) for lo, hi in boxes)
+
+
+def box_scan_meets(boxes, lo, hi):
+    """Does the union meet the half-open window [lo, hi)?"""
+    return any(a < hi and b >= lo for a, b in boxes)
+
+
+def box_scan_covers(boxes, lo, hi):
+    """Does the union contain [lo, hi]?  Membership changes only at interval
+    ends, so the window's ends, the interval ends inside it and the midpoints
+    between consecutive ones decide it."""
+    cuts = sorted({lo, hi, *(e for box in boxes for e in box if lo < e < hi)})
+    probes = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    return all(any(a <= x <= b for a, b in boxes) for x in probes)
+
+
+def box_scan_components(boxes, lo, hi):
+    """(left, right) of each gap of [lo, hi) minus the union: one sweep over
+    the intervals that reach into the window, in order of their lower ends."""
+    out = []
+    cursor = lo
+    for a, b in sorted((a, b) for a, b in boxes if a < hi and b > lo):
+        if a > cursor:
+            out.append((cursor, min(a, hi)))
+        cursor = max(cursor, b)
+        if cursor >= hi:
+            break
+    if cursor < hi:
+        out.append((cursor, hi))
+    return out
+
+
+def box_scan_measure_zero(boxes):
+    return all(lo == hi for lo, hi in boxes)
 
 
 def pascal_row(n):

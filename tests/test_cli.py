@@ -475,10 +475,13 @@ class TestExitCodes:
         assert "dimension" in proc.stderr
 
     def test_insufficient_depth(self):
+        # One stderr line: the message, then the mass the depth left undecided.
         proc = run_cli(
             "porosity-check", "--set", "lattice", "--cube", "unit:[0,1)",
             "--sigma", "1/2", "--gamma", "1/1024", "--max-gen", "5",
             check=False,
         )
-        assert proc.returncode == 3
-        assert "depth" in proc.stderr
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "insufficient depth: gamma threshold reaches below the enumerated resolution; tail mass 1/32\n"
+        )

@@ -17,20 +17,6 @@ def test_first_bisection():
     ]
 
 
-def test_square_quadrants():
-    root = Cube.root((0, 0), 1)
-    kids = root.children()
-    assert len(kids) == 4
-    assert all(k.measure == Fraction(1, 4) for k in kids)
-    corners = sorted(k.lower() for k in kids)
-    assert corners == [
-        (Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(0)),
-        (Fraction(1, 2), Fraction(1, 2)),
-    ]
-
-
 def test_children_of_inner_cube():
     root = Cube.interval(0, 1)
     right = root.children()[1]  # [1/2, 1)
@@ -47,14 +33,14 @@ def test_parent_examples():
     assert q.parent().as_interval() == (Fraction(1, 2), Fraction(1))
     with pytest.raises(PreconditionError):
         root.parent()
-    child = Cube(root_origin=(Fraction(0), Fraction(0)), root_side=Fraction(1), generation=2, index=(3, 1))
-    assert child.parent().index == (1, 0)
+    child = Cube(root_origin=Fraction(0), root_side=Fraction(1), generation=2, index=3)
+    assert child.parent().index == 1
     assert child.parent().generation == 1
 
 
 @pytest.mark.parametrize("depth,origin,side", [(12, Fraction(-3, 7), Fraction(5, 3)), (10, Fraction(0), Fraction(1))])
 def test_descendants_partition_interval(depth, origin, side):
-    root = Cube.root((origin,), side)
+    root = Cube.interval(origin, origin + side)
     cells = list(root.descendants(depth))
     assert len(cells) == 2**depth
     assert sum(c.measure for c in cells) == root.measure
@@ -66,25 +52,12 @@ def test_descendants_partition_interval(depth, origin, side):
     assert cursor == origin + side
 
 
-def test_descendants_partition_square():
-    root = Cube.root((Fraction(1, 3), Fraction(-2)), Fraction(7, 5))
-    depth = 5
-    cells = list(root.descendants(depth))
-    assert len(cells) == 4**depth
-    assert sum(c.measure for c in cells) == root.measure
-    assert len({c.index for c in cells}) == len(cells)
-
-
 @st.composite
-def cubes(draw, max_gen=20, dims=(1, 2)):
-    n = draw(st.sampled_from(dims))
-    origin = tuple(
-        draw(st.fractions(min_value=-8, max_value=8, max_denominator=64))
-        for _ in range(n)
-    )
+def cubes(draw, max_gen=20):
+    origin = draw(st.fractions(min_value=-8, max_value=8, max_denominator=64))
     side = draw(st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=64))
     gen = draw(st.integers(min_value=0, max_value=max_gen))
-    index = tuple(draw(st.integers(min_value=0, max_value=2**gen - 1)) for _ in range(n))
+    index = draw(st.integers(min_value=0, max_value=2**gen - 1))
     return Cube(origin, side, gen, index)
 
 
@@ -92,7 +65,7 @@ def cubes(draw, max_gen=20, dims=(1, 2)):
 @given(cubes())
 def test_children_partition_parent(q):
     kids = q.children()
-    assert len(kids) == 2**q.dimension
+    assert len(kids) == 2
     assert sum(k.measure for k in kids) == q.measure
     assert all(k.parent() == q for k in kids)
     assert len({k.index for k in kids}) == len(kids)
@@ -107,5 +80,5 @@ def test_ancestor_chain_reaches_root(q):
         cur = cur.parent()
         steps += 1
     assert steps == q.generation
-    assert cur.index == (0,) * q.dimension
+    assert cur.index == 0
     assert q.ancestor(q.generation) == cur

@@ -26,7 +26,6 @@ from poremetrics.setmodels import (
     FinitePoints,
     Generated,
     IntegerLattice,
-    PointCloud,
     envelope_cube,
     oracle_from_spec,
 )
@@ -187,11 +186,9 @@ class TestSplitGenerationHistogram:
         raw = [Fraction(5, 7), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 3),
                Fraction(3, 2), Fraction(0), Fraction(2, 9)]
         # A cloud file of one-coordinate points loads as the FinitePoints of
-        # its distinct values; a PointCloud on the line is refused.
+        # its distinct values.
         cloud = oracle_from_spec({"type": "points", "points": [[format_rational(p)] for p in raw]})
         assert cloud == FinitePoints(tuple(sorted(set(raw))))
-        with pytest.raises(PreconditionError):
-            PointCloud(tuple((p,) for p in raw))
         inside = (Fraction(0), Fraction(2, 9), Fraction(1, 3), Fraction(5, 7))
         runs = cloud.numerator_runs(Fraction(0), Fraction(1))
         assert tuple(Fraction(a, b) for b, nums in runs for a in nums) == inside
@@ -199,10 +196,6 @@ class TestSplitGenerationHistogram:
         assert fam.counts == _bfs_counts(cloud, UNIT, 30)
         assert fam.counts == pore_histogram(raw, 0, 1, 30)
         assert fam.counts == enumerate_pores(FinitePoints(inside), UNIT, 30).counts
-
-    def test_point_cloud_2d_keeps_bfs(self):
-        cloud = PointCloud(((Fraction(1, 3), Fraction(1, 5)),))
-        assert cloud.numerator_runs(Fraction(0), Fraction(1)) is None
 
 
 class _UnprunedBoxUnion(BoxUnion):
@@ -218,12 +211,6 @@ BOXES_1D = (
     ((Fraction(1, 2),), (Fraction(5, 8),)),
     ((Fraction(5, 8),), (Fraction(3, 4),)),  # touches the previous box
 )
-BOXES_2D = (
-    ((Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(1, 3))),
-    ((Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 3))),  # degenerate, touching
-    ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1))),
-    ((Fraction(1, 4), Fraction(0)), (Fraction(1, 2), Fraction(1, 8))),  # touches the first box
-)
 
 
 class TestBoxPruning:
@@ -234,8 +221,6 @@ class TestBoxPruning:
         [
             (BOXES_1D, UNIT, 12),
             (BOXES_1D, Cube.interval(Fraction(-1, 3), Fraction(4, 3)), 12),
-            (BOXES_2D, Cube.root((0, 0), 1), 6),
-            (BOXES_2D, Cube.root((Fraction(-1, 5), Fraction(1, 7)), Fraction(6, 5)), 6),
         ],
     )
     def test_pruned_bfs_matches_unpruned(self, boxes, window, depth):
@@ -250,11 +235,9 @@ class TestBoxPruning:
         box = BoxUnion(BOXES_1D)
         assert box.covers_cube(Cube.interval(0, Fraction(1, 4)))
         assert not box.covers_cube(Cube.interval(Fraction(1, 4), Fraction(1, 2)))
-        assert not box.covers_cube(Cube.interval(Fraction(1, 2), Fraction(3, 4)))  # two boxes
+        # two touching boxes, merged into [1/2, 3/4]
+        assert box.covers_cube(Cube.interval(Fraction(1, 2), Fraction(3, 4)))
         assert not box.covers_cube(Cube.interval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**40)))
-        square = BoxUnion(BOXES_2D)
-        assert square.covers_cube(Cube.root((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)))
-        assert not square.covers_cube(Cube.root((0, 0), Fraction(1, 2)))
 
     def test_pruning_visits_only_boundary_cubes(self):
         visited = []
@@ -276,7 +259,6 @@ class TestMaximalPore:
     def test_lattice_double(self):
         fam = enumerate_pores(Z, Cube.interval(0, 2), 10)
         assert fam.maximal_pore_length() == Fraction(1, 2)
-        assert fam.maximal_pore_count() == 2
 
     def test_origin_symmetric_window(self):
         # [-1, 0) misses {0} while its parent [-1, 1) meets it, so the

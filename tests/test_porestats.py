@@ -30,7 +30,6 @@ from poremetrics.porestats import (
     divergence_scan,
     kakeya_product,
     length_law,
-    markov_bounds,
     markov_bounds_from_moments,
     moment,
     moment_closed_form,
@@ -78,6 +77,11 @@ class TestLengthLaw:
     def test_keys_must_be_positive(self, key):
         with pytest.raises(PreconditionError, match="positive"):
             LengthDistribution({2: 2, key: 1}, 2, 3, 1)
+
+    def test_masses_must_be_nonnegative(self):
+        # The masses sum to den_w, but one of them is negative.
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            LengthDistribution({2: 4, 1: -1}, 2, 3, 1)
 
     def test_half_harmonic_level_one(self):
         assert length_law(HH, 1).masses == {
@@ -219,21 +223,23 @@ class TestKakeyaProduct:
 
 class TestMarkovBounds:
     def test_level_one_ratio_bound(self):
-        mb = markov_bounds(length_law(HH, 1), Fraction(1, 10), 11, Fraction(9, 100))
+        law = length_law(HH, 1)
+        mb = markov_bounds_from_moments(moment(law, 1), moment(law, -1), Fraction(1, 10), 11, Fraction(9, 100))
         assert mb.ratio_bound == 132
 
     def test_point_mass_sandwich(self):
         law = length_law(HALF, 0)
-        mb = markov_bounds(law, Fraction(1, 10), 11, Fraction(9, 100))
+        mb = markov_bounds_from_moments(moment(law, 1), moment(law, -1), Fraction(1, 10), 11, Fraction(9, 100))
         # X is the constant 1, so both quantiles equal E[X] = 1.
         assert mb.upper_for_tilde_largest >= 1 >= mb.lower_for_tilde_smallest
 
     def test_parameter_preconditions(self):
         law = length_law(HH, 1)
+        ex, ex_inv = moment(law, 1), moment(law, -1)
         with pytest.raises(PreconditionError):
-            markov_bounds(law, Fraction(1, 10), 10, Fraction(9, 100))  # k == 1/s
+            markov_bounds_from_moments(ex, ex_inv, Fraction(1, 10), 10, Fraction(9, 100))  # k == 1/s
         with pytest.raises(PreconditionError):
-            markov_bounds(law, Fraction(1, 10), 11, Fraction(1, 5))  # k' >= s
+            markov_bounds_from_moments(ex, ex_inv, Fraction(1, 10), 11, Fraction(1, 5))  # k' >= s
 
     def test_constant_half_bound_grows_geometrically(self):
         # With a constant contraction the expectation product is (27/25)^n,
@@ -242,7 +248,8 @@ class TestMarkovBounds:
         s, k, kp = Fraction(1, 10), Fraction(11), Fraction(9, 100)
         prev = None
         for level in (4, 8, 12):
-            mb = markov_bounds(length_law(HALF, level), s, k, kp)
+            law = length_law(HALF, level)
+            mb = markov_bounds_from_moments(moment(law, 1), moment(law, -1), s, k, kp)
             assert mb.ratio_bound == (k / kp) * Fraction(27, 25) ** level
             if prev is not None:
                 assert mb.ratio_bound > prev
@@ -257,7 +264,8 @@ class TestMarkovBounds:
         comps = g.components(lo, hi)
         tl = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.LARGEST)).value
         ts = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.SMALLEST)).value
-        mb = markov_bounds(length_law(seq, level), s, 11, Fraction(9, 100))
+        law = length_law(seq, level)
+        mb = markov_bounds_from_moments(moment(law, 1), moment(law, -1), s, 11, Fraction(9, 100))
         assert tl <= mb.upper_for_tilde_largest
         assert ts >= mb.lower_for_tilde_smallest
         assert tl / ts <= mb.ratio_bound
@@ -363,28 +371,6 @@ class TestDivergenceScan:
             divergence_scan(Fraction(1, 8), [10])
         with pytest.raises(PreconditionError):
             divergence_scan(Fraction(1, 4), [10])
-
-    def test_normal_prediction_tracks_exact_scan(self):
-        # The asymptotic prediction (defaults xi1 = 2t, xi2 = 6t) must land
-        # within a couple of exponents of the exact quantile gap at large n.
-        # The default xi2 = 6t interlaces below 1/2 only for t < 1/12.
-        from poremetrics.porestats import predicted_exponent_gap
-
-        # The interlaced quantile levels make the prediction an eventual
-        # lower bound for the exact gap, growing like sqrt(n).
-        t = Fraction(1, 20)
-        prev = 0.0
-        for n in (80, 160, 200):
-            (row,) = divergence_scan(t, [n])
-            exact_gap = row.k_max - row.k_min
-            predicted = predicted_exponent_gap(n, t)
-            assert predicted <= exact_gap
-            assert predicted > prev
-            prev = predicted
-        with pytest.raises(PreconditionError):
-            predicted_exponent_gap(40, t, xi1=Fraction(1, 2))
-        with pytest.raises(PreconditionError):
-            predicted_exponent_gap(40, Fraction(1, 10))  # default xi2 = 3/5 > 1/2
 
 
 class TestComponentQuantiles:
@@ -583,7 +569,8 @@ class TestBinomialCheckDifferential:
             _perturbed(level, [(one, 3 * one // 8, grid)]),  # an atom that is not 2^-k
             _perturbed(level, [(last, last // 2, grid)]),  # 2^-n moved past n
             _perturbed(level, [(last, 2 * last, 3), (last, last // 2, 4)]),  # 2^-n missing
-            _perturbed(level, [(one, half, grid), (half, quarter, 3 * grid)]),
+            # after the first move the 1/2 atom holds 2 * grid at level 1
+            _perturbed(level, [(one, half, grid), (half, quarter, 2 * grid)]),
         ]
         for law in laws:
             ok, dev = binomial_check(law)

@@ -9,7 +9,6 @@ from poremetrics.rationals import (
     parse_rational,
     power_value,
     rational_pow,
-    sqrt_bracket,
 )
 
 
@@ -47,14 +46,6 @@ def test_power_value_falls_back_to_float():
     approx = power_value(Fraction(2), Fraction(1, 2))
     assert isinstance(approx, float)
     assert abs(approx - 2**0.5) < 1e-15
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**4))
-def test_sqrt_bracket_sound_and_tight(x):
-    lo, hi = sqrt_bracket(x)
-    assert lo * lo <= x <= hi * hi
-    assert hi - lo <= Fraction(1, 2**55) * (1 + hi)
 
 
 def test_parse_rejects_garbage():

@@ -1,11 +1,21 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import component_length_multiset, fraction_generate
+from oracles import (
+    box_scan_components,
+    box_scan_covers,
+    box_scan_distance,
+    box_scan_measure_zero,
+    box_scan_meets,
+    component_length_multiset,
+    fraction_generate,
+)
+from poremetrics.dyadic import Cube
 from poremetrics.errors import ParseError, PreconditionError
 from poremetrics.rationals import format_rational, parse_rational
 from poremetrics.setmodels import (
@@ -172,43 +182,94 @@ class TestComponents:
         assert not boxes.is_measure_zero()
 
 
+def _random_boxes(rng):
+    """One to six closed intervals; each after the first lies anywhere on the
+    1/8 grid of [-1, 2], or touches, nests in or overlaps an earlier one, or
+    is a point at one of its ends.  One union in five holds points only."""
+    grid = [Fraction(k, 8) for k in range(-8, 17)]
+    points_only = rng.random() < 0.2
+    boxes = []
+    for _ in range(rng.randint(1, 6)):
+        lo, hi = sorted(rng.sample(grid, 2))
+        if points_only:
+            hi = lo
+        if boxes:
+            a, b = rng.choice(boxes)
+            kind = rng.choice(("free", "touch", "nest", "overlap", "point"))
+            if kind == "touch":
+                lo, hi = b, b + hi - lo
+            elif kind == "nest":
+                lo, hi = a + (b - a) / 4, b - (b - a) / 4
+            elif kind == "overlap":
+                lo, hi = (a + b) / 2, b + hi - lo
+            elif kind == "point":
+                lo = hi = rng.choice((a, b))
+        boxes.append((lo, hi))
+    return boxes
+
+
+BOX_CASES = [
+    [(Fraction(0), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2))],  # touching
+    [(Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(1, 2))],  # nested
+    [(Fraction(1, 4), Fraction(3, 4)), (Fraction(0), Fraction(1, 2))],  # overlapping
+    [(Fraction(1, 3), Fraction(1, 3)), (Fraction(0), Fraction(1, 4))],  # a point
+    [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))],  # one point twice
+    [(Fraction(0), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4))],  # a point at an end
+]
+BOX_CASES += [_random_boxes(random.Random(seed)) for seed in range(60)]
+
+
+def _box_queries(boxes, rng):
+    """Query points: every interval end, its neighbours 1/16 away, the
+    midpoints between them, and two far points.  Windows: each pair of
+    neighbouring query points, and 40 other pairs."""
+    ends = sorted({e + d for box in boxes for e in box for d in (-Fraction(1, 16), 0, Fraction(1, 16))})
+    ends = sorted({Fraction(-3, 2), Fraction(5, 2), *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))})
+    pairs = [(a, b) for i, a in enumerate(ends) for b in ends[i + 2:]]
+    return ends, list(zip(ends, ends[1:])) + rng.sample(pairs, min(40, len(pairs)))
+
+
+class TestBoxUnionMatchesScan:
+    # The merged, bisected union against a scan of every interval as given.
+
+    @pytest.mark.parametrize("query", ["distance", "meets", "covers", "components"])
+    def test_queries(self, query):
+        rng = random.Random(query)
+        for boxes in BOX_CASES:
+            union = BoxUnion(tuple(((lo,), (hi,)) for lo, hi in boxes))
+            points, windows = _box_queries(boxes, rng)
+            if query == "distance":
+                for x in points:
+                    assert union.distance(x) == box_scan_distance(boxes, x), (boxes, x)
+            for lo, hi in windows:
+                if query == "meets":
+                    assert union.meets_interval(lo, hi) == box_scan_meets(boxes, lo, hi), (boxes, lo, hi)
+                    assert union.meets_cube(Cube.interval(lo, hi)) == box_scan_meets(boxes, lo, hi)
+                elif query == "covers":
+                    assert union.covers_cube(Cube.interval(lo, hi)) == box_scan_covers(boxes, lo, hi), (boxes, lo, hi)
+                elif query == "components":
+                    got = [(c.left, c.right) for c in union.components(lo, hi)]
+                    assert got == box_scan_components(boxes, lo, hi), (boxes, lo, hi)
+
+    def test_measure_zero(self):
+        for boxes in BOX_CASES:
+            union = BoxUnion(tuple(((lo,), (hi,)) for lo, hi in boxes))
+            assert union.is_measure_zero() == box_scan_measure_zero(boxes), boxes
+
+    def test_touching_nested_and_overlapping_intervals_merge(self):
+        for boxes, hi in zip(BOX_CASES[:3], (Fraction(1, 2), Fraction(1), Fraction(3, 4))):
+            union = BoxUnion(tuple(((lo,), (hi,)) for lo, hi in boxes))
+            assert (union.los, union.his) == ((Fraction(0),), (hi,))
+
+
 class TestHigherDimensionalBrackets:
-    def test_point_cloud_distance_bracket(self):
-        from poremetrics.setmodels import PointCloud
-
-        cloud = PointCloud(((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4))))
-        lo, hi = cloud.distance_bracket((Fraction(3), Fraction(0)))
-        assert lo <= 3 <= hi  # nearest is (3,4) at distance 4 vs origin at 3
-        assert hi - lo < Fraction(1, 2**50)
-        lo, hi = cloud.distance_bracket((Fraction(1), Fraction(1)))
-        true_sq = Fraction(2)
-        assert lo * lo <= true_sq <= hi * hi
-
-    def test_box_distance_bracket(self):
-        boxes = BoxUnion(
-            (((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),)
-        )
-        lo, hi = boxes.distance_bracket((Fraction(2), Fraction(2)))
-        assert lo * lo <= 2 <= hi * hi
-
-    def test_cloud_meets_cube(self):
-        from poremetrics.dyadic import Cube
-        from poremetrics.setmodels import PointCloud
-
-        cloud = PointCloud(((Fraction(1, 2), Fraction(1, 2)),))
-        assert cloud.meets_cube(Cube.root((0, 0), 1))
-        assert not cloud.meets_cube(Cube.root((1, 1), 1))
-
     def test_cube_dimension_must_match_the_set(self):
-        from poremetrics.dyadic import Cube
-        from poremetrics.setmodels import PointCloud
-
-        unit = Cube.interval(0, 1)
-        cloud = PointCloud(((Fraction(1, 3), Fraction(5)), (Fraction(3, 4), Fraction(-2))))
-        boxes = BoxUnion((((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),))
-        for query in (cloud.meets_cube, boxes.meets_cube, boxes.covers_cube):
-            with pytest.raises(PreconditionError):
-                query(unit)
+        # Sets lie on the line: a box or a spec-file point with two
+        # coordinates is refused, and the message names the dimension.
+        with pytest.raises(PreconditionError, match="dimension 2"):
+            BoxUnion((((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),))
+        with pytest.raises(PreconditionError, match="dimension 2"):
+            oracle_from_spec({"type": "points", "points": [["1/3", "5"], ["3/4", "-2"]]})
 
 
 class TestRuleNames:

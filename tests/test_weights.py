@@ -5,15 +5,13 @@ import pytest
 
 from oracles import per_component_mean, per_component_peak
 from poremetrics.dyadic import Cube
-from poremetrics.errors import InsufficientDepthError, PreconditionError
+from poremetrics.errors import PreconditionError
 from poremetrics.setmodels import (
     BoxUnion,
-    Component,
     ContractionSequence,
     FinitePoints,
     Generated,
     IntegerLattice,
-    PointCloud,
 )
 from poremetrics.weights import (
     ApQuery,
@@ -21,12 +19,8 @@ from poremetrics.weights import (
     _combine_product,
     a1_quotient,
     ap_product,
-    component_integral,
-    dilate,
-    dual_exponent,
-    eq3_constants,
-    exponent_transfer,
     mean_dist_power,
+    profile_integral,
 )
 from poremetrics.pores import enumerate_pores
 
@@ -39,30 +33,32 @@ class TestComponentIntegral:
     # Frozen by hand from the antiderivative u^(theta+1)/(theta+1):
     # an uncut gap of length h contributes 2 (h/2)^(theta+1) / (theta+1).
 
+    # profile_integral(length, d_left, d_right, theta) -> (value, exact).
+
     def test_measure(self):
-        assert component_integral(Component(0, 1), 0) == 1
+        assert profile_integral(1, 0, 0, 0)[0] == 1
 
     def test_inverse_sqrt(self):
-        val = component_integral(Component(0, 1), Fraction(-1, 2))
+        val, _ = profile_integral(1, 0, 0, Fraction(-1, 2))
         assert math.isclose(val, 2 * math.sqrt(2), rel_tol=1e-14)
 
     def test_linear(self):
-        assert component_integral(Component(0, Fraction(1, 2)), 1) == Fraction(1, 16)
+        assert profile_integral(Fraction(1, 2), 0, 0, 1)[0] == Fraction(1, 16)
 
     def test_divergent_rejected(self):
-        with pytest.raises(PreconditionError):
-            component_integral(Component(0, 1), -1)
+        # The profile touches zero at theta = -1: the integral diverges.
+        assert profile_integral(1, 0, 0, -1) == (math.inf, False)
 
     def test_clipped_profile(self):
         # distance profile min(1 + x, 2 - x) on [0, 1]: crossover at 1/2,
         # integral = 2 F(3/2) - F(1) - F(1) with F(u) = u^2/2.
-        val = component_integral(Component(0, 1), 1, d_left=1, d_right=1)
+        val, _ = profile_integral(1, 1, 1, 1)
         assert val == Fraction(9, 4) - Fraction(1, 2) - Fraction(1, 2)
 
     def test_one_sided_ramp(self):
-        # d_left far: the right ramp governs: integral of (2 - x) ... wait,
-        # profile min(5 + x, 1 + (1 - x)) = 2 - x on [0, 1].
-        val = component_integral(Component(0, 1), 1, d_left=5, d_right=1)
+        # d_left far: the right ramp governs, profile
+        # min(5 + x, 1 + (1 - x)) = 2 - x on [0, 1].
+        val, _ = profile_integral(1, 5, 1, 1)
         assert val == Fraction(3, 2)
 
 
@@ -88,8 +84,11 @@ class TestMeanDistPower:
 
     def test_eq3_sandwich_analytic(self):
         # E = {0} on [0, 1): the dyadic sum is geometric with ratio 2^-(theta+1).
+        # The eq. (3) constants on the line are the in-pore distance to the
+        # pore boundary, 2^-theta/(theta+1), and the parent's length, 2^theta.
         for theta in (Fraction(-1, 2), Fraction(1, 2), Fraction(2)):
-            c1, c2 = eq3_constants(1, theta)
+            bounds = (2.0 ** -float(theta) / float(theta + 1), 2.0 ** float(theta))
+            c1, c2 = min(bounds), max(bounds)
             ratio = Fraction(1, 2) ** (theta + 1) if theta.denominator == 1 else None
             full_sum = (
                 float(ratio / (1 - ratio))
@@ -105,7 +104,7 @@ class TestMeanDistPower:
         import random
 
         theta = Fraction(-1, 2)
-        c1, _ = eq3_constants(1, theta)
+        c1 = min(2.0 ** -float(theta) / float(theta + 1), 2.0 ** float(theta))
         rng = random.Random(7)
         cases = [
             ((Fraction(0), Fraction(1, 3), Fraction(1)), UNIT),
@@ -143,28 +142,6 @@ class TestMeanDistPower:
         mv = mean_dist_power(oracle, UNIT, Fraction(-3, 2), max_gen=10)
         assert mv.lo == math.inf and mv.hi == math.inf
 
-    def test_two_dimensional_bracket(self):
-        cloud = PointCloud(((Fraction(0), Fraction(0)),))
-        square = Cube.root((0, 0), 1)
-        theta = Fraction(1)
-        mv = mean_dist_power(cloud, square, theta, max_gen=12)
-        # Midpoint-grid reference for the mean of |x| over the unit square.
-        n = 128
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                x = (i + 0.5) / n
-                y = (j + 0.5) / n
-                acc += math.hypot(x, y)
-        ref = acc / n**2
-        assert mv.lo <= ref <= mv.hi
-
-    def test_two_dimensional_negative_theta_refused(self):
-        cloud = PointCloud(((Fraction(0), Fraction(0)),))
-        square = Cube.root((0, 0), 1)
-        with pytest.raises(InsufficientDepthError):
-            mean_dist_power(cloud, square, Fraction(-1, 2), max_gen=10)
-
     def test_positive_measure_set_contributions(self):
         # E = [0, 1/4]: dist vanishes on a quarter of the window, so the
         # zeroth power still averages to one, positive powers integrate only
@@ -199,12 +176,12 @@ class TestApProduct:
         assert res.product.hi == 2  # 4^(1/2), exact because the root is rational
 
     def test_case_two_consistency(self):
-        # A disjoint cube at small gap is controlled by its 4-fold dilation:
-        # product(Q0) <= 4^(n p) product(4 Q0).
+        # A disjoint cube at small gap is controlled by its concentric 4-fold
+        # dilation [15/16, 23/16): product(Q0) <= 4^(n p) product(4 Q0).
         q0 = Cube.interval(Fraction(9, 8), Fraction(5, 4))
         res_small = ap_product(Z, q0, ApQuery(Fraction(1, 2), 2))
         assert res_small.case == "II"
-        res_big = ap_product(Z, dilate(q0, 4), ApQuery(Fraction(1, 2), 2))
+        res_big = ap_product(Z, Cube.interval(Fraction(15, 16), Fraction(23, 16)), ApQuery(Fraction(1, 2), 2))
         assert res_big.case == "III"
         assert float(res_small.product.lo) <= 16 * float(res_big.product.hi)
 
@@ -373,20 +350,3 @@ class TestGapWalkMatchesPerComponent:
         assert quotient == sm.to_mean_value(per_component_peak(ORIGIN, UNIT) / UNIT.side, Fraction(1, 2))
         assert quotient.exact and quotient.lo == 2
 
-
-class TestExponentTransfer:
-    def test_raising_index_keeps_exponent(self):
-        assert exponent_transfer(-1, 2, 3) == -1
-
-    def test_lowering_index_rescales(self):
-        assert exponent_transfer(-1, 3, 2) == Fraction(-1, 2)
-
-    def test_duality(self):
-        assert dual_exponent(-1, 2) == 1
-        assert dual_exponent(Fraction(-1, 2), 3) == Fraction(1, 4)
-
-    def test_sign_preserved(self):
-        for theta in (Fraction(-2), Fraction(3, 7)):
-            for p, q in ((2, 5), (5, 2), (Fraction(3, 2), Fraction(7, 3))):
-                out = exponent_transfer(theta, p, q)
-                assert (out > 0) == (theta > 0)
