@@ -18,9 +18,11 @@ import json
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 from itertools import islice
 
+from . import __version__
 from .dyadic import Cube
 from .errors import InsufficientDepthError, ParseError, PreconditionError
 from .pores import enumerate_pores, ratio_condition, weak_porosity_check
@@ -37,12 +39,12 @@ from .setmodels import (
     FinitePoints,
     Generated,
     IntegerLattice,
-    envelope_cube,
     envelope_length,
+    envelope_lengths,
     load_set_spec,
     save_set_spec,
 )
-from .weights import ApQuery, ap_product
+from .weights import MEAN_PATHS, ApQuery, ap_product
 
 SCHEMA = "pore-metrics/1"
 
@@ -114,7 +116,9 @@ def parse_cubes(spec: str, oracle=None) -> list[Cube]:
         if not isinstance(oracle, Generated):
             raise PreconditionError("envelope cubes need a generated set")
         a, b = _parse_range(spec[len("envelopes:"):])
-        return [envelope_cube(oracle.seq, m) for m in range(a, b + 1)]
+        if a < 0:
+            raise PreconditionError("level must be nonnegative")
+        return [Cube.interval(0, length) for length in islice(envelope_lengths(oracle.seq), a, b + 1)]
     raise ParseError(f"cannot parse cube spec {spec!r}")
 
 
@@ -133,14 +137,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(text: str, out: str | None, argv: list[str]) -> None:
+def _emit(text: str, out: str | None, argv: list[str], meta=None) -> None:
+    """Write the report to ``out`` (or stdout) and, with a file, the run's
+    ``.meta.json`` sidecar: schema, argv, package version and ``meta``."""
     if out is None:
         sys.stdout.write(text)
         return
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
     with open(out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"schema": SCHEMA, "argv": argv}, fh, indent=2, sort_keys=True)
+        sidecar = {"schema": SCHEMA, "argv": argv, "version": __version__, **(meta or {})}
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -150,6 +157,20 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _check_digits(ints, what: str) -> None:
+    """Refuse a report whose integers reach more digits than the interpreter
+    prints (``sys.get_int_max_str_digits()``, 0 for no limit), before any of
+    it is printed."""
+    limit = sys.get_int_max_str_digits()
+    big = max(map(abs, ints))
+    # 2^(3 limit) < 10^limit, so shorter integers need no power of ten.
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise PreconditionError(
+            f"{what} would need more than {limit} digits, "
+            "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)"
+        )
 
 
 def _fmt_bound(v) -> str:
@@ -198,6 +219,13 @@ def cmd_fig1(args, argv) -> int:
 def cmd_pores(args, argv) -> int:
     oracle = parse_set(args.set)
     cube = _one_cube(args.cube, oracle, "pores")
+    # A pore length or mass of generation g <= max_gen has a numerator and a
+    # denominator below max(side's numerator, side's denominator) * 2^max_gen.
+    side = cube.side
+    _check_digits(
+        [max(side.numerator, side.denominator) << max(args.max_gen, 0)],
+        f"--max-gen {args.max_gen}: pore lengths",
+    )
     family = enumerate_pores(oracle, cube, args.max_gen)
     if args.format == "json":
         payload = {
@@ -273,8 +301,15 @@ def cmd_ap_scan(args, argv) -> int:
     cubes = parse_cubes(args.cubes, oracle)
     query = ApQuery(_rational(args.alpha), _rational(args.p))
     rows = []
+    paths = dict.fromkeys(MEAN_PATHS, 0)
     for i, cube in enumerate(cubes):
+        ends = cube.as_interval()
+        _check_digits([x for e in ends for x in (e.numerator, e.denominator)], f"cube {i}: its ends")
         res = ap_product(oracle, cube, query, args.max_gen)
+        if res.product.exact:
+            v = res.product.lo
+            _check_digits([v.numerator, v.denominator], f"cube {i}: the exact product")
+        paths[res.path] += 1
         rows.append(
             [
                 f"{i}:{cube}",
@@ -289,6 +324,7 @@ def cmd_ap_scan(args, argv) -> int:
         _csv_text(["cube_id", "alpha", "p", "product_lo", "product_hi", "case_tag"], rows),
         args.out,
         argv,
+        {"mean_paths": paths},
     )
     return 0
 
@@ -437,17 +473,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    try:
-        return args.fn(args, argv)
-    except ParseError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except PreconditionError as err:
-        sys.stderr.write(f"precondition violated: {err}\n")
-        return 2
-    except InsufficientDepthError as err:
-        sys.stderr.write(f"insufficient depth: {err}; tail mass {format_rational(err.tail_mass)}\n")
-        return 3
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.fn(args, argv)
+        except ParseError as err:
+            code, failure = 1, f"error: {err}"
+        except PreconditionError as err:
+            code, failure = 2, f"precondition violated: {err}"
+        except InsufficientDepthError as err:
+            code, failure = 3, f"insufficient depth: {err}; tail mass {format_rational(err.tail_mass)}"
+    for w in caught:
+        sys.stderr.write(f"warning: {w.message}\n")
+    if failure is not None:
+        sys.stderr.write(failure + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count, islice
 from operator import itemgetter, lt, mul, not_
 from statistics import NormalDist
 
@@ -143,22 +143,20 @@ def moment(law: LengthDistribution, theta) -> Fraction | float:
     return exact_total if exact else float_total
 
 
-def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
-    """Closed-form E[X^theta] at every level 0..level, from one pass of prefix
-    products of the stage factors (2 + c_i^(1+theta)) / (2 + c_i).
+def moment_stream(seq: ContractionSequence, theta):
+    """Closed-form E[X^theta] at levels 0, 1, 2, ..., endlessly, as the
+    prefix products of the stage factors (2 + c_i^(1+theta)) / (2 + c_i).
 
     Entries are exact Fractions up to the first stage whose power is
     irrational; from there the running product is a float, updated as
     out * float(num) / float(den), so entry L has the bits of a product
     computed for level L alone.
     """
-    if level < 0:
-        raise PreconditionError("level must be nonnegative")
     e = 1 + Fraction(theta)
     out: Fraction | float = Fraction(1)
     exact = True
-    prefixes = [out]
-    for i in range(1, level + 1):
+    yield out
+    for i in count(1):
         c = seq.value(i)
         p = rational_pow(c, e)
         if p is None:
@@ -170,8 +168,15 @@ def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
             out *= (2 + p) / (2 + c)
         else:
             out = out * float(2 + p) / float(2 + c)
-        prefixes.append(out)
-    return prefixes
+        yield out
+
+
+def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
+    """Closed-form E[X^theta] at every level 0..level, from one pass of
+    ``moment_stream``."""
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    return list(islice(moment_stream(seq, theta), level + 1))
 
 
 def moment_closed_form(seq: ContractionSequence, level: int, theta) -> Fraction | float:

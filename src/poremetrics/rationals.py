@@ -74,12 +74,3 @@ def rational_pow(x: Fraction, e: Fraction) -> Fraction | None:
     if rd is None:
         return None
     return Fraction(rn, rd) ** a
-
-
-def power_value(x: Fraction, e: Fraction) -> Fraction | float:
-    """``x**e`` exactly when rational, otherwise as a float."""
-    exact = rational_pow(x, e)
-    if exact is not None:
-        return exact
-    return float(x) ** float(e)
-

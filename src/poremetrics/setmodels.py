@@ -14,12 +14,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, count, islice
+from operator import mul
 
 from .dyadic import Cube
 from .errors import ParseError, PreconditionError
 from .rationals import format_rational, parse_rational
 
 GENERATE_LEVEL_CAP = 14  # 3**14 + 1 points; beyond this use the length-law recursion
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -80,40 +83,32 @@ class ContractionSequence:
         return 1 - Fraction(1, 2 * n)
 
 
-def _stage_numerators(
-    seq: ContractionSequence, level: int, with_reflection: bool = False
-) -> tuple[list[int], int]:
-    """Integer numerators of the level-``n`` generator stage over one
-    denominator: (nums, den), with the points nums[k] / den in increasing order.
+class Prefixes:
+    """The entries 0, 1, 2, ... of an endless sequence, each drawn once and
+    only as far as a caller has asked."""
 
-    ``den = prod q_i`` for c_i = p_i/q_i: a point of stage i-1 is a multiple
-    of q_i ... q_level, so the contraction by c_i divides exactly.
-    """
-    if level < 0:
-        raise PreconditionError("level must be nonnegative")
-    if level > GENERATE_LEVEL_CAP:
-        raise PreconditionError(
-            f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}"
-        )
-    factors = [seq.value(i) for i in range(1, level + 1)]
-    den = math.prod(c.denominator for c in factors)
-    nums = [0, den]
-    for c in factors:
-        last, p, q = nums[-1], c.numerator, c.denominator
-        contracted = [last + x // q * p for x in nums]
-        top = contracted[-1]
-        nums += contracted[1:] + [top + x for x in nums[1:]]
-    if with_reflection:
-        nums = [-x for x in reversed(nums[1:])] + nums
-    return nums, den
+    def __init__(self, entries):
+        self._entries = iter(entries)
+        self._drawn = []
+
+    def upto(self, m: int) -> list:
+        """A list holding at least the entries 0..m."""
+        if m >= len(self._drawn):
+            self._drawn += islice(self._entries, m + 1 - len(self._drawn))
+        return self._drawn
+
+
+def envelope_lengths(seq: ContractionSequence):
+    """|Q_0|, |Q_1|, |Q_2|, ..., endlessly: the exact prefix products of
+    (2 + c_i), strictly increasing."""
+    return accumulate((2 + seq.value(i) for i in count(1)), mul, initial=Fraction(1))
 
 
 def envelope_length(seq: ContractionSequence, level: int) -> Fraction:
     """|Q_n| for the generator: the exact product of (2 + c_i)."""
-    out = Fraction(1)
-    for i in range(1, level + 1):
-        out *= 2 + seq.value(i)
-    return out
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    return next(islice(envelope_lengths(seq), level, None))
 
 
 def envelope_cube(seq: ContractionSequence, level: int) -> Cube:
@@ -230,23 +225,68 @@ class Generated(SetOracle):
     sorted integer numerators of its points over one denominator ``den``.
 
     A query point x is scaled once: a numerator n has n/den >= x exactly when
-    n >= ceil(x den), so every query bisects the integer list.  ``points``,
-    the Fraction view, is built on first use only.  Equality and hashing go
-    by the spec (sequence, level, reflection), which fixes the points.
+    n >= ceil(x den), so every query bisects the integer list.  Nothing is
+    enumerated at construction: ``numerators`` (and with them the level cap)
+    are built on the first query that needs points, ``points``, the Fraction
+    view, on first use only, and the envelope and the envelope lengths come
+    from the contraction factors alone.  Equality and hashing go by the spec
+    (sequence, level, reflection), which fixes the points.
     """
 
     seq: ContractionSequence
     level: int
     with_reflection: bool = False
-    numerators: tuple = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
-    envelope: tuple = field(init=False, repr=False, compare=False)
+    # E[X_m^theta] by theta, one ``Prefixes`` of ``porestats.moment_stream``
+    # each, filled by the closed-form envelope means of ``weights``.
+    moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nums, den = _stage_numerators(self.seq, self.level, self.with_reflection)
-        object.__setattr__(self, "numerators", tuple(nums))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "envelope", (Fraction(nums[0], den), Fraction(nums[-1], den)))
+        if self.level < 0:
+            raise PreconditionError("level must be nonnegative")
+
+    @cached_property
+    def den(self) -> int:
+        """prod q_i for c_i = p_i/q_i: a point of stage i-1 is a multiple of
+        q_i ... q_level over den, so the contraction by c_i divides exactly."""
+        return math.prod(self.seq.value(i).denominator for i in range(1, self.level + 1))
+
+    @cached_property
+    def numerators(self) -> tuple:
+        """The points times ``den``, in increasing order: each stage appends
+        the previous one contracted by c_i, then an uncontracted copy."""
+        if self.level > GENERATE_LEVEL_CAP:
+            raise PreconditionError(f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}")
+        nums = [0, self.den]
+        for i in range(1, self.level + 1):
+            c = self.seq.value(i)
+            p, q, last = c.numerator, c.denominator, nums[-1]
+            top = last + last // q * p
+            nums += [last + x // q * p for x in nums[1:]] + [top + x for x in nums[1:]]
+        if self.with_reflection:
+            nums = [-x for x in reversed(nums[1:])] + nums
+        return tuple(nums)
+
+    @cached_property
+    def _envelope_lengths(self) -> Prefixes:
+        return Prefixes(envelope_lengths(self.seq))
+
+    @cached_property
+    def envelope(self) -> tuple:
+        top = self._envelope_lengths.upto(self.level)[self.level]
+        return (-top if self.with_reflection else _ZERO, top)
+
+    def envelope_level(self, cube: Cube) -> int | None:
+        """The m <= level with ``cube == envelope_cube(seq, m)`` as an
+        interval, or None when the cube is no such envelope."""
+        lo, hi = cube.as_interval()
+        if lo != 0 or hi < 1:
+            return None
+        # |Q_m| >= 2^m, so m <= log2(hi) < (bits of hi's numerator) - (bits
+        # of its denominator) + 1.
+        top = min(self.level, hi.numerator.bit_length() - hi.denominator.bit_length() + 1)
+        lengths = self._envelope_lengths.upto(top)
+        m = bisect_left(lengths, hi, 0, top + 1)
+        return m if m <= top and lengths[m] == hi else None
 
     @cached_property
     def points(self) -> tuple:

@@ -6,7 +6,10 @@ integrates to a difference of antiderivatives F(u) = u^(theta+1)/(theta+1).
 
 Exponent bookkeeping keeps the window side length symbolic, so products in
 which the side's powers cancel (the A_p product, the A_1 quotient) come out
-exact whenever the normalized integrals are rational.
+exact whenever the normalized integrals are rational.  On the envelope
+windows of a generated set the means need no gaps at all: they are the
+closed form 2^-theta E[X_m^theta]/(theta+1) in the moments of the gap-length
+variable, with the factor 2^-theta kept symbolic the same way.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from fractions import Fraction
 from .dyadic import Cube
 from .errors import PreconditionError
 from .pores import enumerate_pore_cubes
+from .porestats import moment_stream
 from .rationals import rational_pow
-from .setmodels import SetOracle
+from .setmodels import Generated, Prefixes, SetOracle
 
 _BASE_SLACK = 1e-15
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,14 @@ def profile_peak(h: Fraction, d_left: Fraction, d_right: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class _ScaledMean:
-    """Normalized mean: the cube mean of dist^theta equals side**theta * norm."""
+    """Normalized mean: the cube mean of dist^theta equals unit**theta * norm.
 
-    side: Fraction
+    The unit is the window side on the gap walk and 1/2 in the closed form on
+    an envelope; products of means over one window share it, so its powers
+    cancel exactly.
+    """
+
+    unit: Fraction
     theta: Fraction
     lo_norm: Fraction | float
     hi_norm: Fraction | float
@@ -170,8 +180,8 @@ class _ScaledMean:
     n_terms: int
 
     def to_mean_value(self, base: Fraction, e: Fraction) -> MeanValue:
-        """The normalized mean times base**e: the cube mean for base = side
-        and e = theta, the A_1 quotient for base = peak / side and e = -theta."""
+        """The normalized mean times base**e: the cube mean for base = unit
+        and e = theta, the A_1 quotient for base = peak / unit and e = -theta."""
         scale, scale_exact = _pow_any(base, e)
         if self.exact and scale_exact and isinstance(scale, Fraction):
             return MeanValue.exactly(scale * self.lo_norm)
@@ -253,6 +263,39 @@ class _Gaps:
         return _ScaledMean(side, theta, total, total, exact, n)
 
 
+def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | None:
+    """Normalized means over an envelope window Q_m of a generated set, in
+    closed form, or None when the window is no such envelope or an exponent
+    is at most -1.
+
+    Inside Q_m every stage of level >= m equals stage m, and both ends of
+    Q_m are set points, so each gap h of the stage contributes
+    2 (h/2)^(theta+1)/(theta+1) and the mean is 2^-theta E[X_m^theta]/(theta+1),
+    with X_m the gap-length variable of ``porestats``: unit 1/2 and norm
+    E[X_m^theta]/(theta+1).  One pass of ``moment_stream`` per exponent,
+    kept on the oracle and drawn as far as the largest m asked for, serves
+    every envelope of the set.
+    """
+    if not isinstance(oracle, Generated) or min(thetas) <= -1:
+        return None
+    m = oracle.envelope_level(q0)
+    if m is None:
+        return None
+    out = []
+    for theta in thetas:
+        moments = oracle.moments.get(theta)
+        if moments is None:
+            moments = oracle.moments[theta] = Prefixes(moment_stream(oracle.seq, theta))
+        moment = moments.upto(m)[m]
+        if isinstance(moment, Fraction):
+            norm, exact = moment / (theta + 1), True
+        else:
+            norm, exact = moment / float(theta + 1), False
+        # The terms behind a float norm: m stage factors and the division.
+        out.append(_ScaledMean(_HALF, theta, norm, norm, exact, m + 2))
+    return out
+
+
 def _means(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
     """Normalized means over a window, one per exponent, from one gap walk.
 
@@ -286,23 +329,31 @@ def _divergent_partial(oracle, q0, theta, max_gen) -> _ScaledMean:
 def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> MeanValue:
     """Mean of dist(.,E)^theta over the cube, exact whenever every power is rational.
 
+    On an envelope window of a generated set and for theta > -1 the mean is
+    the closed form of ``_envelope_means``; elsewhere it is the gap walk.
     For theta <= -1 on a window meeting the set, the true mean is infinite;
     the bracket's lower end is the exact integral over the pores enumerated
     to ``max_gen`` and grows without bound as the depth increases.
     """
     theta = Fraction(theta)
-    (sm,) = _means(oracle, q0, (theta,), max_gen)
-    return sm.to_mean_value(sm.side, theta)
+    (sm,) = _envelope_means(oracle, q0, (theta,)) or _means(oracle, q0, (theta,), max_gen)
+    return sm.to_mean_value(sm.unit, theta)
 
 
 @dataclass(frozen=True)
 class ApResult:
     product: MeanValue
     case: str  # "I" far cube, "II" near disjoint cube, "III" cube meeting the set
+    path: str  # one of MEAN_PATHS: how the two means were found
+
+
+# How ap_product found its means: the envelope closed form, the gap walk,
+# the far-cube bracket (no means), or a divergent factor's pore enumeration.
+MEAN_PATHS = ("closed_form", "gap_walk", "far_cube", "divergent")
 
 
 def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> MeanValue:
-    """(side^-a m1) * (side^(a/(p-1)) m2)^(p-1): the side powers cancel exactly."""
+    """(unit^-a m1) * (unit^(a/(p-1)) m2)^(p-1): the unit powers cancel exactly."""
     e = p - 1
     lo2, lo2_exact = _pow_any(sm2.lo_norm, e)
     hi2, hi2_exact = _pow_any(sm2.hi_norm, e)
@@ -324,14 +375,22 @@ def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> MeanVal
 def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -> ApResult:
     """Bracket of the two-factor Muckenhoupt product for w = dist^-alpha.
 
-    Far cubes (gap at least twice the diameter) short-circuit to the bracket
-    [1, 4^|alpha|].  Elsewhere both mean factors are evaluated and multiplied
-    with the window scale cancelled symbolically, so dilation-invariant
-    configurations give exactly dilation-invariant products.
+    Envelope windows of a generated set take the closed form first (they
+    meet the set, case III, and need no points).  Far cubes (gap at least
+    twice the diameter) short-circuit to the bracket [1, 4^|alpha|].
+    Elsewhere both mean factors are evaluated and multiplied with the window
+    scale cancelled symbolically, so dilation-invariant configurations give
+    exactly dilation-invariant products.
     """
     if query.p <= 1:
         raise PreconditionError("ap_product needs p > 1; use a1_quotient for p = 1")
     alpha, p = query.alpha, query.p
+    thetas = (-alpha, alpha / (p - 1))
+    sms = _envelope_means(oracle, q0, thetas)
+    if sms is not None:
+        result = ApResult(_combine_product(*sms, p), "III", "closed_form")
+        _assert_holder_floor(result.product)
+        return result
     meets = oracle.meets_cube(q0)
     if not meets:
         # The set lies outside the window, so its nearest point to the window
@@ -343,11 +402,12 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
             hi, hi_exact = _pow_any(Fraction(4), abs(alpha))
             if not hi_exact:
                 hi = float(hi) * (1 + 1e-14)
-            result = ApResult(MeanValue(Fraction(1), hi, False), "I")
+            result = ApResult(MeanValue(Fraction(1), hi, False), "I", "far_cube")
             _assert_holder_floor(result.product)
             return result
-    sm1, sm2 = _means(oracle, q0, (-alpha, alpha / (p - 1)), max_gen)
-    result = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II")
+    sm1, sm2 = _means(oracle, q0, thetas, max_gen)
+    path = "divergent" if meets and min(thetas) <= -1 else "gap_walk"
+    result = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II", path)
     _assert_holder_floor(result.product)
     return result
 
@@ -363,14 +423,20 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> MeanVa
     """Bracket of (mean of dist^-alpha) / (essential infimum of dist^-alpha).
 
     The essential infimum comes from the farthest point of the window from
-    the set, the peak of the piecewise-linear distance profile.
+    the set, the peak of the piecewise-linear distance profile.  On an
+    envelope window of a generated set the peak is 1/2, half the unit gap
+    that survives every stage, so the closed-form quotient is
+    E[X_m^-alpha]/(1-alpha).
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise PreconditionError("a1_quotient needs alpha > 0")
+    closed = _envelope_means(oracle, q0, (-alpha,))
+    if closed is not None:
+        (sm,) = closed
+        return sm.to_mean_value(_HALF / sm.unit, alpha)
     gaps = _Gaps.of(oracle, q0)
     if not gaps.ends:
         raise PreconditionError("window is covered by the set")
     (sm,) = _means(oracle, q0, (-alpha,), max_gen, gaps)
-    return sm.to_mean_value(gaps.peak() / sm.side, alpha)
-
+    return sm.to_mean_value(gaps.peak() / sm.unit, alpha)

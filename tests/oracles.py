@@ -12,8 +12,10 @@ over point lists.  Queries on a union of closed intervals scan every
 interval as given, unsorted and unmerged.
 The 1-D means reuse only the library's single-component profile integral and
 evaluate it once per component, with every endpoint distance queried.
+Envelope means in closed form are evaluated in 60-digit decimal arithmetic.
 """
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -177,6 +179,28 @@ def closed_form_moment(seq, level, theta):
         else:
             out = out * float(factor_num) / float(factor_den)
     return out
+
+
+def to_decimal(x):
+    """A rational as a Decimal in the current context."""
+    x = Fraction(x)
+    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def decimal_envelope_mean(seq, m, theta):
+    """The envelope mean of dist^theta over Q_m in closed form at 60 digits:
+    (1/2)^theta E[X_m^theta] / (theta + 1), with E[X_m^theta] the product of
+    (2 + c_i^(1+theta)) / (2 + c_i), every power taken in decimal.  Returns
+    (unit power, norm): the mean is their product, and products of means
+    over one window cancel the unit powers."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = to_decimal(1 + Fraction(theta))
+        moment = decimal.Decimal(1)
+        for i in range(1, m + 1):
+            c = to_decimal(seq.value(i))
+            moment = moment * (2 + c**e) / (2 + c)
+        return to_decimal(Fraction(1, 2)) ** to_decimal(theta), moment / to_decimal(1 + Fraction(theta))
 
 
 def component_length_multiset(points, window_lo, window_hi):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,6 +168,50 @@ class TestReports:
         assert row["case_tag"] == "I"
         assert row["product_lo"] == "1/1"
         assert float(row["product_hi"]) >= 1
+
+    @pytest.mark.parametrize(
+        "set_spec,cubes,alpha,paths",
+        [
+            ("generated:half_harmonic:4", "envelopes:0..4", "1/3", {"closed_form": 5}),
+            # [0, 1) is the envelope Q_0 of every generated set.
+            ("generated:constant:1/2:4:reflect", "dyadic:0..2", "1/3", {"closed_form": 1, "gap_walk": 2}),
+            ("point:0", "interval:[5,6)", "1/3", {"far_cube": 1}),
+            ("point:0", "dyadic:0..1", "3/2", {"divergent": 2}),
+        ],
+        ids=["closed-form", "envelope-among-dyadic", "far-cube", "divergent"],
+    )
+    def test_ap_scan_sidecar_counts_mean_paths(self, tmp_path, set_spec, cubes, alpha, paths):
+        import poremetrics
+
+        args = ["ap-scan", "--set", set_spec, "--cubes", cubes, f"--alpha={alpha}", "--p", "2", "--max-gen", "12"]
+        out = tmp_path / "ap.csv"
+        to_stdout = run_cli(*args)
+        to_file = run_cli(*args, "--out", str(out))
+        assert to_file.stdout == "" and to_file.stderr == ""
+        assert out.read_text() == to_stdout.stdout
+        meta = json.loads((tmp_path / "ap.csv.meta.json").read_text())
+        assert meta == {
+            "schema": "pore-metrics/1",
+            "argv": [*args, "--out", str(out)],
+            "version": poremetrics.__version__,
+            "mean_paths": {name: paths.get(name, 0) for name in ("closed_form", "gap_walk", "far_cube", "divergent")},
+        }
+
+    def test_envelope_scan_past_the_level_cap(self):
+        # Envelope means need no points, so the level cap does not apply.
+        start = time.perf_counter()
+        out = run_cli(
+            "ap-scan", "--set", "generated:half_harmonic:200", "--cubes", "envelopes:0..200",
+            "--alpha", "1/3", "--p", "2",
+        )
+        assert time.perf_counter() - start < 1
+        header, rows = parse_csv(out.stdout)
+        assert len(rows) == 201
+        assert rows[0][3:] == ["9/8", "9/8", "III"]  # (3/2) (3/4): m = 0 is exact
+        assert all(row[5] == "III" and 1 <= float(Fraction(row[4])) < 2 for row in rows)
+        proc = run_cli("gen-set", "--rule", "half_harmonic", "--level", "15", check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "precondition violated: explicit enumeration is capped at level 14\n"
 
     def test_pores_csv_and_json(self):
         out = run_cli("pores", "--set", "lattice", "--cube", "unit:[0,1)", "--max-gen", "5")
@@ -440,8 +485,9 @@ class TestExitCodes:
             (["--cubes", "envelopes:0..2"], "envelope cubes need a generated set"),
             (["--cubes", "dyadic:3..2"], "empty range"),
             (["--set", "generated:half_harmonic:-1"], "level must be nonnegative"),
+            (["--set", "generated:half_harmonic:3", "--cubes", "envelopes:-1..2"], "level must be nonnegative"),
         ],
-        ids=["envelopes-on-lattice", "empty-range", "negative-level"],
+        ids=["envelopes-on-lattice", "empty-range", "negative-level", "negative-envelope-level"],
     )
     def test_selector_outside_its_domain(self, args, message):
         given = {"--set": "lattice", "--cubes": "dyadic:0..2", "--alpha": "1/2", "--p": "2"}
@@ -473,6 +519,53 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "dimension" in proc.stderr
+
+    def test_pores_past_the_digit_limit(self):
+        # 2^-14285 has a denominator of 4301 digits, more than the
+        # interpreter prints; the check runs before the search.
+        for max_gen in ("14285", "20000"):
+            start = time.perf_counter()
+            proc = run_cli("pores", "--set", "lattice", "--cube", "unit:[0,1)", "--max-gen", max_gen, check=False)
+            assert time.perf_counter() - start < 1
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == (
+                f"precondition violated: --max-gen {max_gen}: pore lengths would need more than 4300 digits, "
+                "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)\n"
+            )
+
+    @pytest.mark.parametrize(
+        "args,what",
+        [
+            (["--set", "generated:constant:1/4:5000", "--cubes", "envelopes:4990..5000", "--alpha", "1/3"],
+             "cube 0: its ends"),
+            # E[X^(1/2)] and E[X^(-1/2)] are exact for c = 1/4; the product
+            # first needs more than 4300 digits at level 2229.
+            (["--set", "generated:constant:1/4:2229", "--cubes", "envelopes:2228..2229", "--alpha=-1/2"],
+             "cube 1: the exact product"),
+        ],
+        ids=["cube-ends", "exact-product"],
+    )
+    def test_envelope_scan_past_the_digit_limit(self, args, what):
+        proc = run_cli("ap-scan", *args, "--p", "2", check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"precondition violated: {what} would need more than 4300 digits, "
+            "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)\n"
+        )
+
+    def test_warning_is_one_line(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "poremetrics", "ls-ratio", "--set", "lattice",
+             "--cubes", "unit:[0,1)", "--s", "1/2"],
+            capture_output=True,
+            env=env,
+            cwd=REPO,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b"warning: s is at or above 1/(1+2^n); ratios are exploratory only\n"
+        assert proc.stdout == b'cube_id,s,L_s,S_s,ratio,depth_ok\n"0:[0,1)",1/2,1/2,1/4,2/1,true\n'
 
     def test_insufficient_depth(self):
         # One stderr line: the message, then the mass the depth left undecided.

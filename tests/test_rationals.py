@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from poremetrics.rationals import (
     int_nth_root,
     parse_rational,
-    power_value,
     rational_pow,
 )
 
@@ -39,13 +38,6 @@ def test_rational_pow():
     assert rational_pow(Fraction(5), 3) == 125
     with pytest.raises(ZeroDivisionError):
         rational_pow(Fraction(0), Fraction(-1))
-
-
-def test_power_value_falls_back_to_float():
-    assert power_value(Fraction(4), Fraction(3, 2)) == 8
-    approx = power_value(Fraction(2), Fraction(1, 2))
-    assert isinstance(approx, float)
-    assert abs(approx - 2**0.5) < 1e-15
 
 
 def test_parse_rejects_garbage():

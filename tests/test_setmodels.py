@@ -92,8 +92,16 @@ class TestGenerate:
             assert repr((g.points, g.envelope)) == repr(fraction_generate(seq, level, reflect))
 
     def test_level_cap(self):
-        with pytest.raises(PreconditionError):
-            Generated(HALF, 15)
+        # The cap fires where points are needed; building the set, its
+        # envelope and its envelope lengths enumerate nothing.
+        g = Generated(HALF, 15)
+        assert g.envelope == (0, envelope_length(HALF, 15))
+        assert g.envelope_level(Cube.interval(*g.envelope)) == 15
+        for query in (lambda: g.points, lambda: g.numerators, lambda: g.distance(Fraction(1, 3))):
+            with pytest.raises(PreconditionError, match="capped at level 14"):
+                query()
+        with pytest.raises(PreconditionError, match="level must be nonnegative"):
+            Generated(HALF, -1)
 
     @pytest.mark.parametrize("seq", [HALF, HH])
     def test_component_multiset_recursion(self, seq):

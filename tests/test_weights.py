@@ -1,9 +1,11 @@
+import decimal
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import per_component_mean, per_component_peak
+from oracles import decimal_envelope_mean, per_component_mean, per_component_peak, to_decimal
 from poremetrics.dyadic import Cube
 from poremetrics.errors import PreconditionError
 from poremetrics.setmodels import (
@@ -12,17 +14,21 @@ from poremetrics.setmodels import (
     FinitePoints,
     Generated,
     IntegerLattice,
+    envelope_cube,
 )
 from poremetrics.weights import (
     ApQuery,
     ApResult,
     _combine_product,
+    _Gaps,
+    _means,
     a1_quotient,
     ap_product,
     mean_dist_power,
     profile_integral,
 )
 from poremetrics.pores import enumerate_pores
+from poremetrics.porestats import moment_prefixes
 
 UNIT = Cube.interval(0, 1)
 Z = IntegerLattice()
@@ -302,22 +308,35 @@ DIFFERENTIAL_CASES = _differential_cases()
 THETAS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2))
 
 
+def _takes_closed_form(oracle, window):
+    return isinstance(oracle, Generated) and oracle.envelope_level(window) is not None
+
+
 class TestGapWalkMatchesPerComponent:
     # The gap walk queries distances only at the window ends and integrates
     # each distinct interior length once; the oracle queries every endpoint
     # and integrates every component.  Brackets must agree to the last bit.
+    # On the envelope window of the unreflected 2/3 set the public functions
+    # take the closed form (TestEnvelopeClosedForm), so there the gap walk
+    # is called directly: it stays pinned to the oracle on that window too.
 
     def test_cases_cover_both_window_kinds(self):
         tags = [
             ap_product(o, w, ApQuery(Fraction(1, 3), 2)).case for o, w in DIFFERENTIAL_CASES
         ]
         assert tags.count("II") == 5 and tags.count("III") == len(tags) - 5
+        assert sum(_takes_closed_form(o, w) for o, w in DIFFERENTIAL_CASES) == 1
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
     def test_mean_dist_power(self, oracle, window):
         for theta in THETAS:
             expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
-            assert repr(mean_dist_power(oracle, window, theta)) == repr(expected)
+            if _takes_closed_form(oracle, window):
+                (sm,) = _means(oracle, window, (theta,), 40)
+                actual = sm.to_mean_value(window.side, theta)
+            else:
+                actual = mean_dist_power(oracle, window, theta)
+            assert repr(actual) == repr(expected)
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
     def test_ap_product(self, oracle, window):
@@ -326,8 +345,13 @@ class TestGapWalkMatchesPerComponent:
             for p in (Fraction(2), Fraction(3, 2)):
                 sm1 = per_component_mean(oracle, window, -alpha)
                 sm2 = per_component_mean(oracle, window, alpha / (p - 1))
-                expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II")
-                assert repr(ap_product(oracle, window, ApQuery(alpha, p))) == repr(expected)
+                expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II", "gap_walk")
+                if _takes_closed_form(oracle, window):
+                    walk = _means(oracle, window, (-alpha, alpha / (p - 1)), 40)
+                    actual = ApResult(_combine_product(*walk, p), "III", "gap_walk")
+                else:
+                    actual = ap_product(oracle, window, ApQuery(alpha, p))
+                assert repr(actual) == repr(expected)
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
     def test_a1_quotient(self, oracle, window):
@@ -338,7 +362,13 @@ class TestGapWalkMatchesPerComponent:
         for alpha in (Fraction(1, 3), Fraction(1, 2)):
             peak = per_component_peak(oracle, window)
             expected = per_component_mean(oracle, window, -alpha).to_mean_value(peak / window.side, alpha)
-            assert repr(a1_quotient(oracle, window, alpha)) == repr(expected)
+            if _takes_closed_form(oracle, window):
+                gaps = _Gaps.of(oracle, window)
+                (sm,) = _means(oracle, window, (-alpha,), 40, gaps)
+                actual = sm.to_mean_value(gaps.peak() / window.side, alpha)
+            else:
+                actual = a1_quotient(oracle, window, alpha)
+            assert repr(actual) == repr(expected)
 
     def test_exact_rational_case(self):
         sm = per_component_mean(ORIGIN, UNIT, Fraction(-1, 2))
@@ -350,3 +380,123 @@ class TestGapWalkMatchesPerComponent:
         assert quotient == sm.to_mean_value(per_component_peak(ORIGIN, UNIT) / UNIT.side, Fraction(1, 2))
         assert quotient.exact and quotient.lo == 2
 
+
+def _check_cell(new, old, reference):
+    """The closed form's result ``new`` against the gap walk's ``old`` and
+    the 60-digit ``reference``: exact cells are equal; a bracket either
+    became exact inside itself or stayed a float bracket that overlaps it
+    and is no wider; every float bracket holds the reference."""
+    if old.exact:
+        assert new.exact and new.lo == old.lo
+    elif new.exact:
+        assert old.lo <= new.lo <= old.hi
+    else:
+        assert new.lo <= old.hi and old.lo <= new.hi
+        assert new.hi - new.lo <= old.hi - old.lo
+    if new.exact:
+        assert isinstance(new.lo, Fraction)
+        assert abs(to_decimal(new.lo) - reference) <= reference * decimal.Decimal("1e-50")
+    else:
+        assert decimal.Decimal(new.lo) <= reference <= decimal.Decimal(new.hi)
+
+
+class TestEnvelopeClosedForm:
+    # On Q_m the means, the A_p products and the A_1 quotient come from the
+    # moments E[X_m^theta]; the gap walk over the same window is the
+    # reference path, and a 60-digit decimal evaluation of the same closed
+    # form must lie in every float bracket.
+    SEQS = (
+        ContractionSequence.half_harmonic(),
+        ContractionSequence.constant(Fraction(1, 2)),
+        ContractionSequence.constant(Fraction(1, 4)),
+        ContractionSequence.constant(1),
+    )
+    AP = tuple(
+        (alpha, p)
+        for alpha in (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2))
+        for p in (Fraction(2), Fraction(3), Fraction(3, 2))
+    )
+    A1 = (Fraction(1, 3), Fraction(1, 2))
+
+    def _check_window(self, g, m, thetas, ap, a1):
+        window = envelope_cube(g.seq, m)
+        gaps = _Gaps.of(g, window)
+        walk = {}
+
+        def walk_mean(theta):
+            if theta not in walk:
+                walk[theta] = gaps.mean(theta)
+            return walk[theta]
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for theta in thetas:
+                unit_power, norm = decimal_envelope_mean(g.seq, m, theta)
+                old = walk_mean(theta).to_mean_value(window.side, theta)
+                _check_cell(mean_dist_power(g, window, theta), old, unit_power * norm)
+            for alpha, p in ap:
+                theta1, theta2 = -alpha, alpha / (p - 1)
+                res = ap_product(g, window, ApQuery(alpha, p))
+                assert (res.case, res.path) == ("III", "closed_form")
+                old = _combine_product(walk_mean(theta1), walk_mean(theta2), p)
+                norm1 = decimal_envelope_mean(g.seq, m, theta1)[1]
+                norm2 = decimal_envelope_mean(g.seq, m, theta2)[1]
+                _check_cell(res.product, old, norm1 * norm2 ** to_decimal(p - 1))
+            for alpha in a1:
+                old = walk_mean(-alpha).to_mean_value(gaps.peak() / window.side, alpha)
+                _check_cell(a1_quotient(g, window, alpha), old, decimal_envelope_mean(g.seq, m, -alpha)[1])
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("seq", SEQS, ids=["half_harmonic", "c=1/2", "c=1/4", "c=1"])
+    def test_level_eight(self, seq, reflect):
+        g = Generated(seq, 8, reflect)
+        start = time.perf_counter()
+        for m in range(9):
+            self._check_window(g, m, THETAS, self.AP, self.A1)
+        assert time.perf_counter() - start < 5
+
+    def test_level_ten(self):
+        g = Generated(ContractionSequence.half_harmonic(), 10)
+        alpha = Fraction(1, 3)
+        self._check_window(g, 10, (), ((alpha, Fraction(2)),), (alpha,))
+
+    def test_one_moment_pass_per_exponent(self):
+        # One pass per exponent serves every envelope, drawn as far as the
+        # largest level asked for, with the bits of a single-level call.
+        g = Generated(ContractionSequence.half_harmonic(), 200)
+        query = ApQuery(Fraction(1, 3), 2)
+        for m in range(201):
+            assert ap_product(g, envelope_cube(g.seq, m), query).path == "closed_form"
+            a1_quotient(g, envelope_cube(g.seq, m), Fraction(1, 3))
+        assert sorted(g.moments) == [Fraction(-1, 3), Fraction(1, 3)]
+        for theta, moments in g.moments.items():
+            drawn = moments.upto(0)
+            assert len(drawn) == 201
+            for m in (0, 1, 7, 200):
+                assert repr(drawn[m]) == repr(moment_prefixes(g.seq, m, theta)[-1])
+        assert "numerators" not in g.__dict__
+
+    def test_work_follows_the_window_not_the_level(self):
+        g = Generated(ContractionSequence.half_harmonic(), 10**6)
+        res = ap_product(g, envelope_cube(g.seq, 3), ApQuery(Fraction(1, 3), 2))
+        assert res.path == "closed_form"
+        assert all(len(moments.upto(0)) == 4 for moments in g.moments.values())
+        assert g.envelope_level(Cube.interval(0, 1)) == 0
+        assert g.envelope_level(Cube.interval(0, Fraction(5, 2))) == 1
+        assert g.envelope_level(Cube.interval(0, 2)) is None
+        assert g.envelope_level(Cube.interval(Fraction(1, 2), Fraction(5, 2))) is None
+        assert g.envelope_level(Cube.interval(0, Fraction(1, 2))) is None
+        assert Generated(g.seq, 1).envelope_level(envelope_cube(g.seq, 2)) is None
+
+    def test_other_windows_and_exponents_keep_the_gap_walk(self):
+        g = Generated(ContractionSequence.half_harmonic(), 6)
+        lo, hi = g.envelope
+        assert ap_product(g, Cube.interval(lo, hi - Fraction(1, 7)), ApQuery(Fraction(1, 3), 2)).path == "gap_walk"
+        assert ap_product(g, Cube.interval(lo, 2 * hi), ApQuery(Fraction(1, 3), 2)).path == "gap_walk"
+        # theta <= -1 in either factor sends the whole product down the
+        # divergent route, so both factors keep the window side as unit.
+        q0 = envelope_cube(g.seq, 3)
+        assert ap_product(g, q0, ApQuery(Fraction(3, 2), 2), max_gen=8).path == "divergent"
+        assert ap_product(g, q0, ApQuery(Fraction(-3, 2), 2), max_gen=8).path == "divergent"
+        assert ap_product(g, Cube.interval(hi + 10, hi + 11), ApQuery(Fraction(1, 3), 2)).path == "far_cube"
+        assert g.moments == {}
