@@ -17,50 +17,59 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from poremetrics.cli import main as cli  # noqa: E402
 
 
-def run(out_dir: Path) -> None:
+def command_lines(out_dir: Path) -> list[list[str]]:
+    return [
+        ["fig1", "--out", str(out_dir / "reference_points.csv")],
+        [
+            "gen-set", "--rule", "half_harmonic", "--level", "8",
+            "--spec-out", str(out_dir / "half_harmonic_8.json"),
+            "--points-out", str(out_dir / "half_harmonic_8_points.txt"),
+        ],
+        [
+            "gen-set", "--rule", "constant", "--c", "1/2", "--level", "8",
+            "--spec-out", str(out_dir / "constant_half_8.json"),
+            "--points-out", str(out_dir / "constant_half_8_points.txt"),
+        ],
+        [
+            "pores", "--set", "lattice", "--cube", "unit:[0,1)",
+            "--max-gen", "30", "--out", str(out_dir / "lattice_pores.csv"),
+        ],
+        [
+            "ls-ratio", "--set", "lattice", "--cubes", "unit:[0,1)", "--s", "1/10",
+            "--out", str(out_dir / "lattice_ratio.csv"),
+        ],
+        [
+            "ls-ratio", "--set", str(out_dir / "half_harmonic_8.json"),
+            "--cubes", "envelopes:0..8", "--s", "1/10", "--max-gen", "28",
+            "--out", str(out_dir / "half_harmonic_envelope_ratios.csv"),
+        ],
+        [
+            "porosity-check", "--set", "lattice", "--cube", "unit:[0,1)",
+            "--sigma", "1/2", "--gamma", "1/2",
+            "--out", str(out_dir / "lattice_porosity.json"),
+        ],
+        [
+            "porosity-check", "--set", str(out_dir / "constant_half_8.json"),
+            "--cube", "envelopes:8..8", "--sigma", "1/2", "--gamma", "1/2",
+            "--out", str(out_dir / "constant_half_porosity.json"),
+        ],
+    ]
+
+
+def run(out_dir: Path) -> int:
+    """Run the command lines in order.  Stop at the first that fails and
+    return its exit code; return 0 when every line succeeds."""
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    cli(["fig1", "--out", str(out_dir / "reference_points.csv")])
-
-    cli([
-        "gen-set", "--rule", "half_harmonic", "--level", "8",
-        "--spec-out", str(out_dir / "half_harmonic_8.json"),
-        "--points-out", str(out_dir / "half_harmonic_8_points.txt"),
-    ])
-    cli([
-        "gen-set", "--rule", "constant", "--c", "1/2", "--level", "8",
-        "--spec-out", str(out_dir / "constant_half_8.json"),
-        "--points-out", str(out_dir / "constant_half_8_points.txt"),
-    ])
-
-    cli([
-        "pores", "--set", "lattice", "--cube", "unit:[0,1)",
-        "--max-gen", "30", "--out", str(out_dir / "lattice_pores.csv"),
-    ])
-    cli([
-        "ls-ratio", "--set", "lattice", "--cubes", "unit:[0,1)", "--s", "1/10",
-        "--out", str(out_dir / "lattice_ratio.csv"),
-    ])
-    cli([
-        "ls-ratio", "--set", str(out_dir / "half_harmonic_8.json"),
-        "--cubes", "envelopes:0..8", "--s", "1/10", "--max-gen", "28",
-        "--out", str(out_dir / "half_harmonic_envelope_ratios.csv"),
-    ])
-    cli([
-        "porosity-check", "--set", "lattice", "--cube", "unit:[0,1)",
-        "--sigma", "1/2", "--gamma", "1/2",
-        "--out", str(out_dir / "lattice_porosity.json"),
-    ])
-    cli([
-        "porosity-check", "--set", str(out_dir / "constant_half_8.json"),
-        "--cube", "envelopes:8..8", "--sigma", "1/2", "--gamma", "1/2",
-        "--out", str(out_dir / "constant_half_porosity.json"),
-    ])
+    for argv in command_lines(out_dir):
+        code = cli(argv)
+        if code:
+            return code
     print(f"wrote reference-set reports to {out_dir}/")
+    return 0
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default=os.path.join("out", "reference_sets"))
     args = parser.parse_args()
-    run(Path(args.out_dir))
+    sys.exit(run(Path(args.out_dir)))

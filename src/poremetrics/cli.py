@@ -20,6 +20,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import __version__
@@ -101,8 +102,11 @@ def parse_set(spec: str):
 _INTERVAL_RE = re.compile(r"^\[([^,]+),([^)]+)\)$")
 
 
-def parse_cubes(spec: str, oracle=None) -> list[Cube]:
-    """Cube family: unit:[a,b) | interval:[a,b) | dyadic:A..B | envelopes:A..B."""
+def parse_cubes(spec: str, oracle=None, printable: bool = False) -> list[Cube]:
+    """Cube family: unit:[a,b) | interval:[a,b) | dyadic:A..B | envelopes:A..B.
+
+    With ``printable``, an envelope range whose last window has ends past the
+    interpreter's digit limit is refused before any length is drawn."""
     if spec.startswith(("unit:", "interval:")):
         body = spec.split(":", 1)[1]
         m = _INTERVAL_RE.match(body)
@@ -118,6 +122,8 @@ def parse_cubes(spec: str, oracle=None) -> list[Cube]:
         a, b = _parse_range(spec[len("envelopes:"):])
         if a < 0:
             raise PreconditionError("level must be nonnegative")
+        if printable:
+            _check_envelope_level(b)
         return [Cube.interval(0, length) for length in islice(envelope_lengths(oracle.seq), a, b + 1)]
     raise ParseError(f"cannot parse cube spec {spec!r}")
 
@@ -159,18 +165,33 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _check_digits(ints, what: str) -> None:
-    """Refuse a report whose integers reach more digits than the interpreter
-    prints (``sys.get_int_max_str_digits()``, 0 for no limit), before any of
-    it is printed."""
+def _digit_limit(what: str, limit: int) -> PreconditionError:
+    return PreconditionError(
+        f"{what} would need more than {limit} digits, "
+        "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)"
+    )
+
+
+def _check_digits(values, what: str) -> None:
+    """Refuse a report whose integer or rational ``values`` have a numerator
+    or denominator with more digits than the interpreter prints
+    (``sys.get_int_max_str_digits()``, 0 for no limit), before any of it is
+    printed."""
     limit = sys.get_int_max_str_digits()
-    big = max(map(abs, ints))
+    big = max(abs(x) for v in values for x in v.as_integer_ratio())
     # 2^(3 limit) < 10^limit, so shorter integers need no power of ten.
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-        raise PreconditionError(
-            f"{what} would need more than {limit} digits, "
-            "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)"
-        )
+        raise _digit_limit(what, limit)
+
+
+def _check_envelope_level(level: int) -> None:
+    """Refuse the envelope window ``Q_level`` without drawing its length:
+    ``|Q_m| = prod (2 + c_i) > 2^m`` for m >= 1, and ``2^m >= 10^limit``
+    exactly when m reaches the bit length of ``10^limit`` (not a power of
+    two), so from there on the window's right end is unprintable."""
+    limit = sys.get_int_max_str_digits()
+    if limit and level > 3 * limit and level >= (10**limit).bit_length():
+        raise _digit_limit(f"envelope level {level}: the cube's ends", limit)
 
 
 def _fmt_bound(v) -> str:
@@ -298,17 +319,15 @@ def cmd_ls_ratio(args, argv) -> int:
 
 def cmd_ap_scan(args, argv) -> int:
     oracle = parse_set(args.set)
-    cubes = parse_cubes(args.cubes, oracle)
+    cubes = parse_cubes(args.cubes, oracle, printable=True)
     query = ApQuery(_rational(args.alpha), _rational(args.p))
     rows = []
     paths = dict.fromkeys(MEAN_PATHS, 0)
     for i, cube in enumerate(cubes):
-        ends = cube.as_interval()
-        _check_digits([x for e in ends for x in (e.numerator, e.denominator)], f"cube {i}: its ends")
+        _check_digits(cube.as_interval(), f"cube {i}: its ends")
         res = ap_product(oracle, cube, query, args.max_gen)
         if res.product.exact:
-            v = res.product.lo
-            _check_digits([v.numerator, v.denominator], f"cube {i}: the exact product")
+            _check_digits([res.product.lo], f"cube {i}: the exact product")
         paths[res.path] += 1
         rows.append(
             [
@@ -361,12 +380,24 @@ def cmd_prob_stats(args, argv) -> int:
     bound = repr(EXPECTATION_PRODUCT_BOUND)
     ex_all = moment_prefixes(seq, hi, 1)
     ex_inv_all = moment_prefixes(seq, hi, -1)
+    table = [
+        (level, ex_all[level], ex_inv_all[level], ex_all[level] * ex_inv_all[level])
+        for level in range(lo, hi + 1)
+    ]
+    # Every cell of both reports is checked before either is written.
+    _check_digits([cell for row in table for cell in row], f"--levels {args.levels}: the moment table")
+    scan = []
+    if args.divergence_t:
+        scan = divergence_scan(_rational(args.divergence_t), range(lo, hi + 1))
+        _check_digits(
+            [x for r in scan for x in (r.level, r.k_min, r.k_max, r.tilde_ratio)],
+            f"--levels {args.levels}: the divergence scan",
+        )
     laws = None
     if seq.rule == "constant" and seq.c == Fraction(1, 2):
         laws = islice(length_laws(seq, hi), lo, None)
     rows = []
-    for level in range(lo, hi + 1):
-        ex, ex_inv = ex_all[level], ex_inv_all[level]
+    for level, ex, ex_inv, product in table:
         if laws is not None:
             ok, _ = binomial_check(next(laws))
             binom = "true" if ok else "false"
@@ -377,7 +408,7 @@ def cmd_prob_stats(args, argv) -> int:
                 level,
                 format_rational(ex),
                 format_rational(ex_inv),
-                format_rational(ex * ex_inv),
+                format_rational(product),
                 bound,
                 binom,
             ]
@@ -388,11 +419,7 @@ def cmd_prob_stats(args, argv) -> int:
         argv,
     )
     if args.divergence_t:
-        t = _rational(args.divergence_t)
-        scan_rows = [
-            [r.level, r.k_min, r.k_max, format_rational(r.tilde_ratio)]
-            for r in divergence_scan(t, range(lo, hi + 1))
-        ]
+        scan_rows = [[r.level, r.k_min, r.k_max, format_rational(r.tilde_ratio)] for r in scan]
         _emit(
             _csv_text(["level", "k_min", "k_max", "tilde_ratio"], scan_rows),
             args.divergence_out,
@@ -401,7 +428,11 @@ def cmd_prob_stats(args, argv) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call in the process: parsing leaves it unchanged, every default
+    is immutable, and it reads ``sys.stdout``/``sys.stderr`` when it writes."""
     parser = _Parser(prog="pore-metrics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

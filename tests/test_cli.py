@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,12 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from poremetrics import cli
 from poremetrics.dyadic import Cube
 from poremetrics.porestats import binomial_check, length_law
 from poremetrics.rationals import parse_rational
 from poremetrics.setmodels import ContractionSequence, Generated
 
 REPO = Path(__file__).resolve().parent.parent
+DIGIT_LIMIT = "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)\n"
 
 
 def run_cli(*args, check=True):
@@ -553,6 +556,66 @@ class TestExitCodes:
             "the interpreter's limit for printing an integer (sys.get_int_max_str_digits)\n"
         )
 
+    def test_envelope_scan_refused_before_drawing_a_length(self, monkeypatch, capsys):
+        # |Q_m| > 2^m >= 10^4300 from m = 14285 on, so nothing is drawn.
+        def no_lengths(seq):
+            raise AssertionError("envelope lengths drawn")
+
+        monkeypatch.setattr(cli, "envelope_lengths", no_lengths)
+        start = time.perf_counter()
+        code = cli.main([
+            "ap-scan", "--set", "generated:half_harmonic:30000", "--cubes", "envelopes:30000..30000",
+            "--alpha", "1/3", "--p", "2",
+        ])
+        assert time.perf_counter() - start < 0.2
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"precondition violated: envelope level 30000: the cube's ends would need more than 4300 digits, {DIGIT_LIMIT}"
+        )
+
+    @pytest.mark.parametrize(
+        "levels,what",
+        # 2^2126 < 10^640 <= 2^2127: level 2126 is drawn and refused by its
+        # printed ends, level 2127 before any length is drawn.
+        [("2126..2126", "cube 0: its ends"), ("0..2127", "envelope level 2127: the cube's ends")],
+    )
+    def test_envelope_level_bound_is_exact(self, capsys, levels, what):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = cli.main(["ap-scan", "--set", "generated:constant:1/2:3", "--cubes", f"envelopes:{levels}",
+                             "--alpha", "1/3", "--p", "2"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"precondition violated: {what} would need more than 640 digits, {DIGIT_LIMIT}"
+        )
+
+    def test_prob_stats_past_the_digit_limit(self, tmp_path, capsys):
+        # At 640 digits the half-harmonic product EX*EXinv first overflows at
+        # level 175; neither report nor sidecar is written.
+        def prob_stats(levels):
+            return cli.main([
+                "prob-stats", "--rule", "half_harmonic", "--levels", levels,
+                "--out", str(tmp_path / "moments.csv"),
+                "--divergence-t", "1/10", "--divergence-out", str(tmp_path / "divergence.csv"),
+            ])
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            refused = prob_stats("170..175")
+            _, err = capsys.readouterr()
+            assert list(tmp_path.iterdir()) == []
+            assert prob_stats("170..174") == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (refused, err) == (
+            2, f"precondition violated: --levels 170..175: the moment table would need more than 640 digits, {DIGIT_LIMIT}"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "divergence.csv", "divergence.csv.meta.json", "moments.csv", "moments.csv.meta.json"
+        ]
+
     def test_warning_is_one_line(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -578,3 +641,83 @@ class TestExitCodes:
         assert proc.stderr == (
             "insufficient depth: gamma threshold reaches below the enumerated resolution; tail mass 1/32\n"
         )
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser once per process and keeps no state
+    between calls."""
+
+    def test_one_build_for_many_calls(self, monkeypatch, capsys):
+        progs = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        lines = [
+            ["gen-set", "--rule", "constant", "--c", "1/2", "--level", "1"],
+            ["pores", "--set", "lattice", "--cube", "unit:[0,1)", "--max-gen", "4"],
+            ["ls-ratio", "--set", "lattice", "--cubes", "unit:[0,1)", "--s", "1/10"],
+            ["ap-scan", "--set", "point:0", "--alpha", "1/2", "--p", "2", "--cubes", "dyadic:0..1"],
+            ["porosity-check", "--set", "lattice", "--cube", "unit:[0,1)", "--sigma", "1/2", "--gamma", "1/2"],
+            ["prob-stats", "--rule", "half_harmonic", "--levels", "0..3"],
+            ["pores", "--set", "lattice"],
+        ]
+        codes = [cli.main(lines[i % len(lines)]) for i in range(20)]
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 0, 0, 0, 1] * 2 + [0, 0, 0, 0, 0, 0]
+        # The root parser and its seven subcommand parsers, once each.
+        assert progs == ["pore-metrics"] + [
+            f"pore-metrics {name}"
+            for name in ("gen-set", "fig1", "pores", "ls-ratio", "ap-scan", "porosity-check", "prob-stats")
+        ]
+
+    def test_no_state_carried_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "ap.csv"
+        sequence = [
+            ["ap-scan", "--set", "point:0", "--alpha", "1/2", "--p", "2", "--cubes", "dyadic:-2..2", "--out", str(out)],
+            ["ap-scan", "--set", "point:0", "--alpha", "1/0", "--p", "2", "--cubes", "dyadic:0..1"],
+            ["pores", "--set", "lattice"],
+            ["ap-scan", "--set", "lattice", "--cubes", "envelopes:0..1", "--alpha", "1/3", "--p", "2"],
+            ["ap-scan", "--help"],
+            ["--help"],
+        ]
+
+        def run(order):
+            results = {}
+            for i in order:
+                code = cli.main(sequence[i])
+                stdout, stderr = capsys.readouterr()
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                results[i] = (code, stdout.encode(), stderr.encode(), written)
+            return results
+
+        cli.build_parser.cache_clear()
+        forward = run(range(len(sequence)))
+        backward = run(reversed(range(len(sequence))))
+        assert [forward[i][0] for i in range(len(sequence))] == [0, 1, 1, 2, 0, 0]
+        assert forward[0][3] is not None and forward[4][1].startswith(b"usage: pore-metrics ap-scan")
+        assert forward == backward
+
+
+class TestScriptDrivers:
+    @pytest.mark.parametrize("script", ["run_reference_sets.py", "run_weight_scans.py"])
+    def test_stops_at_the_first_failing_line(self, script, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the driver prepends src/
+        spec = importlib.util.spec_from_file_location(script.removesuffix(".py"), REPO / "scripts" / script)
+        driver = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(driver)
+        calls = []
+
+        def fake_cli(argv):
+            calls.append(argv)
+            return 0 if len(calls) == 1 else 3
+
+        monkeypatch.setattr(driver, "cli", fake_cli)
+        assert driver.run(tmp_path) == 3
+        assert calls == driver.command_lines(tmp_path)[:2]
+        assert "wrote" not in capsys.readouterr().out
