@@ -34,7 +34,7 @@ from .porestats import (
     length_laws,
     moment_prefixes,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, format_ratio, parse_rational
 from .setmodels import (
     ContractionSequence,
     FinitePoints,
@@ -129,7 +129,7 @@ def parse_cubes(spec: str, oracle=None, printable: bool = False) -> list[Cube]:
 
 
 def _one_cube(spec: str, oracle, command: str) -> Cube:
-    cubes = parse_cubes(spec, oracle)
+    cubes = parse_cubes(spec, oracle, printable=True)
     if len(cubes) != 1:
         raise PreconditionError(f"{command} needs exactly one cube, got {len(cubes)}")
     return cubes[0]
@@ -206,13 +206,12 @@ def cmd_gen_set(args, argv) -> int:
     oracle = Generated(_parse_sequence(args.rule, args.c), args.level, args.reflect)
     if args.spec_out:
         save_set_spec(oracle, args.spec_out)
-    points, envelope = oracle.points, oracle.envelope
-    lines = [format_rational(p) for p in points]
-    text = "\n".join(lines) + "\n"
+    nums, den, envelope = oracle.numerators, oracle.den, oracle.envelope
+    text = "\n".join([format_ratio(n, den) for n in nums]) + "\n"
     _emit(text, args.points_out, argv)
     if args.points_out:
         sys.stdout.write(
-            f"{len(points)} points, envelope [{format_rational(envelope[0])}, "
+            f"{len(nums)} points, envelope [{format_rational(envelope[0])}, "
             f"{format_rational(envelope[1])}]\n"
         )
     return 0
@@ -230,9 +229,12 @@ def cmd_fig1(args, argv) -> int:
         level = 0
         while envelope_length(seq, level) < bound:
             level += 1
-        for p in Generated(seq, level, True).points:
-            if -bound <= p <= bound:
-                rows.append([label, format_rational(p), repr(float(p))])
+        oracle = Generated(seq, level, True)
+        # -bound <= n/den <= bound, cross-multiplied.
+        den, top = oracle.den, bound.numerator * oracle.den
+        for n in oracle.numerators:
+            if abs(n * bound.denominator) <= top:
+                rows.append([label, format_ratio(n, den), repr(n / den)])
     _emit(_csv_text(["sequence", "point", "value"], rows), args.out, argv)
     return 0
 
@@ -297,7 +299,9 @@ def _ratio_row(r) -> dict:
 
 def cmd_ls_ratio(args, argv) -> int:
     oracle = parse_set(args.set)
-    cubes = parse_cubes(args.cubes, oracle)
+    cubes = parse_cubes(args.cubes, oracle, printable=True)
+    for i, cube in enumerate(cubes):
+        _check_digits(cube.as_interval(), f"cube {i}: its ends")
     report = ratio_condition(oracle, cubes, _rational(args.s), args.max_gen)
     if args.format == "json":
         payload = {
@@ -351,6 +355,7 @@ def cmd_ap_scan(args, argv) -> int:
 def cmd_porosity(args, argv) -> int:
     oracle = parse_set(args.set)
     cube = _one_cube(args.cube, oracle, "porosity-check")
+    _check_digits(cube.as_interval(), "the cube's ends")
     result = weak_porosity_check(
         oracle, cube, _rational(args.sigma), _rational(args.gamma), args.max_gen
     )
@@ -377,6 +382,9 @@ def cmd_prob_stats(args, argv) -> int:
     lo, hi = _parse_range(args.levels)
     if lo < 0:
         raise PreconditionError("level must be nonnegative")
+    constant_half = seq == ContractionSequence.constant(Fraction(1, 2))
+    if args.divergence_t and not constant_half:
+        raise PreconditionError("--divergence-t scans the constant-1/2 law only (--rule constant --c 1/2)")
     bound = repr(EXPECTATION_PRODUCT_BOUND)
     ex_all = moment_prefixes(seq, hi, 1)
     ex_inv_all = moment_prefixes(seq, hi, -1)
@@ -394,7 +402,7 @@ def cmd_prob_stats(args, argv) -> int:
             f"--levels {args.levels}: the divergence scan",
         )
     laws = None
-    if seq.rule == "constant" and seq.c == Fraction(1, 2):
+    if constant_half:
         laws = islice(length_laws(seq, hi), lo, None)
     rows = []
     for level, ex, ex_inv, product in table:

@@ -8,7 +8,9 @@ mass not yet classified below the deepest generation reached.
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -128,6 +130,19 @@ def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
             return
 
 
+def _scaled_runs(runs, q0: Cube, max_gen: int):
+    """The runs (b, (a_1, a_2, ...)) of the window's points as (div, mul,
+    off, nums): a point a/b has relative position (p - lo)/side equal to
+    (a mul - off) / (div << max_gen), so its generation-max_gen cell
+    x = floor(2**max_gen (p - lo)/side) is (a mul - off) // div.  Within a
+    run every factor but a is fixed."""
+    lo, _ = q0.as_interval()
+    c, d = lo.numerator, lo.denominator
+    e, f = q0.side.numerator, q0.side.denominator
+    for b, nums in runs:
+        yield b * d * e, d * f << max_gen, c * b * f << max_gen, nums
+
+
 def _histogram_from_points(runs, q0: Cube, max_gen: int) -> dict:
     """Per-generation pore counts for the sorted in-window points, given as
     runs (b, (a_1, a_2, ...)) of numerators a over a shared denominator b.
@@ -138,17 +153,11 @@ def _histogram_from_points(runs, q0: Cube, max_gen: int) -> dict:
     nonempty(j) = 1 + #{pairs split by j}, and the pores of generation j are
     the empty children of the nonempty cells one generation up:
     counts[j] = 2 nonempty(j-1) - nonempty(j).  Everything is exact integer
-    arithmetic, the work per point does not depend on the depth, and within
-    a run every factor of the floor but a is fixed.
+    arithmetic and the work per point does not depend on the depth.
     """
-    lo, _ = q0.as_interval()
-    c, d = lo.numerator, lo.denominator
-    e, f = q0.side.numerator, q0.side.denominator
     splits = [0] * (max_gen + 1)
     prev = None
-    for b, nums in runs:
-        # x = ((a d - c b) f << J) // (b d e)
-        mul, off, div = d * f << max_gen, c * b * f << max_gen, b * d * e
+    for div, mul, off, nums in _scaled_runs(runs, q0, max_gen):
         for a in nums:
             x = (a * mul - off) // div
             if prev is not None and x != prev:
@@ -162,6 +171,67 @@ def _histogram_from_points(runs, q0: Cube, max_gen: int) -> dict:
             counts[j] = pores
         nonempty += splits[j]
     return counts
+
+
+def cell_pore_profiles(oracle: SetOracle, q0: Cube, runs, max_gen: int):
+    """Yield the pores of ``q0`` in the order of ``enumerate_pore_cubes``,
+    found from the cells of the window's points (``runs``, the non-empty
+    ``numerator_runs`` of the window), each as the integer profile
+    (h, d_left, d_right, den): its length and the distances from its ends to
+    the set, relative to the window and over one denominator.
+
+    The points in one generation-(j-1) cell form a group.  A group whose
+    points all fall into one child leaves the other child as a pore, so the
+    groups, kept left to right, yield one generation at a time in BFS order.
+    The set points nearest to a pore are the last point before its group's
+    points and the first one after them.  Where that point lies outside the
+    window, a stand-in at distance dist(lo) below ``lo`` (dist(hi) above
+    ``hi``) takes its place: it is that point, or else no nearer to any
+    point of the window than the window's first (last) set point is, so no
+    distance changes.  The oracle is asked at most once per window end.
+    """
+    if max_gen < 1:
+        raise PreconditionError("max_gen must be at least 1")
+    # The points as (N, m) with relative position N / (m << max_gen), and their cells.
+    points, xs = [], []
+    for div, mul, off, nums in _scaled_runs(runs, q0, max_gen):
+        for a in nums:
+            n = a * mul - off
+            points.append((n, div))
+            xs.append(n // div)
+    lo, hi = q0.as_interval()
+    side = q0.side
+    outside = {}
+
+    def neighbour(k):
+        if 0 <= k < len(points):
+            return points[k]
+        if k not in outside:
+            # -dist(lo)/side on the left, 1 + dist(hi)/side on the right.
+            r = -oracle.distance(lo) / side if k < 0 else 1 + oracle.distance(hi) / side
+            outside[k] = (r.numerator << max_gen, r.denominator)
+        return outside[k]
+
+    groups = [(0, len(xs))]
+    for j in range(1, max_gen + 1):
+        shift = max_gen - j
+        nxt = []
+        for s, t in groups:
+            k = xs[s] >> shift
+            if xs[t - 1] >> shift != k:
+                m = bisect_left(xs, (k + 1) << shift, s, t)
+                nxt += [(s, m), (m, t)]
+                continue
+            nxt.append((s, t))
+            # The pore is the sibling of cell k, on the other side of the group.
+            (n1, m1), (n2, m2) = (neighbour(s - 1), points[s]) if k & 1 else (points[t - 1], neighbour(t))
+            m = math.lcm(m1, m2)
+            n1, n2 = n1 * (m // m1), n2 * (m // m2)
+            h = m << shift
+            a = (k ^ 1) * h
+            b = a + h
+            yield h, min(a - n1, n2 - a), min(b - n1, n2 - b), m << max_gen
+        groups = nxt
 
 
 def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:

@@ -26,8 +26,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical ``"p/q"`` form used by every file format in this package."""
-    x = Fraction(x)
+    if not isinstance(x, (Fraction, int)):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(n: int, d: int) -> str:
+    """``format_rational(Fraction(n, d))`` for integers n and d > 0, with one gcd."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def int_nth_root(m: int, k: int) -> int | None:
@@ -39,13 +46,18 @@ def int_nth_root(m: int, k: int) -> int | None:
     if k == 2:
         r = math.isqrt(m)
         return r if r * r == m else None
-    # Newton iteration on integers, seeded from a float estimate.
-    r = max(1, int(round(m ** (1.0 / k))))
-    while r**k > m:
-        r = ((k - 1) * r + m // r ** (k - 1)) // k
-    while (r + 1) ** k <= m:
-        r += 1
-    return r if r**k == m else None
+    # Newton's integer step from above the root decreases to its floor.  The
+    # seed is the float root raised past its rounding error (well under
+    # 2^-40 relative while m fits a float), else 2^ceil(bits/k).
+    if m.bit_length() <= 1000:
+        r = int(m ** (1.0 / k) * (1 + 2.0**-40)) + 1
+    else:
+        r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == m else None
+        r = s
 
 
 def rational_pow(x: Fraction, e: Fraction) -> Fraction | None:

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .dyadic import Cube
 from .errors import PreconditionError
-from .pores import enumerate_pore_cubes
+from .pores import cell_pore_profiles, enumerate_pore_cubes
 from .porestats import moment_stream
-from .rationals import rational_pow
+from .rationals import int_nth_root, rational_pow
 from .setmodels import Generated, Prefixes, SetOracle
 
 _BASE_SLACK = 1e-15
@@ -113,47 +113,73 @@ def _sum_terms(terms):
     return total, exact, n
 
 
-def _antiderivative(u, theta: Fraction):
-    """(F(u), exact) with F(u) = u^(theta+1)/(theta+1), or log for theta = -1."""
-    if theta == -1:
-        if u == 0:
-            return -math.inf, False
-        return math.log(float(u)), False
-    e = theta + 1
-    val, exact = _pow_any(u, e)
-    if exact and isinstance(val, Fraction):
-        return val / e, True
-    return float(val) / float(e), False
+def _antiderivative(n: int, d: int, e_num: int, e_den: int):
+    """F(u) = u^e/e for u = n/d > 0 or u = 0 < e, with e = theta + 1 =
+    e_num/e_den in lowest terms: an integer pair (numerator, denominator)
+    when the power is rational, else a float; log(u) when e = 0.
+
+    The power is rational when the reduced n/d has integer e_den-th roots.
+    Every float comes from the correctly rounded quotient n/d, which is
+    what a Fraction converts to, so a float F(u) depends on u alone."""
+    if e_num == 0:
+        return math.log(n / d)
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if e_den > 1:
+        rn = int_nth_root(n, e_den)
+        rd = None if rn is None else int_nth_root(d, e_den)
+        if rd is None:
+            e = e_num / e_den
+            return (n / d) ** e / e
+        n, d = rn, rd
+    # (n/d)^e_num * e_den / e_num; the denominator is negative when e is.
+    p = abs(e_num)
+    if e_num < 0:
+        n, d = d, n
+    return n**p * e_den, d**p * e_num
 
 
-def profile_integral(h: Fraction, d_left: Fraction, d_right: Fraction, theta: Fraction):
-    """Integral of min(d_left + (x-a), d_right + (b-x))^theta over [a, b], b-a = h.
+def _float(v) -> float:
+    return v[0] / v[1] if type(v) is tuple else v
 
-    Returns (value, exact); the value is math.inf when theta <= -1 and the
-    profile touches zero at an endpoint.
+
+def profile_integral(h: int, d_left: int, d_right: int, den: int, theta: Fraction):
+    """Integral of min(d_left + (x-a), d_right + (b-x))^theta over [a, b],
+    b - a = h, with h, d_left and d_right integer numerators over one
+    denominator den > 0.
+
+    Returns (value, exact): an exact Fraction when every power is rational,
+    else a float; math.inf when theta <= -1 and the profile touches zero at
+    an endpoint.
     """
-    h, d_left, d_right = Fraction(h), Fraction(d_left), Fraction(d_right)
-    theta = Fraction(theta)
     if h <= 0:
         raise PreconditionError("profile needs h > 0")
-    if theta <= -1 and min(d_left, d_right) == 0:
+    e_num, e_den = theta.numerator + theta.denominator, theta.denominator
+    if e_num <= 0 and min(d_left, d_right) == 0:
         return math.inf, False
     if abs(d_left - d_right) > h:
         # The ramp from the nearer end governs throughout.
         d = min(d_left, d_right)
-        hi_v, e1 = _antiderivative(d + h, theta)
-        lo_v, e2 = _antiderivative(d, theta)
-    else:
-        peak = (h + d_left + d_right) / 2
-        m_v, e0 = _antiderivative(peak, theta)
-        a_v, e1 = _antiderivative(d_left, theta)
-        b_v, e2 = _antiderivative(d_right, theta)
-        if e0 and e1 and e2:
-            return 2 * m_v - a_v - b_v, True
-        return 2 * float(m_v) - float(a_v) - float(b_v), False
-    if e1 and e2:
-        return hi_v - lo_v, True
-    return float(hi_v) - float(lo_v), False
+        hi_v = _antiderivative(d + h, den, e_num, e_den)
+        lo_v = _antiderivative(d, den, e_num, e_den)
+        if type(hi_v) is tuple and type(lo_v) is tuple:
+            (hn, hd), (ln, ld) = hi_v, lo_v
+            return Fraction(hn * ld - ln * hd, hd * ld), True
+        return _float(hi_v) - _float(lo_v), False
+    m_v = _antiderivative(h + d_left + d_right, 2 * den, e_num, e_den)
+    a_v = _antiderivative(d_left, den, e_num, e_den)
+    b_v = _antiderivative(d_right, den, e_num, e_den)
+    if type(m_v) is tuple and type(a_v) is tuple and type(b_v) is tuple:
+        (mn, md), (an, ad), (bn, bd) = m_v, a_v, b_v
+        return Fraction(2 * mn * ad * bd - (an * bd + bn * ad) * md, md * ad * bd), True
+    return 2 * _float(m_v) - _float(a_v) - _float(b_v), False
+
+
+def _over_one_den(*values: Fraction) -> tuple:
+    """(n_1, ..., n_k, den): the Fractions as integer numerators over their
+    least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def profile_peak(h: Fraction, d_left: Fraction, d_right: Fraction) -> Fraction:
@@ -243,8 +269,11 @@ class _Gaps:
         integral per component."""
         side = self.side
         n = len(self.ends) + len(self.order)
-        interior = [profile_integral(h / side, _ZERO, _ZERO, theta) for h in self.distinct]
-        ends = [profile_integral(h / side, d_l / side, d_r / side, theta) for h, d_l, d_r in self.ends]
+        interior = [profile_integral(*_over_one_den(h / side, _ZERO, _ZERO), theta) for h in self.distinct]
+        ends = [
+            profile_integral(*_over_one_den(h / side, d_l / side, d_r / side), theta)
+            for h, d_l, d_r in self.ends
+        ]
         if all(is_exact for _, is_exact in chain(interior, ends)):
             total = sum((val for val, _ in ends), _ZERO)
             total = sum((val * m for (val, _), m in zip(interior, self.counts)), total)
@@ -313,17 +342,30 @@ def _means(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list
     return out
 
 
-def _divergent_partial(oracle, q0, theta, max_gen) -> _ScaledMean:
-    """theta <= -1 on a window meeting the set: the mean diverges; report the
-    exact integral over the pores enumerated so far as a growing lower bound."""
+def _bfs_pore_profiles(oracle: SetOracle, q0: Cube, max_gen: int):
+    """The integer profiles of ``cell_pore_profiles``, for the pores of the
+    BFS, with both end distances queried."""
     lo_w, hi_w = q0.as_interval()
     side = hi_w - lo_w
-    terms = (
-        profile_integral((b - a) / side, oracle.distance(a) / side, oracle.distance(b) / side, theta)
-        for a, b in (pore.as_interval() for pore in enumerate_pore_cubes(oracle, q0, max_gen))
-    )
-    total, _, n = _sum_terms(terms)
-    return _ScaledMean(side, theta, total, math.inf, False, max(n, 1))
+    for pore in enumerate_pore_cubes(oracle, q0, max_gen):
+        a, b = pore.as_interval()
+        yield _over_one_den((b - a) / side, oracle.distance(a) / side, oracle.distance(b) / side)
+
+
+def _divergent_partial(oracle, q0, theta, max_gen) -> _ScaledMean:
+    """theta <= -1 on a window meeting the set: the mean diverges; report the
+    exact integral over the pores enumerated so far as a growing lower bound.
+
+    Point sets list their pores from the cells of their points, other sets
+    from the BFS, in the same order, so the float sum and its term count do
+    not depend on the route."""
+    runs = oracle.numerator_runs(*q0.as_interval())
+    if runs is None:
+        pores = _bfs_pore_profiles(oracle, q0, max_gen)
+    else:
+        pores = cell_pore_profiles(oracle, q0, runs, max_gen)
+    total, _, n = _sum_terms(profile_integral(*pore, theta) for pore in pores)
+    return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
 
 
 def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> MeanValue:

@@ -10,8 +10,8 @@ laws and from bisection over Fraction half laws, binomial checks from
 Fraction comparison atom by atom, and membership checks are linear scans
 over point lists.  Queries on a union of closed intervals scan every
 interval as given, unsorted and unmerged.
-The 1-D means reuse only the library's single-component profile integral and
-evaluate it once per component, with every endpoint distance queried.
+The 1-D means evaluate the Fraction profile integral below once per
+component, with every endpoint distance queried.
 Envelope means in closed form are evaluated in 60-digit decimal arithmetic.
 """
 
@@ -241,13 +241,53 @@ def fraction_generate(seq, level, with_reflection=False):
     return tuple(pts), (pts[0], pts[-1])
 
 
+def _fraction_antiderivative(u, theta):
+    """(F(u), exact) with F(u) = u^(theta+1)/(theta+1), or log for theta = -1."""
+    from poremetrics.rationals import rational_pow
+
+    if theta == -1:
+        if u == 0:
+            return -math.inf, False
+        return math.log(float(u)), False
+    e = theta + 1
+    r = rational_pow(u, e)
+    if r is not None:
+        return r / e, True
+    return float(u) ** float(e) / float(e), False
+
+
+def fraction_profile_integral(h, d_left, d_right, theta):
+    """Integral of min(d_left + (x-a), d_right + (b-x))^theta over [a, b],
+    b - a = h, in Fraction arithmetic: (value, exact), with the value an
+    exact Fraction, a float from the first irrational power on, or math.inf
+    when theta <= -1 and the profile touches zero at an endpoint."""
+    h, d_left, d_right, theta = map(Fraction, (h, d_left, d_right, theta))
+    if theta <= -1 and min(d_left, d_right) == 0:
+        return math.inf, False
+    if abs(d_left - d_right) > h:
+        # The ramp from the nearer end governs throughout.
+        d = min(d_left, d_right)
+        hi_v, e1 = _fraction_antiderivative(d + h, theta)
+        lo_v, e2 = _fraction_antiderivative(d, theta)
+        if e1 and e2:
+            return hi_v - lo_v, True
+        return float(hi_v) - float(lo_v), False
+    peak = (h + d_left + d_right) / 2
+    m_v, e0 = _fraction_antiderivative(peak, theta)
+    a_v, e1 = _fraction_antiderivative(d_left, theta)
+    b_v, e2 = _fraction_antiderivative(d_right, theta)
+    if e0 and e1 and e2:
+        return 2 * m_v - a_v - b_v, True
+    return 2 * float(m_v) - float(a_v) - float(b_v), False
+
+
 def per_component_mean(oracle, q0, theta):
     """Normalized 1-D mean of dist^theta for a window the set does not make
     divergent: a distance query at both endpoints of every gap component and
     one profile integral per component, summed in window order.  Returns the
     library's ``_ScaledMean`` so the same assembly turns it into a public
     result."""
-    from poremetrics.weights import _ScaledMean, profile_integral
+    from poremetrics.weights import _ScaledMean
 
     theta = Fraction(theta)
     lo, hi = q0.as_interval()
@@ -257,7 +297,7 @@ def per_component_mean(oracle, q0, theta):
     for comp in comps:
         d_l = oracle.distance(comp.left)
         d_r = oracle.distance(comp.right)
-        val, is_exact = profile_integral(comp.length / side, d_l / side, d_r / side, theta)
+        val, is_exact = fraction_profile_integral(comp.length / side, d_l / side, d_r / side, theta)
         if val == math.inf:
             return _ScaledMean(side, theta, math.inf, math.inf, False, len(comps))
         if is_exact and exact:

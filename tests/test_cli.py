@@ -591,11 +591,11 @@ class TestExitCodes:
         )
 
     def test_prob_stats_past_the_digit_limit(self, tmp_path, capsys):
-        # At 640 digits the half-harmonic product EX*EXinv first overflows at
-        # level 175; neither report nor sidecar is written.
+        # At 640 digits the constant-1/2 product EX*EXinv = (27/25)^n first
+        # overflows at level 448; neither report nor sidecar is written.
         def prob_stats(levels):
             return cli.main([
-                "prob-stats", "--rule", "half_harmonic", "--levels", levels,
+                "prob-stats", "--rule", "constant", "--c", "1/2", "--levels", levels,
                 "--out", str(tmp_path / "moments.csv"),
                 "--divergence-t", "1/10", "--divergence-out", str(tmp_path / "divergence.csv"),
             ])
@@ -603,18 +603,44 @@ class TestExitCodes:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            refused = prob_stats("170..175")
+            refused = prob_stats("443..448")
             _, err = capsys.readouterr()
             assert list(tmp_path.iterdir()) == []
-            assert prob_stats("170..174") == 0
+            assert prob_stats("443..447") == 0
         finally:
             sys.set_int_max_str_digits(limit)
         assert (refused, err) == (
-            2, f"precondition violated: --levels 170..175: the moment table would need more than 640 digits, {DIGIT_LIMIT}"
+            2, f"precondition violated: --levels 443..448: the moment table would need more than 640 digits, {DIGIT_LIMIT}"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "divergence.csv", "divergence.csv.meta.json", "moments.csv", "moments.csv.meta.json"
         ]
+
+    @pytest.mark.parametrize("args,what", [
+        (["ls-ratio", "--cubes", "envelopes:10000..10000", "--s", "1/10"], "cube 0: its ends"),
+        (["porosity-check", "--cube", "envelopes:10000..10000", "--sigma", "1/2", "--gamma", "1/2"],
+         "the cube's ends"),
+    ], ids=["ls-ratio", "porosity-check"])
+    def test_window_past_the_digit_limit(self, capsys, args, what):
+        # |Q_10000| of the half-harmonic rule has a numerator of more than
+        # 4300 digits, below the level the envelope range check refuses.
+        code = cli.main([args[0], "--set", "generated:half_harmonic:8", *args[1:]])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"precondition violated: {what} would need more than 4300 digits, {DIGIT_LIMIT}"
+        )
+
+    def test_divergence_scan_needs_constant_half(self, tmp_path, capsys):
+        # The scan follows the constant-1/2 law; any other rule is refused
+        # before either report is written.
+        for rule in (["half_harmonic"], ["constant", "--c", "1/3"]):
+            code = cli.main([
+                "prob-stats", "--rule", *rule, "--levels", "0..2", "--out", str(tmp_path / "moments.csv"),
+                "--divergence-t", "1/10", "--divergence-out", str(tmp_path / "divergence.csv"),
+            ])
+            assert (code, *capsys.readouterr()) == (
+                2, "", "precondition violated: --divergence-t scans the constant-1/2 law only (--rule constant --c 1/2)\n"
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_warning_is_one_line(self):
         env = dict(os.environ)

@@ -24,6 +24,20 @@ def test_int_nth_root_rejects_non_powers():
     assert int_nth_root(2**60 + 1, 2) is None
 
 
+def test_int_nth_root_of_large_integers():
+    # Roots far beyond float precision and past the float range, with their
+    # neighbours; each must take a few Newton steps, not one per unit of the
+    # float root's error.
+    for k in (3, 5, 7):
+        for base in (3**100, 2**70 + 1, 10**300 + 7):
+            m = base**k
+            assert int_nth_root(m, k) == base
+            assert int_nth_root(m - 1, k) is None
+            assert int_nth_root(m + 1, k) is None
+    assert int_nth_root(2**210 + 12345, 3) is None
+    assert int_nth_root(2**240 + 12345, 3) is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
 def test_int_nth_root_round_trip(base, k):

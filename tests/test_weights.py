@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import decimal_envelope_mean, per_component_mean, per_component_peak, to_decimal
+from oracles import (
+    decimal_envelope_mean,
+    fraction_profile_integral,
+    per_component_mean,
+    per_component_peak,
+    to_decimal,
+)
+from poremetrics import cli, weights
 from poremetrics.dyadic import Cube
 from poremetrics.errors import PreconditionError
 from poremetrics.setmodels import (
@@ -20,14 +27,18 @@ from poremetrics.weights import (
     ApQuery,
     ApResult,
     _combine_product,
+    _divergent_partial,
     _Gaps,
     _means,
+    _over_one_den,
+    _ScaledMean,
+    _sum_terms,
     a1_quotient,
     ap_product,
     mean_dist_power,
     profile_integral,
 )
-from poremetrics.pores import enumerate_pores
+from poremetrics.pores import enumerate_pore_cubes, enumerate_pores
 from poremetrics.porestats import moment_prefixes
 
 UNIT = Cube.interval(0, 1)
@@ -35,37 +46,112 @@ Z = IntegerLattice()
 ORIGIN = FinitePoints((Fraction(0),))
 
 
+def integral(h, d_left, d_right, theta):
+    """profile_integral on Fractions, given to it as integer numerators over
+    one denominator; it must return what the Fraction reference returns."""
+    h, d_left, d_right, theta = map(Fraction, (h, d_left, d_right, theta))
+    value = profile_integral(*_over_one_den(h, d_left, d_right), theta)
+    assert repr(value) == repr(fraction_profile_integral(h, d_left, d_right, theta))
+    return value
+
+
 class TestComponentIntegral:
     # Frozen by hand from the antiderivative u^(theta+1)/(theta+1):
     # an uncut gap of length h contributes 2 (h/2)^(theta+1) / (theta+1).
 
-    # profile_integral(length, d_left, d_right, theta) -> (value, exact).
+    # integral(length, d_left, d_right, theta) -> (value, exact).
 
     def test_measure(self):
-        assert profile_integral(1, 0, 0, 0)[0] == 1
+        assert integral(1, 0, 0, 0)[0] == 1
 
     def test_inverse_sqrt(self):
-        val, _ = profile_integral(1, 0, 0, Fraction(-1, 2))
+        val, _ = integral(1, 0, 0, Fraction(-1, 2))
         assert math.isclose(val, 2 * math.sqrt(2), rel_tol=1e-14)
 
     def test_linear(self):
-        assert profile_integral(Fraction(1, 2), 0, 0, 1)[0] == Fraction(1, 16)
+        assert integral(Fraction(1, 2), 0, 0, 1)[0] == Fraction(1, 16)
 
     def test_divergent_rejected(self):
         # The profile touches zero at theta = -1: the integral diverges.
-        assert profile_integral(1, 0, 0, -1) == (math.inf, False)
+        assert integral(1, 0, 0, -1) == (math.inf, False)
 
     def test_clipped_profile(self):
         # distance profile min(1 + x, 2 - x) on [0, 1]: crossover at 1/2,
         # integral = 2 F(3/2) - F(1) - F(1) with F(u) = u^2/2.
-        val, _ = profile_integral(1, 1, 1, 1)
+        val, _ = integral(1, 1, 1, 1)
         assert val == Fraction(9, 4) - Fraction(1, 2) - Fraction(1, 2)
 
     def test_one_sided_ramp(self):
         # d_left far: the right ramp governs, profile
         # min(5 + x, 1 + (1 - x)) = 2 - x on [0, 1].
-        val, _ = profile_integral(1, 5, 1, 1)
+        val, _ = integral(1, 5, 1, 1)
         assert val == Fraction(3, 2)
+
+
+def _random_profiles(rng, count):
+    """(h, d_left, d_right, theta, scale) cases: both branches, perfect
+    squares and cubes next to irrational powers, zero distances, theta = -1
+    and exponents on both sides of it; ``scale`` multiplies the numerators
+    and the denominator, so the integer form is not in lowest terms."""
+    thetas = [Fraction(k) for k in (-3, -2, -1, 0, 1, 2)] + [
+        Fraction(a, b) for a, b in ((-1, 2), (1, 2), (-3, 2), (-7, 3), (-1, 3), (2, 3), (5, 4), (-5, 4))
+    ]
+    cases = []
+    while len(cases) < count:
+        den = rng.choice([1, 2, 4, 8, 9, 27, 3 * 2**5, 10**6 + 3, 2**61])
+        square = rng.random() < 0.5
+        pick = (lambda: Fraction(rng.randint(1, 12) ** 2, rng.choice([1, 4, 9, 16, 64]))) if square else (
+            lambda: Fraction(rng.randint(1, 10**5), den)
+        )
+        h = pick()
+        d_left, d_right = pick(), pick()
+        if rng.random() < 0.2:
+            d_left = Fraction(0)
+        if rng.random() < 0.2:
+            d_right = Fraction(0)
+        if rng.random() < 0.3:
+            d_right = d_left + h + pick()  # the ramp branch
+        cases.append((h, d_left, d_right, rng.choice(thetas), rng.choice([1, 1, 3, 2**40])))
+    return cases
+
+
+class TestIntegerProfileIntegral:
+    # The integer profile integral against the Fraction reference: equal
+    # values and exactness flags, and floats equal to the bit.
+
+    def test_random_profiles(self):
+        import random
+
+        rng = random.Random(14)
+        seen = set()
+        for h, d_left, d_right, theta, scale in _random_profiles(rng, 3000):
+            *nums, den = _over_one_den(h, d_left, d_right)
+            value, exact = profile_integral(*(k * scale for k in nums), den * scale, theta)
+            ref_value, ref_exact = fraction_profile_integral(h, d_left, d_right, theta)
+            assert exact == ref_exact
+            assert type(value) is type(ref_value)
+            assert repr(value) == repr(ref_value)
+            branch = "ramp" if abs(d_left - d_right) > h else "peak"
+            seen.add((branch, exact, value == math.inf, theta == -1))
+            if min(d_left, d_right) == 0 and value != math.inf:
+                seen.add(("zero distance", exact))
+        # Both branches, exact and irrational values, the divergent case,
+        # theta = -1 and finite integrals from a zero end distance.
+        assert {("ramp", True, False, False), ("peak", True, False, False),
+                ("ramp", False, False, False), ("peak", False, False, False),
+                ("peak", False, True, False), ("peak", False, False, True),
+                ("ramp", False, False, True), ("zero distance", True), ("zero distance", False)} <= seen
+
+    def test_exact_and_irrational_powers(self):
+        # theta = -3/2 over [0, 1] with both end distances d: the integral is
+        # 2 F(1/2 + d) - 2 F(d) with F(u) = -2 u^(-1/2).  For d = 1/16 both
+        # powers are rational (the sum 32/3); for d = 1/8 the peak 5/8 is not.
+        theta = Fraction(-3, 2)
+        assert profile_integral(16, 1, 1, 16, theta) == (Fraction(32, 3), True)
+        assert profile_integral(32, 2, 2, 32, theta) == (Fraction(32, 3), True)
+        value, exact = profile_integral(8, 1, 1, 8, theta)
+        assert not exact
+        assert value == 2 * (-2 * (5 / 8) ** -0.5) - 2 * (-2 * (1 / 8) ** -0.5)
 
 
 class TestMeanDistPower:
@@ -270,6 +356,120 @@ class TestA1Quotient:
     def test_alpha_must_be_positive(self):
         with pytest.raises(PreconditionError):
             a1_quotient(Z, UNIT, Fraction(-1, 2))
+
+
+def _bfs_partial(oracle, q0, theta, max_gen):
+    """The divergent partial from the BFS pores, each integrated by the
+    Fraction reference with both end distances queried."""
+    lo, hi = q0.as_interval()
+    side = hi - lo
+    terms = (
+        fraction_profile_integral((b - a) / side, oracle.distance(a) / side, oracle.distance(b) / side, theta)
+        for a, b in (pore.as_interval() for pore in enumerate_pore_cubes(oracle, q0, max_gen))
+    )
+    total, _, n = _sum_terms(terms)
+    return _ScaledMean(side, theta, total, math.inf, False, max(n, 1))
+
+
+def _divergent_cases():
+    """(oracle, window) pairs for the cell walk: point sets with a point on a
+    window end, with points outside the window and with several points in
+    one cell at every depth tested, the lattice, and generated sets at
+    levels 3-5 with and without reflection, on their envelope and on windows
+    whose ends are no set points."""
+    third = Fraction(1, 3)
+    cases = [
+        (FinitePoints((Fraction(0), Fraction(2, 7), Fraction(1))), UNIT),
+        (FinitePoints((Fraction(-1, 5), Fraction(1, 7), Fraction(3, 5), Fraction(3, 2))), UNIT),
+        (FinitePoints((third, third + Fraction(1, 10**15), third + Fraction(2, 10**15), Fraction(5, 6))),
+         Cube.interval(Fraction(1, 9), Fraction(10, 9))),
+        (Z, Cube.interval(third, Fraction(7, 3))),
+        (Z, Cube.interval(0, 4)),
+    ]
+    for level, seq, reflect in (
+        (3, ContractionSequence.half_harmonic(), False),
+        (4, ContractionSequence.constant(Fraction(1, 2)), True),
+        (5, ContractionSequence.constant(Fraction(2, 3)), False),
+        (5, ContractionSequence.half_harmonic(), True),
+    ):
+        g = Generated(seq, level, reflect)
+        lo, hi = g.envelope
+        pts = g.points
+        cases += [
+            (g, Cube.interval(lo, hi)),
+            (g, Cube.interval(pts[1] - Fraction(1, 1000), pts[6] + Fraction(1, 999))),
+        ]
+    return cases
+
+
+class TestDivergentCellWalk:
+    # On point sets the divergent partial lists its pores from the integer
+    # cells of the points and integrates them in integers; the BFS with
+    # Fraction integrals is the reference.  Totals must agree to the bit and
+    # the term counts exactly: the float sum follows the pore order, and the
+    # count stops at the first pore touching the set.
+    CASES = _divergent_cases()
+    THETAS = (Fraction(-1), Fraction(-3, 2), Fraction(-2), Fraction(-7, 3))
+
+    @pytest.mark.parametrize("max_gen", [1, 12, 40])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_the_bfs(self, case, max_gen):
+        oracle, window = self.CASES[case]
+        for theta in self.THETAS:
+            actual = _divergent_partial(oracle, window, theta, max_gen)
+            assert repr(actual) == repr(_bfs_partial(oracle, window, theta, max_gen))
+
+    def test_cases_reach_every_outcome(self):
+        # Finite totals that are exact, finite float totals summed over many
+        # terms, and sums stopped at a pore that touches the set.
+        outcomes = set()
+        for oracle, window in self.CASES:
+            for theta in self.THETAS:
+                sm = _divergent_partial(oracle, window, theta, 40)
+                outcomes.add("inf" if sm.lo_norm == math.inf else "exact" if isinstance(sm.lo_norm, Fraction)
+                             else "float" if sm.n_terms > 100 else "short float")
+        assert {"inf", "exact", "float"} <= outcomes
+
+    def test_deep_irrational_exponents(self):
+        # At depth 300 the profiles have denominators near 2^300, so the
+        # cube roots of theta = -7/3 and -4/3 run on integers past float
+        # precision.
+        for theta in (Fraction(-7, 3), Fraction(-4, 3)):
+            for oracle in (ORIGIN, FinitePoints((Fraction(1, 3), Fraction(3, 5)))):
+                actual = _divergent_partial(oracle, UNIT, theta, 300)
+                assert actual.n_terms > 290
+                assert repr(actual) == repr(_bfs_partial(oracle, UNIT, theta, 300))
+
+    def test_max_gen_must_be_positive(self):
+        with pytest.raises(PreconditionError):
+            _divergent_partial(ORIGIN, UNIT, Fraction(-3, 2), 0)
+
+
+class TestDivergentRowsSkipTheBfs:
+    # Divergent rows on point sets never call the BFS; a BoxUnion has no
+    # point runs and still takes it.
+
+    @pytest.fixture
+    def no_bfs(self, monkeypatch):
+        def refuse(oracle, q0, max_gen):
+            raise AssertionError("BFS reached")
+
+        monkeypatch.setattr(weights, "enumerate_pore_cubes", refuse)
+
+    @pytest.mark.parametrize("args", [
+        ["--set", "point:0", "--alpha", "3/2", "--cubes", "dyadic:-10..10"],
+        ["--set", "generated:half_harmonic:6", "--alpha", "1", "--cubes", "envelopes:0..6"],
+        ["--set", "generated:constant:1/2:5:reflect", "--alpha", "7/3", "--cubes", "unit:[-1/3,2)"],
+    ])
+    def test_point_sets(self, no_bfs, capsys, args):
+        assert cli.main(["ap-scan", *args, "--p", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.endswith(",III") for row in rows)
+
+    def test_box_union_reaches_the_bfs(self, no_bfs):
+        boxes = BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))
+        with pytest.raises(AssertionError, match="BFS reached"):
+            ap_product(boxes, UNIT, ApQuery(Fraction(3, 2), 2))
 
 
 def _differential_cases():
