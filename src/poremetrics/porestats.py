@@ -8,7 +8,11 @@ laws, moments, the expectation product bound, Markov bounds for the
 component quantiles, the exact component quantiles themselves (Fractions at
 every level, from the law split into two halves), the binomial reduction for
 the constant-1/2 sequence, its normal approximation, and the quantile
-divergence scan -- is built on that recursion.  The recursion runs in
+divergence scan -- is built on that recursion.  Each quantile query of a
+call starts from the tightest exact tails that earlier queries evaluated
+(the ends of the support for the first), and integer bounds on the tail
+from runs of one half's atoms narrow that bracket before any row of the
+exact search is evaluated.  The recursion runs in
 integers, and a ``LengthDistribution`` stores its output as is: integer atom
 keys over one length denominator, integer masses over one mass denominator.
 Its Fraction view ``masses`` is built only when a caller reads it.
@@ -22,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, islice
-from operator import itemgetter, lt, mul, not_
+from itertools import accumulate, compress, count, islice, pairwise
+from operator import lt, mul, not_
 from statistics import NormalDist
 
 from .errors import PreconditionError
@@ -323,7 +327,9 @@ def divergence_scan(t, levels) -> list[DivergenceRow]:
 # -- component quantiles of generated-set laws ------------------------------
 
 QUANTILE_ENUMERATION_PAIRS = 256
-QUANTILE_SHARED_ROWS = 4  # share an evaluated tail while >= 1/4 of the rows are live
+QUANTILE_CERTIFY_PROBES = 12  # run-bound probes before the first undecided one
+QUANTILE_EDGE_PROBES = 2  # run-bound probes per end after it
+QUANTILE_OVERSHOOT = 1 / 8  # stretch of a pivot's distance from the end that moved last
 
 
 def _half_law(seq: ContractionSequence, lo: int, hi: int):
@@ -331,14 +337,17 @@ def _half_law(seq: ContractionSequence, lo: int, hi: int):
     masses, and the key and mass denominators.
 
     The law is the product of the ``_integer_law`` of each half of the
-    stages: keys and masses multiply, and equal keys merge.
+    stages: keys and masses multiply, and equal keys merge.  Both factors
+    are walked by rising key, so the products arrive in ascending runs that
+    the final sort merges.
     """
     mid = (lo + hi) // 2
     ((m1, x1, w1),) = deque(_integer_law(seq, range(lo, mid)), maxlen=1)
     ((m2, x2, w2),) = deque(_integer_law(seq, range(mid, hi)), maxlen=1)
+    row = sorted(m2.items())
     masses: dict = {}
-    for a, wa in m1.items():
-        for b, wb in m2.items():
+    for a, wa in sorted(m1.items()):
+        for b, wb in row:
             k = a * b
             masses[k] = masses.get(k, 0) + wa * wb
     keys = sorted(masses)
@@ -354,10 +363,20 @@ def _score(tail: int, den: int) -> float:
     return normal_quantile(max((den - tail) / den, 1e-300))
 
 
-def _shrink(old: float, new: float) -> float:
-    """Anderson-Bjorck factor for the score of the end that stayed put."""
-    m = 1 - new / old if old else 0.0
-    return m if m > 0 else 0.5
+def _shrink(z_far: float, z_old: float, z_new: float, z_need: float) -> float:
+    """The score of the end that stayed put while the other end moved twice
+    running, from z_old to z_new, shrunk towards the target
+    (Anderson-Bjorck; halved by default)."""
+    m = 1 - (z_new - z_need) / (z_old - z_need) if z_old != z_need else 0.0
+    return z_need + (z_far - z_need) * (m if m > 0 else 0.5)
+
+
+def _interpolate(z_lo: float, z_need: float, z_hi: float) -> float:
+    """Where z_need falls between the scores of two ends, kept off the
+    ends; the middle when the scores do not bracket it."""
+    if z_lo < z_need < z_hi:
+        return min(max((z_need - z_lo) / (z_hi - z_lo), 1 / 64), 63 / 64)
+    return 0.5
 
 
 def _log_pivot(lo: int, hi: int, lam: float) -> int:
@@ -407,17 +426,33 @@ class _ProductTail:
     with top the suffix sums of B's masses.  Row i's pointer is that first j.
 
     ``largest_atom(need)`` returns the largest v with T(v) >= need, which is
-    an atom.  It keeps an exact bracket T(lo) >= need > T(hi) with the row
-    pointers at both ends; the pairs (i, j) between them are the only atoms
-    in [lo, hi).  Pivots come from regula falsi on the normal score of the
+    an atom.  Each query starts from the tightest exact tails known so far,
+    T(lo) >= need > T(hi): the ends of the support, and every tail an
+    earlier query evaluated.  Run bounds then narrow that bracket before any
+    row is evaluated: A's keys fall into about sqrt(len(ka)) runs, and a run
+    with keys in [a, a'] and mass W adds between W * top[first j with
+    a' * kb[j] >= v] and W * top[first j with a * kb[j] >= v] to T(v).  One
+    bisection per run and side gives integer bounds L(v) <= T(v) <= U(v)
+    and bounds on every row's pointer.  Probes placed by regula falsi move
+    the lower end while L(v) >= need and the upper end while U(v) < need;
+    after the first probe that decides neither, two more per end move each
+    end towards it.  A run whose pointer bounds meet is frozen whole.
+
+    The exact search keeps T(lo) >= need > T(hi) with row pointers, or
+    bounds on them, at both ends; every atom in [lo, hi) is a pair (i, j)
+    between them.  Pivots come from regula falsi on the normal score of the
     tail against log v, with the Anderson-Bjorck guard against one end
     standing still, interpolation on T itself where the float scores cannot
     separate the target from an end, and a bisection after six steps that
-    each left over half the pairs; floats only place a pivot, and every
-    decision compares integers.  A row whose pointers meet is frozen.  Once
-    at most QUANTILE_ENUMERATION_PAIRS pairs are left they are enumerated,
-    merged by product and walked up from T(lo).  Tails evaluated while many
-    rows are live, and the final walks, serve the later queries.
+    each left over half the pairs.  From the second pivot on, the
+    interpolated distance from the end that moved last is stretched by an
+    eighth, so that steps cross the root instead of creeping up to it from
+    one side.  Floats only place pivots and probes; every decision compares
+    integers.  A row whose pointers meet is frozen.  Once at most
+    QUANTILE_ENUMERATION_PAIRS pairs are left they are enumerated, merged by
+    product and walked up through [lo, hi).  The walks and every evaluated
+    tail serve the later queries; ``row_evaluations`` counts the rows the
+    last query evaluated.
     """
 
     def __init__(self, seq: ContractionSequence, level: int):
@@ -426,66 +461,143 @@ class _ProductTail:
         self.kb, self.wb, dxb, dwb = _half_law(seq, mid + 1, level + 1)
         self.top = list(accumulate(reversed(self.wb), initial=0))[::-1]
         self.K, self.D = dxa * dxb, dwa * dwb
-        na, nb, D = len(self.ka), len(self.kb), self.D
-        # (v, T(v), score, pointers) by v; the two ends score the tail just
-        # inside the extreme atoms.
-        self.known = [
-            (self.ka[0] * self.kb[0], D, _score(D - self.wa[0] * self.wb[0], D), [0] * na),
-            (self.ka[-1] * self.kb[-1] + 1, 0, _score(self.wa[-1] * self.wb[-1], D), [nb] * na),
-        ]
+        ka, na = self.ka, len(self.ka)
+        runs = math.isqrt(na)
+        self.starts = [na * r // runs for r in range(runs + 1)]
+        cum = list(accumulate(self.wa, initial=0))
+        self.run_min = [ka[s] for s in self.starts[:-1]]
+        self.run_max = [ka[e - 1] for e in self.starts[1:]]
+        self.run_mass = [cum[e] - cum[s] for s, e in pairwise(self.starts)]
+        self.known = [(ka[0] * self.kb[0], self.D), (ka[-1] * self.kb[-1] + 1, 0)]  # (v, T(v)) by v
         self.walks = []  # ([(atom, T(atom)), ...] ascending, T past the last atom)
+        self.row_evaluations = 0
+
+    def quantile(self, t: Fraction, side: str) -> Fraction:
+        """The component quantile at t on the given side (see tilde_quantiles)."""
+        a, b = t.numerator, t.denominator
+        need = -(-a * self.D // b) if side == "largest" else (b - a) * self.D // b + 1
+        return Fraction(self.largest_atom(need), self.K)
+
+    def _run_pointers(self, v: int, keys: list) -> list:
+        """For each run key a, the first j with a * kb[j] >= v."""
+        kb = self.kb
+        return [bisect_left(kb, -(-v // a)) for a in keys]
+
+    def _run_tail(self, ptr: list) -> int:
+        """The tail bound that gives each run the pointer ptr[run]."""
+        return sum(map(mul, self.run_mass, map(self.top.__getitem__, ptr)))
+
+    def _certify(self, need: int, lo: tuple, hi: tuple):
+        """The exact bracket lo = (v, T(v)) with T(v) >= need and hi with
+        T(v) < need, narrowed by the run bounds.  Each end comes back as
+        (v, tail estimate, score, run pointer bounds): a lower bound on
+        every pointer at the lower end, an upper bound at the upper end."""
+        D, z_need = self.D, _score(2 * need - 1, 2 * self.D)
+        (v_lo, t_lo), (v_hi, t_hi) = lo, hi
+        z_lo, z_hi = _score(t_lo, D), _score(t_hi, D)
+        p_lo = p_hi = None
+        side = 0
+        for _ in range(QUANTILE_CERTIFY_PROBES):
+            if v_hi - v_lo < 2:
+                break
+            v = _log_pivot(v_lo, v_hi, _interpolate(z_lo, z_need, z_hi))
+            p_min, p_max = self._run_pointers(v, self.run_min), self._run_pointers(v, self.run_max)
+            low, high = self._run_tail(p_min), self._run_tail(p_max)
+            t = (low + high) // 2
+            z = _score(t, D)
+            if low >= need:
+                if side > 0:
+                    z_hi = _shrink(z_hi, z_lo, z, z_need)
+                v_lo, t_lo, z_lo, p_lo, side = v, t, z, p_max, 1
+            elif high < need:
+                if side < 0:
+                    z_lo = _shrink(z_lo, z_hi, z, z_need)
+                v_hi, t_hi, z_hi, p_hi, side = v, t, z, p_min, -1
+            else:  # undecided: each end's certificate lies between it and v
+                v_lo, t_lo, z_lo, p_lo = self._edge(need, z_need, (v_lo, t_lo, z_lo, p_lo), v, _score(low, D), True)
+                v_hi, t_hi, z_hi, p_hi = self._edge(need, z_need, (v_hi, t_hi, z_hi, p_hi), v, _score(high, D), False)
+                break
+        if p_lo is None:
+            p_lo = self._run_pointers(v_lo, self.run_max)
+        if p_hi is None:
+            p_hi = self._run_pointers(v_hi, self.run_min)
+        return (v_lo, t_lo, z_lo, p_lo), (v_hi, t_hi, z_hi, p_hi)
+
+    def _edge(self, need: int, z_need: float, end: tuple, v_in: int, z_in: float, lower: bool) -> tuple:
+        """Move a certified end towards the undecided probe v_in, whose run
+        bound on that side scores z_in, by QUANTILE_EDGE_PROBES probes of
+        regula falsi on that bound alone (L for the lower end, U for the
+        upper one)."""
+        v_end, t_end, z_end, p_end = end
+        keys, others = (self.run_min, self.run_max) if lower else (self.run_max, self.run_min)
+        for _ in range(QUANTILE_EDGE_PROBES):
+            lo, z0, hi, z1 = (v_end, z_end, v_in, z_in) if lower else (v_in, z_in, v_end, z_end)
+            if hi - lo < 2:
+                break
+            v = _log_pivot(lo, hi, _interpolate(z0, z_need, z1))
+            bound = self._run_tail(self._run_pointers(v, keys))
+            if (bound >= need) == lower:
+                p_end = self._run_pointers(v, others)
+                t_end = (bound + self._run_tail(p_end)) // 2
+                v_end, z_end = v, _score(t_end, self.D)
+            else:
+                v_in, z_in = v, _score(bound, self.D)
+        return v_end, t_end, z_end, p_end
 
     def largest_atom(self, need: int) -> int:
+        self.row_evaluations = 0
         for walk, t_end in self.walks:
             if walk[0][1] >= need > t_end:
                 return next(v for v, t in reversed(walk) if t >= need)
         ka, wa, kb, top, D = self.ka, self.wa, self.kb, self.top, self.D
         h = next(k for k, point in enumerate(self.known) if point[1] < need)
-        (v_lo, t_lo, z_lo, base), (v_hi, t_hi, z_hi, p_hi) = self.known[h - 1 : h + 1]
-        base = base[:]  # the pointer of every frozen row
-        rows = [i for i, (a, b) in enumerate(zip(base, p_hi)) if a < b]
-        ak, aw = [ka[i] for i in rows], [wa[i] for i in rows]
-        alo, ahi = [base[i] for i in rows], [p_hi[i] for i in rows]
-        frozen = t_lo - sum(map(mul, aw, map(top.__getitem__, alo)))
+        lo, hi = self._certify(need, *self.known[h - 1 : h + 1])
+        (v_lo, t_lo, z_lo, p_lo), (v_hi, t_hi, z_hi, p_hi) = lo, hi
+        frozen = 0
+        ak, aw, alo, ahi = [], [], [], []
+        for s, e, w, p, q in zip(self.starts, self.starts[1:], self.run_mass, p_lo, p_hi):
+            if p < q:
+                ak += ka[s:e]
+                aw += wa[s:e]
+                alo += [p] * (e - s)
+                ahi += [q] * (e - s)
+            else:  # every row of the run keeps the pointer p
+                frozen += w * top[p]
         z_need = _score(2 * need - 1, 2 * D)
         side = stalls = 0
         pairs = sum(ahi) - sum(alo)
         while pairs > QUANTILE_ENUMERATION_PAIRS and v_hi - v_lo > 1:
             if stalls > 5:  # six steps running left over half the pairs: bisect
                 lam = 0.5
-            elif z_lo < z_need < z_hi:
-                lam = (z_need - z_lo) / (z_hi - z_lo)
-            else:  # the scores cannot tell the target from an end: interpolate T
-                lam = (2 * (t_lo - need) + 1) / (2 * (t_lo - t_hi))
+            else:
+                if z_lo < z_need < z_hi:
+                    lam = (z_need - z_lo) / (z_hi - z_lo)
+                else:  # the scores cannot tell the target from an end: interpolate T
+                    lam = (2 * (t_lo - need) + 1) / (2 * (t_lo - t_hi))
+                if side > 0:
+                    lam *= 1 + QUANTILE_OVERSHOOT
+                elif side < 0:
+                    lam = 1 - (1 - lam) * (1 + QUANTILE_OVERSHOOT)
             v = _log_pivot(v_lo, v_hi, lam)
+            self.row_evaluations += len(ak)
             ptr = _row_pointers(kb, v, ak, alo, ahi)
             t = frozen + sum(map(mul, aw, map(top.__getitem__, ptr)))
             z = _score(t, D)
-            # When the same end moves twice running, shrink the other end's
-            # score towards the target (Anderson-Bjorck; halve by default).
+            insort(self.known, (v, t))
             if t >= need:
                 if side > 0:
-                    z_hi = z_need + (z_hi - z_need) * _shrink(z_lo - z_need, z - z_need)
+                    z_hi = _shrink(z_hi, z_lo, z, z_need)
                 v_lo, t_lo, z_lo, alo, side = v, t, z, ptr, 1
             else:
                 if side < 0:
-                    z_lo = z_need + (z_lo - z_need) * _shrink(z_hi - z_need, z - z_need)
+                    z_lo = _shrink(z_lo, z_hi, z, z_need)
                 v_hi, t_hi, z_hi, ahi, side = v, t, z, ptr, -1
-            sharing = len(rows) * QUANTILE_SHARED_ROWS >= len(ka)
-            if sharing:
-                full = base[:]
-                for i, p in zip(rows, ptr):
-                    full[i] = p
-                insort(self.known, (v, t, z, full), key=itemgetter(0))
             # Drop the frozen rows once they are more than an eighth.
             live = list(map(lt, alo, ahi))
             if live.count(False) * 8 > len(live):
                 dead = list(map(not_, live))
-                if sharing:
-                    for i, a in zip(compress(rows, dead), compress(alo, dead)):
-                        base[i] = a
                 frozen += sum(map(mul, compress(aw, dead), map(top.__getitem__, compress(alo, dead))))
-                rows, ak, aw, alo, ahi = (list(compress(x, live)) for x in (rows, ak, aw, alo, ahi))
+                ak, aw, alo, ahi = (list(compress(x, live)) for x in (ak, aw, alo, ahi))
             before, pairs = pairs, sum(ahi) - sum(alo)
             stalls = stalls + 1 if 2 * pairs > before else 0
         wb = self.wb
@@ -494,11 +606,17 @@ class _ProductTail:
             for j in range(a, b):
                 x = k * kb[j]
                 mass[x] = mass.get(x, 0) + w * wb[j]
+        # With bounds in place of pointers the walk starts below lo or ends
+        # past hi; only the atoms in [lo, hi) get their exact tails.
+        t = frozen + sum(map(mul, aw, map(top.__getitem__, alo)))
         walk = []
         for x in sorted(mass):
-            walk.append((x, t_lo))
-            t_lo -= mass[x]
-        self.walks.append((walk, t_hi))
+            if x >= v_hi:
+                break
+            if x >= v_lo:
+                walk.append((x, t))
+            t -= mass[x]
+        self.walks.append((walk, t))
         return next(v for v, t in reversed(walk) if t >= need)
 
 
@@ -521,9 +639,4 @@ def tilde_quantiles(seq: ContractionSequence, level: int, queries) -> list[Fract
     if level < 0:
         raise PreconditionError("level must be nonnegative")
     tail = _ProductTail(seq, level)
-    out = []
-    for t, side in queries:
-        a, b = t.numerator, t.denominator
-        need = -(-a * tail.D // b) if side == "largest" else (b - a) * tail.D // b + 1
-        out.append(Fraction(tail.largest_atom(need), tail.K))
-    return out
+    return [tail.quantile(t, side) for t, side in queries]

@@ -120,9 +120,11 @@ def _antiderivative(n: int, d: int, e_num: int, e_den: int):
 
     The power is rational when the reduced n/d has integer e_den-th roots.
     Every float comes from the correctly rounded quotient n/d, which is
-    what a Fraction converts to, so a float F(u) depends on u alone."""
+    what a Fraction converts to, so a float F(u) depends on u alone.  A
+    float past the float range raises OverflowError, and so does a log or
+    a negative power of a quotient that rounds to 0."""
     if e_num == 0:
-        return math.log(n / d)
+        return math.log(_positive_quotient(n, d))
     g = math.gcd(n, d)
     n, d = n // g, d // g
     if e_den > 1:
@@ -130,13 +132,22 @@ def _antiderivative(n: int, d: int, e_num: int, e_den: int):
         rd = None if rn is None else int_nth_root(d, e_den)
         if rd is None:
             e = e_num / e_den
-            return (n / d) ** e / e
+            return (_positive_quotient(n, d) if e < 0 else n / d) ** e / e
         n, d = rn, rd
     # (n/d)^e_num * e_den / e_num; the denominator is negative when e is.
     p = abs(e_num)
     if e_num < 0:
         n, d = d, n
     return n**p * e_den, d**p * e_num
+
+
+def _positive_quotient(n: int, d: int) -> float:
+    """n/d > 0 as a float, raising OverflowError where it lies past the
+    float range or rounds to 0."""
+    u = n / d
+    if not u:
+        raise OverflowError("quotient below the float range")
+    return u
 
 
 def _float(v) -> float:
@@ -447,9 +458,15 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
             result = ApResult(MeanValue(Fraction(1), hi, False), "I", "far_cube")
             _assert_holder_floor(result.product)
             return result
-    sm1, sm2 = _means(oracle, q0, thetas, max_gen)
+    try:
+        sm1, sm2 = _means(oracle, q0, thetas, max_gen)
+        product = _combine_product(sm1, sm2, p)
+    except OverflowError:
+        raise PreconditionError(
+            f"the partial product to max_gen {max_gen} has a term outside the float range"
+        ) from None
     path = "divergent" if meets and min(thetas) <= -1 else "gap_walk"
-    result = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II", path)
+    result = ApResult(product, "III" if meets else "II", path)
     _assert_holder_floor(result.product)
     return result
 

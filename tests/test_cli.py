@@ -642,6 +642,21 @@ class TestExitCodes:
             )
         assert list(tmp_path.iterdir()) == []
 
+    def test_divergent_product_past_the_float_range(self, tmp_path, capsys):
+        # (2^-1000)^(-4/3) lies past the largest float: refused before the
+        # report is written.  At max-gen 700 the bound still prints.
+        args = ["ap-scan", "--set", "point:0", "--alpha", "7/3", "--p", "2", "--cubes", "unit:[0,1)"]
+        out = tmp_path / "ap.csv"
+        code = cli.main([*args, "--max-gen", "1000", "--out", str(out)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "precondition violated: the partial product to max_gen 1000 has a term outside the float range\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert cli.main([*args, "--max-gen", "700"]) == 0
+        assert capsys.readouterr() == (
+            'cube_id,alpha,p,product_lo,product_hi,case_tag\n"0:[0,1)",7/3,2/1,2.0583148365300765e+280,inf,III\n', ""
+        )
+
     def test_warning_is_one_line(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")

@@ -2,7 +2,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -528,6 +528,51 @@ class TestExactQuantiles:
             tilde_quantiles(HH, 5, [(Fraction(1, 2), "middle")])
         with pytest.raises(PreconditionError):
             tilde_quantiles(HH, -1, [(Fraction(1, 2), "largest")])
+
+
+class TestWarmBrackets:
+    """Each query of a call starts from the tails that earlier queries left
+    behind, narrowed by the run bounds, so its answer must not depend on
+    which queries came first."""
+
+    @pytest.mark.parametrize("seq", [HH, HALF, TWO_SEVENTHS], ids=str)
+    @pytest.mark.parametrize(
+        "ts", [(Fraction(1, 10), Fraction(1, 2)), (Fraction(77, 1024), Fraction(501, 1024))],
+        ids=lambda ts: ",".join(map(str, ts)),
+    )
+    def test_answers_do_not_depend_on_query_order(self, seq, ts):
+        queries = [(t, side) for t in ts for side in ("largest", "smallest")]
+        for level in range(0, 17):
+            answers = dict(zip(queries, tilde_quantiles(seq, level, queries)))
+            if level <= 14:
+                masses = length_law(seq, level).masses
+                largest = fraction_law_quantiles(masses, list(ts), True)
+                smallest = fraction_law_quantiles(masses, list(ts), False)
+                expected = {(t, "largest"): x for t, x in zip(ts, largest)}
+                expected |= {(t, "smallest"): x for t, x in zip(ts, smallest)}
+                assert answers == expected, f"level {level}"
+            for order in permutations(queries):
+                assert tilde_quantiles(seq, level, order) == [answers[q] for q in order], (level, order)
+
+    def test_rows_per_query_at_level_24(self):
+        # Neither side sweeps A's rows more than twice: the lower end starts
+        # from the run bounds, not from the smallest atom.
+        tail = porestats._ProductTail(HH, 24)
+        for side in ("largest", "smallest"):
+            tail.quantile(Fraction(1, 10), side)
+            assert 0 < tail.row_evaluations <= 2 * len(tail.ka), side
+
+    def test_smallest_side_rows_at_level_28(self):
+        tail = porestats._ProductTail(HH, 28)
+        tail.quantile(Fraction(1, 10), "largest")
+        tail.quantile(Fraction(1, 10), "smallest")
+        assert tail.row_evaluations < 30_000
+
+    def test_walk_serves_a_later_query(self):
+        tail = porestats._ProductTail(HH, 20)
+        tail.quantile(Fraction(1, 2), "largest")
+        tail.quantile(Fraction(1, 2), "smallest")
+        assert tail.row_evaluations == 0
 
 
 def _perturbed(level, moves):
