@@ -11,7 +11,6 @@ from .pores import (
     enumerate_pores,
     fraction_length,
     ratio_condition,
-    tilde_fraction_length,
     weak_porosity_check,
 )
 from .porestats import (

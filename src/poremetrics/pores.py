@@ -2,8 +2,11 @@
 
 A pore of a window cube is a dyadic subcube that misses the closed set while
 its dyadic parent meets it.  Pores of equal generation share a side length,
-so the enumeration keeps only a generation -> count histogram plus the exact
-mass not yet classified below the deepest generation reached.
+so the enumeration keeps only a generation -> count histogram plus the mass
+not yet classified below the deepest generation J reached.  Every such mass
+is a whole number of units |Q0| 2**-J, so the histogram, the tail and the
+threshold walks are integers; Fractions are built only for report cells and
+exception messages.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .dyadic import Cube
 from .errors import InsufficientDepthError, PreconditionError
-from .setmodels import Component, SetOracle
+from .setmodels import SetOracle
 
 
 class Side(Enum):
@@ -65,41 +68,52 @@ class LengthAnswer:
 
 @dataclass(frozen=True)
 class PoreFamily:
-    """Generation histogram of the pores of a window, with exact tail mass.
+    """Generation histogram of the pores of a window, counted in units.
 
-    ``counts[j]`` pores of relative generation j each have side
-    ``root.side * 2**-j``.  ``tail_mass`` is the window measure not covered by
-    enumerated pores; when the oracle certifies measure zero it is exactly
-    the pore mass still hiding below ``max_generation``.
+    A unit is ``|root| * 2**-max_generation``, the measure of the deepest
+    cubes.  ``counts[j]`` pores of relative generation j each have side
+    ``root.side * 2**-j``, that is ``2**(max_generation - j)`` units.
+    ``tail`` counts the units not covered by enumerated pores; when the
+    oracle certifies measure zero they are exactly the pore mass still
+    hiding below ``max_generation``.  ``length_of``, ``entries`` and
+    ``tail_mass`` are the Fraction views for reports.
     """
 
     root: Cube
     counts: dict
     max_generation: int
-    tail_mass: Fraction
+    tail: int
     tail_is_pore_mass: bool = True
+
+    @property
+    def tail_mass(self) -> Fraction:
+        return self.root.measure * Fraction(self.tail, 1 << self.max_generation)
 
     def length_of(self, gen: int) -> Fraction:
         return self.root.side / (1 << gen)
 
-    def mass_of(self, gen: int) -> Fraction:
-        return self.counts[gen] * self.length_of(gen)
-
     def entries(self):
         """(generation, length, count, mass) rows, largest length first."""
-        return [
-            (g, self.length_of(g), self.counts[g], self.mass_of(g))
-            for g in sorted(self.counts)
-        ]
-
-    @property
-    def enumerated_mass(self) -> Fraction:
-        return sum((self.mass_of(g) for g in self.counts), Fraction(0))
+        rows = []
+        for g in sorted(self.counts):
+            length = self.length_of(g)
+            rows.append((g, length, self.counts[g], self.counts[g] * length))
+        return rows
 
     def maximal_pore_length(self) -> Fraction:
         if not self.counts:
             raise PreconditionError("empty pore family")
         return self.length_of(min(self.counts))
+
+
+def _check_window(max_gen: int, meets: bool) -> None:
+    """The preconditions of every pore enumeration of a window."""
+    if max_gen < 1:
+        raise PreconditionError("max_gen must be at least 1")
+    if not meets:
+        raise PreconditionError(
+            "window does not meet the set; choose a window that meets the set"
+        )
 
 
 def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
@@ -110,12 +124,7 @@ def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
     pairwise disjoint by construction.  A child the set covers meets it at
     every depth, so it has no pores below it and leaves the frontier.
     """
-    if max_gen < 1:
-        raise PreconditionError("max_gen must be at least 1")
-    if not oracle.meets_cube(q0):
-        raise PreconditionError(
-            "window does not meet the set; use the whole-cube fast path"
-        )
+    _check_window(max_gen, oracle.meets_cube(q0))
     frontier = [q0]
     for _ in range(max_gen):
         nxt = []
@@ -236,92 +245,19 @@ def cell_pore_profiles(oracle: SetOracle, q0: Cube, runs, max_gen: int):
 
 def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
     """Aggregate the pore cubes of ``q0`` into a generation histogram."""
-    counts: dict = {}
     runs = oracle.numerator_runs(*q0.as_interval())
+    _check_window(max_gen, oracle.meets_cube(q0) if runs is None else bool(runs))
     if runs is not None:
-        if max_gen < 1:
-            raise PreconditionError("max_gen must be at least 1")
-        if not runs:
-            raise PreconditionError(
-                "window does not meet the set; use the whole-cube fast path"
-            )
         counts = _histogram_from_points(runs, q0, max_gen)
     else:
+        counts = {}
         for pore in enumerate_pore_cubes(oracle, q0, max_gen):
             g = pore.generation - q0.generation
             counts[g] = counts.get(g, 0) + 1
-    # A generation-g pore has mass |Q0| 2**-g, so the tail is a whole
-    # number of units |Q0| 2**-max_gen.
     tail = (1 << max_gen) - sum(k << (max_gen - g) for g, k in counts.items())
     if tail < 0:
         raise AssertionError("pore mass exceeded the window measure")
-    return PoreFamily(
-        q0, counts, max_gen, q0.measure * Fraction(tail, 1 << max_gen),
-        oracle.is_measure_zero(),
-    )
-
-
-def _scan_largest(family: PoreFamily, target: Fraction) -> LengthAnswer:
-    cum = Fraction(0)
-    for gen in sorted(family.counts):
-        cum += family.mass_of(gen)
-        if cum >= target:
-            return LengthAnswer.exactly(family.length_of(gen))
-    # Threshold not reached among enumerated lengths.
-    if family.tail_is_pore_mass:
-        raise InsufficientDepthError(
-            "largest-side threshold falls below the enumerated resolution",
-            tail_mass=family.tail_mass,
-        )
-    if cum + family.tail_mass >= target:
-        return LengthAnswer.between(
-            Fraction(0), family.length_of(family.max_generation)
-        )
-    raise PreconditionError("fraction threshold exceeds the total pore mass")
-
-
-def _scan_smallest(family: PoreFamily, target: Fraction) -> LengthAnswer:
-    gens = sorted(family.counts, reverse=True)  # smallest length first
-
-    def crossing(initial: Fraction) -> Fraction | None:
-        cum = initial
-        if cum >= target:
-            return Fraction(-1)  # crossing already inside the tail
-        for gen in gens:
-            cum += family.mass_of(gen)
-            if cum >= target:
-                return family.length_of(gen)
-        return None
-
-    if family.tail_is_pore_mass:
-        # All tail mass eventually materializes as pores strictly below the
-        # enumerated resolution, so cumulative masses at enumerated lengths
-        # are exact.
-        if family.tail_mass >= target:
-            raise InsufficientDepthError(
-                "smallest-side threshold is met inside the unresolved tail",
-                tail_mass=family.tail_mass,
-            )
-        hit = crossing(family.tail_mass)
-        if hit is None:
-            raise PreconditionError("fraction threshold exceeds the total pore mass")
-        return LengthAnswer.exactly(hit)
-
-    # Tail mass may or may not be pore mass: bracket the crossing.
-    optimistic = crossing(family.tail_mass)
-    pessimistic = crossing(Fraction(0))
-    if optimistic is None:
-        raise PreconditionError("fraction threshold exceeds the total pore mass")
-    if optimistic == Fraction(-1):
-        optimistic = Fraction(0)  # may lie below the resolution
-    if pessimistic is None:
-        raise InsufficientDepthError(
-            "smallest-side threshold cannot be certified at this depth",
-            tail_mass=family.tail_mass,
-        )
-    if optimistic == pessimistic:
-        return LengthAnswer.exactly(pessimistic)
-    return LengthAnswer.between(optimistic, pessimistic)
+    return PoreFamily(q0, counts, max_gen, tail, oracle.is_measure_zero())
 
 
 def fraction_length(family: PoreFamily, query: FractionQuery) -> LengthAnswer:
@@ -329,82 +265,41 @@ def fraction_length(family: PoreFamily, query: FractionQuery) -> LengthAnswer:
 
     Largest side: the greatest length L with mass{l >= L} >= t|Q0|.
     Smallest side: the least length L with mass{l <= L} >= t|Q0|.
+
+    With t = a/b and J = max_generation, a mass of u units reaches t|Q0|
+    exactly when b u >= a << J.  One walk over the generations, largest
+    length first or smallest first, finds the crossing.  The tail lies below
+    every enumerated length: on the smallest side it counts first when it is
+    pore mass, and a mixed tail may or may not be pore mass, so the walk also
+    notes where counting it would cross and brackets the answer between the
+    two crossings.
     """
-    total = family.root.measure
-    target = query.t * total
-    if family.tail_mass >= min(query.t, 1 - query.t) * total:
+    J, tail = family.max_generation, family.tail
+    a, b = query.t.numerator, query.t.denominator
+    need = a << J
+    if b * tail >= min(a, b - a) << J:
         raise InsufficientDepthError(
             "unresolved tail mass straddles the requested threshold",
             tail_mass=family.tail_mass,
         )
-    if query.side is Side.LARGEST:
-        answer = _scan_largest(family, target)
-    else:
-        answer = _scan_smallest(family, target)
-    if answer.exact:
-        _assert_threshold_bounds(family, query, answer.value)
-    return answer
-
-
-def _assert_threshold_bounds(family, query, value):
-    # mass{l >= L(t)} >= t|Q0| and mass{l < L(t)} <= (1-t)|Q0|, and the duals.
-    total = family.root.measure
-    at_least = sum(
-        (family.mass_of(g) for g in family.counts if family.length_of(g) >= value),
-        Fraction(0),
-    )
-    at_most = sum(
-        (family.mass_of(g) for g in family.counts if family.length_of(g) <= value),
-        Fraction(0),
-    )
-    if family.tail_is_pore_mass:
-        at_most += family.tail_mass
-    if query.side is Side.LARGEST:
-        assert at_least >= query.t * total
-        assert total - at_least <= (1 - query.t) * total
-    else:
-        assert at_most >= query.t * total
-        assert total - at_most <= (1 - query.t) * total
-
-
-def eq13_constant(t: Fraction, t_prime: Fraction) -> Fraction:
-    """Comparison constant between component and dyadic smallest-side lengths.
-
-    For t' < t the dyadic length at t dominates 2**-k times the component
-    length at t', where k is minimal with t' + 2**-(k-2) < t (at most two
-    dyadic pores of each size fit inside one gap component).
-    """
-    t, t_prime = Fraction(t), Fraction(t_prime)
-    if not 0 < t_prime < t < 1:
-        raise PreconditionError("needs 0 < t' < t < 1")
-    k = 0
-    while t_prime + Fraction(4, 1 << k) >= t:
-        k += 1
-    return Fraction(1, 1 << k)
-
-
-def tilde_fraction_length(
-    components: list[Component], window, query: FractionQuery
-) -> LengthAnswer:
-    """Same thresholds computed over gap-component lengths instead of pores."""
-    if not components:
-        raise PreconditionError("empty component list")
-    if isinstance(window, Cube):
-        lo, hi = window.as_interval()
-    else:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
-    total = hi - lo
-    target = query.t * total
-    masses: dict = {}
-    for comp in components:
-        masses[comp.length] = masses.get(comp.length, Fraction(0)) + comp.length
-    lengths = sorted(masses, reverse=(query.side is Side.LARGEST))
-    cum = Fraction(0)
-    for L in lengths:
-        cum += masses[L]
-        if cum >= target:
-            return LengthAnswer.exactly(L)
-    raise PreconditionError("fraction threshold exceeds the total component mass")
+    smallest = query.side is Side.SMALLEST
+    pore_tail = tail if smallest and family.tail_is_pore_mass else 0
+    mixed_tail = tail if smallest and not family.tail_is_pore_mass else 0
+    before = cum = pore_tail
+    optimistic = None
+    for gen in sorted(family.counts, reverse=smallest):
+        before, cum = cum, cum + (family.counts[gen] << (J - gen))
+        if optimistic is None and b * (cum + mixed_tail) >= need:
+            optimistic = gen
+        if b * cum >= need:
+            break
+    # The threshold inequalities: the side's mass reaches t|Q0| at the
+    # returned length, and falls short of it at the length before.
+    if not b * before < need <= b * cum:
+        raise AssertionError("the pore walk missed the threshold")
+    if optimistic == gen:
+        return LengthAnswer.exactly(family.length_of(gen))
+    return LengthAnswer.between(family.length_of(optimistic), family.length_of(gen))
 
 
 @dataclass(frozen=True)
@@ -511,19 +406,19 @@ def weak_porosity_check(
         )
     max_len = family.maximal_pore_length()
     threshold = gamma * max_len
-    if threshold <= family.length_of(family.max_generation) and family.tail_mass > 0:
+    if threshold <= family.length_of(family.max_generation) and family.tail > 0:
         raise InsufficientDepthError(
             "gamma threshold reaches below the enumerated resolution",
             tail_mass=family.tail_mass,
         )
-    achieved = sum(
-        (
-            family.mass_of(g)
-            for g in family.counts
-            if family.length_of(g) >= threshold
-        ),
-        Fraction(0),
+    # length_of(g) >= gamma length_of(top) exactly when den << top >= num << g.
+    J, top = family.max_generation, min(family.counts)
+    units = sum(
+        k << (J - g)
+        for g, k in family.counts.items()
+        if gamma.denominator << top >= gamma.numerator << g
     )
+    achieved = q0.measure * Fraction(units, 1 << J)
     return PorosityResult(
         achieved >= porosity_sigma * q0.measure, achieved, threshold, max_len
     )

@@ -10,15 +10,14 @@ and the unit floor of the two-factor weight product.
 import math
 from fractions import Fraction
 
+from oracles import eq13_constant, tilde_fraction_length
 from poremetrics.dyadic import Cube
 from poremetrics.pores import (
     FractionQuery,
     Side,
     enumerate_pore_cubes,
     enumerate_pores,
-    eq13_constant,
     fraction_length,
-    tilde_fraction_length,
 )
 from poremetrics.weights import ApQuery, ap_product
 
@@ -33,7 +32,8 @@ def check_instance(oracle, window: Cube, t: Fraction, t2: Fraction) -> None:
     pores = sorted(p.as_interval() for p in enumerate_pore_cubes(oracle, window, 12))
     for (a1, b1), (a2, b2) in zip(pores, pores[1:]):
         assert b1 <= a2
-    assert family.enumerated_mass + family.tail_mass == total
+    masses = {g: mass for g, _, _, mass in family.entries()}
+    assert sum(masses.values()) + family.tail_mass == total
 
     max_len = family.maximal_pore_length()
     largest = fraction_length(family, FractionQuery(t, Side.LARGEST)).value
@@ -55,13 +55,13 @@ def check_instance(oracle, window: Cube, t: Fraction, t2: Fraction) -> None:
 
     # Threshold-mass inequalities on both sides.
     mass_ge = sum(
-        (family.mass_of(g) for g in family.counts if family.length_of(g) >= largest),
+        (m for g, m in masses.items() if family.length_of(g) >= largest),
         Fraction(0),
     )
     assert mass_ge >= t * total
     assert total - mass_ge <= (1 - t) * total
     mass_le = family.tail_mass + sum(
-        (family.mass_of(g) for g in family.counts if family.length_of(g) <= smallest),
+        (m for g, m in masses.items() if family.length_of(g) <= smallest),
         Fraction(0),
     )
     assert mass_le >= t * total
@@ -70,7 +70,7 @@ def check_instance(oracle, window: Cube, t: Fraction, t2: Fraction) -> None:
     # Endpoint behavior: the extreme thresholds return the maximal length as
     # soon as the top-length mass allows it.
     eps = Fraction(1, 1000)
-    top_mass = family.mass_of(min(family.counts))
+    top_mass = masses[min(masses)]
     if top_mass >= eps * total:
         assert fraction_length(family, FractionQuery(eps, Side.LARGEST)).value == max_len
     if top_mass > eps * total:

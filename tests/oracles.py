@@ -13,11 +13,18 @@ interval as given, unsorted and unmerged.
 The 1-D means evaluate the Fraction profile integral below once per
 component, with every endpoint distance queried.
 Envelope means in closed form are evaluated in 60-digit decimal arithmetic.
+Fraction lengths of a pore family are found by Fraction walks over its
+masses, with the threshold masses summed again after the walk; those of gap
+components by a Fraction walk over the component lengths.
 """
 
 import decimal
 import math
 from fractions import Fraction
+
+from poremetrics.dyadic import Cube
+from poremetrics.errors import InsufficientDepthError, PreconditionError
+from poremetrics.pores import LengthAnswer, Side
 
 
 def points_meet(points, lo, hi):
@@ -374,3 +381,148 @@ def fraction_binomial_check(law):
         dev = abs(law.masses.get(length, Fraction(0)) - expected.get(length, Fraction(0)))
         max_dev = max(max_dev, dev)
     return max_dev == 0, max_dev
+
+
+def _pore_mass(family, gen):
+    return family.counts[gen] * family.length_of(gen)
+
+
+def _scan_largest(family, target):
+    cum = Fraction(0)
+    for gen in sorted(family.counts):
+        cum += _pore_mass(family, gen)
+        if cum >= target:
+            return LengthAnswer.exactly(family.length_of(gen))
+    # Threshold not reached among enumerated lengths.
+    if family.tail_is_pore_mass:
+        raise InsufficientDepthError(
+            "largest-side threshold falls below the enumerated resolution",
+            tail_mass=family.tail_mass,
+        )
+    if cum + family.tail_mass >= target:
+        return LengthAnswer.between(Fraction(0), family.length_of(family.max_generation))
+    raise PreconditionError("fraction threshold exceeds the total pore mass")
+
+
+def _scan_smallest(family, target):
+    gens = sorted(family.counts, reverse=True)  # smallest length first
+
+    def crossing(initial):
+        cum = initial
+        if cum >= target:
+            return Fraction(-1)  # crossing already inside the tail
+        for gen in gens:
+            cum += _pore_mass(family, gen)
+            if cum >= target:
+                return family.length_of(gen)
+        return None
+
+    if family.tail_is_pore_mass:
+        # All tail mass eventually materializes as pores strictly below the
+        # enumerated resolution, so cumulative masses at enumerated lengths
+        # are exact.
+        if family.tail_mass >= target:
+            raise InsufficientDepthError(
+                "smallest-side threshold is met inside the unresolved tail",
+                tail_mass=family.tail_mass,
+            )
+        hit = crossing(family.tail_mass)
+        if hit is None:
+            raise PreconditionError("fraction threshold exceeds the total pore mass")
+        return LengthAnswer.exactly(hit)
+
+    # Tail mass may or may not be pore mass: bracket the crossing.
+    optimistic = crossing(family.tail_mass)
+    pessimistic = crossing(Fraction(0))
+    if optimistic is None:
+        raise PreconditionError("fraction threshold exceeds the total pore mass")
+    if optimistic == Fraction(-1):
+        optimistic = Fraction(0)  # may lie below the resolution
+    if pessimistic is None:
+        raise InsufficientDepthError(
+            "smallest-side threshold cannot be certified at this depth",
+            tail_mass=family.tail_mass,
+        )
+    if optimistic == pessimistic:
+        return LengthAnswer.exactly(pessimistic)
+    return LengthAnswer.between(optimistic, pessimistic)
+
+
+def _assert_threshold_bounds(family, query, value):
+    # mass{l >= L(t)} >= t|Q0| and mass{l < L(t)} <= (1-t)|Q0|, and the duals.
+    total = family.root.measure
+    at_least = sum(
+        (_pore_mass(family, g) for g in family.counts if family.length_of(g) >= value),
+        Fraction(0),
+    )
+    at_most = sum(
+        (_pore_mass(family, g) for g in family.counts if family.length_of(g) <= value),
+        Fraction(0),
+    )
+    if family.tail_is_pore_mass:
+        at_most += family.tail_mass
+    if query.side is Side.LARGEST:
+        assert at_least >= query.t * total
+        assert total - at_least <= (1 - query.t) * total
+    else:
+        assert at_most >= query.t * total
+        assert total - at_most <= (1 - query.t) * total
+
+
+def fraction_length_reference(family, query):
+    """``pores.fraction_length`` by Fraction walks over the pore masses, with
+    both threshold inequalities summed again over the whole family after an
+    exact answer."""
+    total = family.root.measure
+    target = query.t * total
+    if family.tail_mass >= min(query.t, 1 - query.t) * total:
+        raise InsufficientDepthError(
+            "unresolved tail mass straddles the requested threshold",
+            tail_mass=family.tail_mass,
+        )
+    if query.side is Side.LARGEST:
+        answer = _scan_largest(family, target)
+    else:
+        answer = _scan_smallest(family, target)
+    if answer.exact:
+        _assert_threshold_bounds(family, query, answer.value)
+    return answer
+
+
+def eq13_constant(t, t_prime):
+    """Comparison constant between component and dyadic smallest-side lengths.
+
+    For t' < t the dyadic length at t dominates 2**-k times the component
+    length at t', where k is minimal with t' + 2**-(k-2) < t (at most two
+    dyadic pores of each size fit inside one gap component).
+    """
+    t, t_prime = Fraction(t), Fraction(t_prime)
+    if not 0 < t_prime < t < 1:
+        raise PreconditionError("needs 0 < t' < t < 1")
+    k = 0
+    while t_prime + Fraction(4, 1 << k) >= t:
+        k += 1
+    return Fraction(1, 1 << k)
+
+
+def tilde_fraction_length(components, window, query):
+    """The fraction-length thresholds computed over gap-component lengths
+    instead of pores, by a Fraction walk over the lengths."""
+    if not components:
+        raise PreconditionError("empty component list")
+    if isinstance(window, Cube):
+        lo, hi = window.as_interval()
+    else:
+        lo, hi = Fraction(window[0]), Fraction(window[1])
+    total = hi - lo
+    target = query.t * total
+    masses = {}
+    for comp in components:
+        masses[comp.length] = masses.get(comp.length, Fraction(0)) + comp.length
+    lengths = sorted(masses, reverse=(query.side is Side.LARGEST))
+    cum = Fraction(0)
+    for L in lengths:
+        cum += masses[L]
+        if cum >= target:
+            return LengthAnswer.exactly(L)
+    raise PreconditionError("fraction threshold exceeds the total component mass")

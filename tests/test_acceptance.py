@@ -18,13 +18,12 @@ import time
 from fractions import Fraction
 
 from invariant_checks import check_instance
-from oracles import pascal_binomial_cdf
+from oracles import eq13_constant, pascal_binomial_cdf
 from poremetrics.dyadic import Cube
 from poremetrics.pores import (
     FractionQuery,
     Side,
     enumerate_pores,
-    eq13_constant,
     fraction_length,
     weak_porosity_check,
 )

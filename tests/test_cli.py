@@ -684,6 +684,15 @@ class TestExitCodes:
         )
 
 
+    def test_window_missing_the_set(self):
+        # One stderr line that says what to change.
+        proc = run_cli("pores", "--set", "point:5", "--cube", "unit:[0,1)", check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "precondition violated: window does not meet the set; choose a window that meets the set\n"
+        )
+
+
 class TestParserReuse:
     """``cli.main`` builds its parser once per process and keeps no state
     between calls."""

@@ -4,20 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_pores, pore_histogram
+from oracles import (
+    brute_force_pores,
+    eq13_constant,
+    fraction_length_reference,
+    pore_histogram,
+    tilde_fraction_length,
+)
 from poremetrics import cli
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
 from poremetrics.rationals import format_rational
 from poremetrics.pores import (
     FractionQuery,
+    PoreFamily,
     Side,
     enumerate_pore_cubes,
     enumerate_pores,
-    eq13_constant,
     fraction_length,
     ratio_condition,
-    tilde_fraction_length,
     weak_porosity_check,
 )
 from poremetrics.setmodels import (
@@ -95,8 +100,14 @@ class TestEnumerate:
         assert fam.counts == pore_histogram(pts, 0, 1, 8)
 
     def test_disjoint_window_rejected(self):
-        with pytest.raises(PreconditionError):
-            enumerate_pores(Z, Cube.interval(Fraction(1, 4), Fraction(1, 2)), 10)
+        # The point histogram, the BFS and the bare cube walk refuse alike.
+        window = Cube.interval(Fraction(1, 2), Fraction(3, 4))
+        message = "^window does not meet the set; choose a window that meets the set$"
+        for oracle in (Z, FinitePoints((Fraction(5),)), BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))):
+            with pytest.raises(PreconditionError, match=message):
+                enumerate_pores(oracle, window, 10)
+            with pytest.raises(PreconditionError, match=message):
+                list(enumerate_pore_cubes(oracle, window, 10))
 
     def test_pairwise_disjoint_and_mass_identity(self):
         pts = (Fraction(0), Fraction(2, 5), Fraction(1))
@@ -106,7 +117,7 @@ class TestEnumerate:
         for (a1, b1), (a2, b2) in zip(pores, pores[1:]):
             assert b1 <= a2
         fam = enumerate_pores(oracle, UNIT, 8)
-        assert fam.enumerated_mass + fam.tail_mass == UNIT.measure
+        assert sum(mass for *_, mass in fam.entries()) + fam.tail_mass == UNIT.measure
 
     def test_tail_mass_decreases_with_depth(self):
         oracle = FinitePoints((Fraction(0), Fraction(1, 3), Fraction(1)))
@@ -302,6 +313,88 @@ class TestFractionLength:
         assert all(a <= b for a, b in zip(smallest, smallest[1:]))
 
 
+def _random_family(rng, root, max_gen, tail_is_pore_mass):
+    """A family as enumerate_pores returns them: its pore units and its
+    tail add up to 2**max_gen."""
+    left = (1 << max_gen) - rng.getrandbits(rng.randint(0, max_gen))
+    gens = sorted(rng.sample(range(1, max_gen + 1), rng.randint(1, min(max_gen, 8))))
+    counts = {}
+    for g in gens:
+        most = left >> (max_gen - g)
+        k = most if g == gens[-1] else rng.randint(0, most)
+        if k:
+            counts[g] = k
+            left -= k << (max_gen - g)
+    tail = (1 << max_gen) - sum(k << (max_gen - g) for g, k in counts.items())
+    return PoreFamily(root, counts, max_gen, tail, tail_is_pore_mass)
+
+
+def _thresholds(rng, family):
+    """Random thresholds, and thresholds that tie the tail or a prefix sum
+    of either walk exactly."""
+    J, tail = family.max_generation, family.tail
+    units = [family.counts[g] << (J - g) for g in sorted(family.counts)]
+    prefixes = []
+    for start, walk in ((0, units), (0, units[::-1]), (tail, units[::-1])):
+        cum = start
+        for u in walk:
+            cum += u
+            prefixes.append(cum)
+    ties = [p for p in prefixes + [tail, (1 << J) - tail] if 0 < p < 1 << J]
+    ts = [Fraction(p, 1 << J) for p in rng.sample(ties, min(len(ties), 4))]
+    den = rng.randint(2, 10**6)
+    return ts + [Fraction(rng.randint(1, 99), 100), Fraction(rng.randint(1, den - 1), den)]
+
+
+def _outcome(fn, family, query):
+    try:
+        answer = fn(family, query)
+    except (InsufficientDepthError, PreconditionError, AssertionError) as err:
+        return type(err), getattr(err, "tail_mass", None)
+    return answer.lo, answer.hi, answer.exact
+
+
+class TestIntegerWalk:
+    """fraction_length's integer walk against the Fraction scans it
+    replaced, kept in oracles.py."""
+
+    def test_random_histograms_match_fraction_scans(self):
+        rng = random.Random(16)
+        roots = [UNIT, Cube.interval(-1, 1), envelope_cube(HH, 3)]
+        kinds = set()
+        for i in range(400):
+            max_gen = 200 if i % 10 == 0 else rng.randint(1, 200)
+            family = _random_family(rng, rng.choice(roots), max_gen, i % 2 == 0)
+            for t in _thresholds(rng, family):
+                for side in Side:
+                    query = FractionQuery(t, side)
+                    got = _outcome(fraction_length, family, query)
+                    assert got == _outcome(fraction_length_reference, family, query), (family, query)
+                    kinds.add(got[0] if isinstance(got[0], type) else got[2])
+        # Exact answers, brackets and refusals all occurred.
+        assert kinds == {True, False, InsufficientDepthError}
+
+    @pytest.mark.parametrize(
+        "oracle,window",
+        [
+            (Z, UNIT),
+            (FinitePoints((0, Fraction(1, 3), 1)), UNIT),
+            (Generated(HH, 6), envelope_cube(HH, 6)),
+            (BoxUnion((((Fraction(0),), (Fraction(1, 4),)),)), UNIT),
+            (BoxUnion(BOXES_1D), Cube.interval(Fraction(-1, 3), Fraction(4, 3))),
+        ],
+    )
+    def test_enumerated_families_match_fraction_scans(self, oracle, window):
+        for max_gen in (3, 12, 40):
+            family = enumerate_pores(oracle, window, max_gen)
+            for t in [Fraction(k, 12) for k in range(1, 12)] + [Fraction(1, 1000), Fraction(999, 1000)]:
+                for side in Side:
+                    query = FractionQuery(t, side)
+                    assert _outcome(fraction_length, family, query) == _outcome(
+                        fraction_length_reference, family, query
+                    )
+
+
 class TestTilde:
     def test_lattice_always_one(self):
         comps = Z.components(0, 1)
@@ -364,6 +457,15 @@ class TestRatioCondition:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "cube_id,s,L_s,S_s,ratio,depth_ok"
         assert lines[1].endswith("1/10,1/2,1/16,8/1,true")
+
+    def test_deep_max_gen_keeps_the_row(self, capsys):
+        # Below generation 40 the lattice's pores no longer move either threshold.
+        rows = []
+        for max_gen in ("40", "10000"):
+            argv = ["ls-ratio", "--set", "lattice", "--cubes", "unit:[0,1)", "--s", "1/10", "--max-gen", max_gen]
+            assert cli.main(argv) == 0
+            rows.append(capsys.readouterr().out.strip().split("\n")[1])
+        assert rows == ['"0:[0,1)",1/10,1/2,1/16,8/1,true'] * 2
 
     def test_single_threshold_extends_downward(self):
         # If the measured data satisfies the bound at one threshold, the

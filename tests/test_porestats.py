@@ -18,10 +18,11 @@ from oracles import (
     fraction_length_law,
     pascal_binomial_cdf,
     product_tails,
+    tilde_fraction_length,
 )
 from poremetrics import porestats
 from poremetrics.errors import PreconditionError
-from poremetrics.pores import FractionQuery, Side, tilde_fraction_length
+from poremetrics.pores import FractionQuery, Side
 from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
     BinomialModel,
