@@ -7,7 +7,6 @@ from .pores import (
     LengthAnswer,
     PoreFamily,
     Side,
-    enumerate_pore_cubes,
     enumerate_pores,
     fraction_length,
     ratio_condition,

@@ -3,8 +3,8 @@
 A cube lives inside a fixed root interval ``[origin, origin + side)`` and is
 addressed by a generation ``j`` and an integer index in ``[0, 2**j)``: it is
 the index-th of the 2**j equal pieces of the root.  Coordinates are
-Fractions throughout, so parent/child relations, lengths and measures are
-exact and identity comparison is structural.
+Fractions throughout, so ends, lengths and measures are exact and identity
+comparison is structural.
 """
 
 from __future__ import annotations
@@ -51,34 +51,6 @@ class Cube:
         s = self.side
         lo = self.root_origin + s * self.index
         return lo, lo + s
-
-    def children(self) -> list["Cube"]:
-        """The two halves of the next generation, left one first."""
-        gen, i = self.generation + 1, 2 * self.index
-        return [
-            Cube(self.root_origin, self.root_side, gen, i),
-            Cube(self.root_origin, self.root_side, gen, i + 1),
-        ]
-
-    def parent(self) -> "Cube":
-        if self.generation == 0:
-            raise PreconditionError("root has no parent")
-        return Cube(self.root_origin, self.root_side, self.generation - 1, self.index // 2)
-
-    def ancestor(self, k: int) -> "Cube":
-        """k-fold parent; k equal to the generation reaches the root."""
-        if not 0 <= k <= self.generation:
-            raise PreconditionError("ancestor depth out of range")
-        return Cube(self.root_origin, self.root_side, self.generation - k, self.index >> k)
-
-    def descendants(self, depth: int):
-        """All descendants exactly ``depth`` generations below, left to right."""
-        if depth < 0:
-            raise PreconditionError("depth must be nonnegative")
-        gen = self.generation + depth
-        base = self.index << depth
-        for i in range(base, base + (1 << depth)):
-            yield Cube(self.root_origin, self.root_side, gen, i)
 
     def __str__(self):
         lo, hi = self.as_interval()

@@ -6,7 +6,10 @@ so the enumeration keeps only a generation -> count histogram plus the mass
 not yet classified below the deepest generation J reached.  Every such mass
 is a whole number of units |Q0| 2**-J, so the histogram, the tail and the
 threshold walks are integers; Fractions are built only for report cells and
-exception messages.
+exception messages.  On the line the pores are fixed by the set's closed
+pieces in the window, so one ``piece_runs`` query and one pass over the
+integer cells of the pieces' ends find them for every set; no tree search
+is needed.
 """
 
 from __future__ import annotations
@@ -106,109 +109,117 @@ class PoreFamily:
         return self.length_of(min(self.counts))
 
 
-def _check_window(max_gen: int, meets: bool) -> None:
-    """The preconditions of every pore enumeration of a window."""
-    if max_gen < 1:
-        raise PreconditionError("max_gen must be at least 1")
-    if not meets:
-        raise PreconditionError(
-            "window does not meet the set; choose a window that meets the set"
-        )
-
-
-def enumerate_pore_cubes(oracle: SetOracle, q0: Cube, max_gen: int):
-    """Yield the pore cubes of ``q0`` generation by generation (BFS).
-
-    The frontier consists of cubes meeting the set; each child either stays
-    on the frontier or is emitted as a pore, which makes the emitted cubes
-    pairwise disjoint by construction.  A child the set covers meets it at
-    every depth, so it has no pores below it and leaves the frontier.
-    """
-    _check_window(max_gen, oracle.meets_cube(q0))
-    frontier = [q0]
-    for _ in range(max_gen):
-        nxt = []
-        for cube in frontier:
-            for child in cube.children():
-                if not oracle.meets_cube(child):
-                    yield child
-                elif not oracle.covers_cube(child):
-                    nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            return
-
-
-def _scaled_runs(runs, q0: Cube, max_gen: int):
-    """The runs (b, (a_1, a_2, ...)) of the window's points as (div, mul,
-    off, nums): a point a/b has relative position (p - lo)/side equal to
+def _scaled_runs(pieces, q0: Cube, max_gen: int):
+    """The runs (b, lefts, rights) of the window's pieces as (div, mul, off,
+    lefts, rights): an end a/b has relative position (p - lo)/side equal to
     (a mul - off) / (div << max_gen), so its generation-max_gen cell
     x = floor(2**max_gen (p - lo)/side) is (a mul - off) // div.  Within a
     run every factor but a is fixed."""
     lo, _ = q0.as_interval()
     c, d = lo.numerator, lo.denominator
     e, f = q0.side.numerator, q0.side.denominator
-    for b, nums in runs:
-        yield b * d * e, d * f << max_gen, c * b * f << max_gen, nums
+    for b, lefts, rights in pieces:
+        yield b * d * e, d * f << max_gen, c * b * f << max_gen, lefts, rights
 
 
-def _histogram_from_points(runs, q0: Cube, max_gen: int) -> dict:
-    """Per-generation pore counts for the sorted in-window points, given as
-    runs (b, (a_1, a_2, ...)) of numerators a over a shared denominator b.
+def _pore_family(oracle: SetOracle, q0: Cube, pieces, max_gen: int) -> PoreFamily:
+    """The generation histogram of the pores of ``q0``, given the window's
+    ``piece_runs``.
 
-    With J = max_gen and x = floor(2**J (p - lo)/side), the generation-j cell
-    of a point is x >> (J - j), so two adjacent points first fall into
-    different cells at generation J + 1 - (x ^ x_prev).bit_length().  Then
-    nonempty(j) = 1 + #{pairs split by j}, and the pores of generation j are
-    the empty children of the nonempty cells one generation up:
-    counts[j] = 2 nonempty(j-1) - nonempty(j).  Everything is exact integer
-    arithmetic and the work per point does not depend on the depth.
-    """
-    splits = [0] * (max_gen + 1)
-    prev = None
-    for div, mul, off, nums in _scaled_runs(runs, q0, max_gen):
-        for a in nums:
-            x = (a * mul - off) // div
-            if prev is not None and x != prev:
-                splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
-            prev = x
-    counts: dict = {}
-    nonempty = 1
-    for j in range(1, max_gen + 1):
-        pores = nonempty - splits[j]
-        if pores:
-            counts[j] = pores
-        nonempty += splits[j]
-    return counts
-
-
-def cell_pore_profiles(oracle: SetOracle, q0: Cube, runs, max_gen: int):
-    """Yield the pores of ``q0`` in the order of ``enumerate_pore_cubes``,
-    found from the cells of the window's points (``runs``, the non-empty
-    ``numerator_runs`` of the window), each as the integer profile
-    (h, d_left, d_right, den): its length and the distances from its ends to
-    the set, relative to the window and over one denominator.
-
-    The points in one generation-(j-1) cell form a group.  A group whose
-    points all fall into one child leaves the other child as a pore, so the
-    groups, kept left to right, yield one generation at a time in BFS order.
-    The set points nearest to a pore are the last point before its group's
-    points and the first one after them.  Where that point lies outside the
-    window, a stand-in at distance dist(lo) below ``lo`` (dist(hi) above
-    ``hi``) takes its place: it is that point, or else no nearer to any
-    point of the window than the window's first (last) set point is, so no
-    distance changes.  The oracle is asked at most once per window end.
+    With J = max_gen and x = floor(2**J (p - lo)/side) clamped to [0, 2**J),
+    the generation-j cell of a piece end p is x >> (J - j), so two adjacent
+    ends first fall into different cells at generation
+    J + 1 - (x ^ x_prev).bit_length().  A piece [l, h] meets the
+    generation-j cells from the cell of l to the cell of h, and the ends are
+    sorted, so the cells meeting the set are those holding an end,
+    1 + #{adjacent ends split by j}, and those strictly inside one
+    interval's cell range, which hold no end.  The pores of
+    generation j are the empty children of the nonempty cells one generation
+    up: counts[j] = 2 nonempty(j-1) - nonempty(j).  Everything is exact
+    integer arithmetic; the work per point does not depend on the depth, and
+    each interval adds one term per generation.
     """
     if max_gen < 1:
         raise PreconditionError("max_gen must be at least 1")
-    # The points as (N, m) with relative position N / (m << max_gen), and their cells.
-    points, xs = [], []
-    for div, mul, off, nums in _scaled_runs(runs, q0, max_gen):
-        for a in nums:
-            n = a * mul - off
-            points.append((n, div))
-            xs.append(n // div)
+    if not pieces:
+        raise PreconditionError("window does not meet the set; choose a window that meets the set")
+    top = (1 << max_gen) - 1
+    splits = [0] * (max_gen + 1)
+    inside = [0] * (max_gen + 1)
+    prev = None
+    for div, mul, off, lefts, rights in _scaled_runs(pieces, q0, max_gen):
+        if rights is lefts:
+            for a in lefts:
+                x = (a * mul - off) // div
+                if prev is not None and x != prev:
+                    splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
+                prev = x
+            continue
+        for a, c in zip(lefts, rights):
+            x = max((a * mul - off) // div, 0)
+            y = min((c * mul - off) // div, top)
+            if prev is not None and x != prev:
+                splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
+            if y != x:
+                first = max_gen + 1 - (x ^ y).bit_length()
+                splits[first] += 1
+                for j in range(first + 1, max_gen + 1):
+                    inside[j] += (y >> (max_gen - j)) - (x >> (max_gen - j)) - 1
+            prev = y
+    counts: dict = {}
+    nonempty = holding_ends = 1
+    for j in range(1, max_gen + 1):
+        holding_ends += splits[j]
+        pores = 2 * nonempty - holding_ends - inside[j]
+        if pores:
+            counts[j] = pores
+        nonempty = holding_ends + inside[j]
+    tail = (1 << max_gen) - sum(k << (max_gen - g) for g, k in counts.items())
+    if tail < 0:
+        raise AssertionError("pore mass exceeded the window measure")
+    return PoreFamily(q0, counts, max_gen, tail, oracle.is_measure_zero())
+
+
+def cell_pore_profiles(oracle: SetOracle, q0: Cube, max_gen: int):
+    """Yield the pores of ``q0`` generation by generation, left to right,
+    found from the cells of the ends of the window's ``piece_runs``, each as
+    the integer profile (h, d_left, d_right, den): its length and the
+    distances from its ends to the set, relative to the window and over one
+    denominator.
+
+    The ends in one generation-(j-1) cell form a group.  A group whose ends
+    all fall into one child leaves the other child empty of ends; it is a
+    pore unless an interval reaches across it, that is unless the group's
+    first end closes an interval (for the left child) or its last end opens
+    one (for the right child).  The groups, kept left to right, yield one
+    generation at a time.  The set points nearest to a pore are the last end
+    before its group's ends and the first one after them.  Where that end
+    lies outside the window, a stand-in at distance dist(lo) below ``lo``
+    (dist(hi) above ``hi``) takes its place: it is that point, or else no
+    nearer to any point of the window than the window's first (last) set
+    point is, so no distance changes.  The oracle is asked for the pieces
+    once and for a distance at most once per window end.
+    """
+    if max_gen < 1:
+        raise PreconditionError("max_gen must be at least 1")
     lo, hi = q0.as_interval()
+    # The ends as (N, m) with relative position N / (m << max_gen), their
+    # cells, and the indices of the ends that open and close an interval.
+    points, xs, opening, closing = [], [], set(), set()
+    top = (1 << max_gen) - 1
+    for div, mul, off, lefts, rights in _scaled_runs(oracle.piece_runs(lo, hi), q0, max_gen):
+        if rights is lefts:
+            for a in lefts:
+                n = a * mul - off
+                points.append((n, div))
+                xs.append(n // div)
+            continue
+        for a, c in zip(lefts, rights):
+            n, m = a * mul - off, c * mul - off
+            opening.add(len(xs))
+            closing.add(len(xs) + 1)
+            points += [(n, div), (m, div)]
+            xs += [max(n // div, 0), min(m // div, top)]
     side = q0.side
     outside = {}
 
@@ -232,8 +243,16 @@ def cell_pore_profiles(oracle: SetOracle, q0: Cube, runs, max_gen: int):
                 nxt += [(s, m), (m, t)]
                 continue
             nxt.append((s, t))
-            # The pore is the sibling of cell k, on the other side of the group.
-            (n1, m1), (n2, m2) = (neighbour(s - 1), points[s]) if k & 1 else (points[t - 1], neighbour(t))
+            # The pore is the sibling of cell k, on the other side of the
+            # group, unless an interval reaches across it.
+            if k & 1:
+                if s in closing:
+                    continue
+                (n1, m1), (n2, m2) = neighbour(s - 1), points[s]
+            else:
+                if t - 1 in opening:
+                    continue
+                (n1, m1), (n2, m2) = points[t - 1], neighbour(t)
             m = math.lcm(m1, m2)
             n1, n2 = n1 * (m // m1), n2 * (m // m2)
             h = m << shift
@@ -244,20 +263,9 @@ def cell_pore_profiles(oracle: SetOracle, q0: Cube, runs, max_gen: int):
 
 
 def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
-    """Aggregate the pore cubes of ``q0`` into a generation histogram."""
-    runs = oracle.numerator_runs(*q0.as_interval())
-    _check_window(max_gen, oracle.meets_cube(q0) if runs is None else bool(runs))
-    if runs is not None:
-        counts = _histogram_from_points(runs, q0, max_gen)
-    else:
-        counts = {}
-        for pore in enumerate_pore_cubes(oracle, q0, max_gen):
-            g = pore.generation - q0.generation
-            counts[g] = counts.get(g, 0) + 1
-    tail = (1 << max_gen) - sum(k << (max_gen - g) for g, k in counts.items())
-    if tail < 0:
-        raise AssertionError("pore mass exceeded the window measure")
-    return PoreFamily(q0, counts, max_gen, tail, oracle.is_measure_zero())
+    """Aggregate the pores of ``q0`` into a generation histogram, from one
+    query of the set's pieces in the window."""
+    return _pore_family(oracle, q0, oracle.piece_runs(*q0.as_interval()), max_gen)
 
 
 def fraction_length(family: PoreFamily, query: FractionQuery) -> LengthAnswer:
@@ -356,12 +364,13 @@ def ratio_condition(
     report = RatioReport(s=s)
     for i, cube in enumerate(cubes):
         cube_id = f"{i}:{cube}"
-        if not oracle.meets_cube(cube):
+        pieces = oracle.piece_runs(*cube.as_interval())
+        if not pieces:
             report.rows.append(
                 RatioRow(cube_id, s, None, None, False, "disjoint from set; skipped")
             )
             continue
-        family = enumerate_pores(oracle, cube, max_gen)
+        family = _pore_family(oracle, cube, pieces, max_gen)
         try:
             big = fraction_length(family, FractionQuery(s, Side.LARGEST))
             small = fraction_length(family, FractionQuery(s, Side.SMALLEST))
@@ -397,9 +406,10 @@ def weak_porosity_check(
     gamma = Fraction(gamma)
     if not (0 < porosity_sigma < 1 and 0 < gamma < 1):
         raise PreconditionError("sigma and gamma must lie in (0, 1)")
-    if not oracle.meets_cube(q0):
+    pieces = oracle.piece_runs(*q0.as_interval())
+    if not pieces:
         return PorosityResult(True, q0.measure, None, None)
-    family = enumerate_pores(oracle, q0, max_gen)
+    family = _pore_family(oracle, q0, pieces, max_gen)
     if not family.counts:
         raise InsufficientDepthError(
             "no pores found at this depth", tail_mass=family.tail_mass

@@ -1,9 +1,10 @@
 """Closed subsets of the line: distance queries, gap components, and the copy-contract-copy generator.
 
 Every oracle represents a closed set on the line.  It answers exact Fraction
-distance queries and half-open interval intersection tests, and enumerates
-the connected components of a window minus the set, which is all the dyadic
-pore machinery and the weight means need.
+distance queries, half-open interval intersection tests and one window
+query, the set's closed pieces in the window as integer runs; the
+connected components of a window minus the set, the dyadic pores and the
+weight means are all built from these.
 """
 
 from __future__ import annotations
@@ -124,40 +125,43 @@ class SetOracle:
 
     def meets_interval(self, lo: Fraction, hi: Fraction) -> bool:
         """Does the set intersect the half-open interval [lo, hi)?"""
-        raise NotImplementedError
+        return bool(self.piece_runs(lo, hi))
 
     def meets_cube(self, cube: Cube) -> bool:
         return self.meets_interval(*cube.as_interval())
 
-    def covers_cube(self, cube: Cube) -> bool:
-        """Is the half-open cube certainly inside the set?  False when unsure,
-        so the pore BFS only prunes cubes that have no pores below them."""
-        return False
+    def piece_runs(self, lo: Fraction, hi: Fraction) -> list:
+        """The closed pieces [l, h] of the set that meet [lo, hi), whole and
+        in increasing order, as runs (b, lefts, rights) of integer ends
+        l = lefts[i]/b and h = rights[i]/b over a shared denominator b.  A
+        point is a piece with l == h, and a run of points has ``rights is
+        lefts``.  No pieces means the window misses the set.  The pores, the
+        pore profiles and the components of every set come from this one
+        query."""
+        raise NotImplementedError
 
     def components(self, lo: Fraction, hi: Fraction) -> list[Component]:
-        """The window cut at the set points of ``numerator_runs``; a point
-        equal to ``lo`` cuts nothing."""
+        """The gaps of the window between the pieces of ``piece_runs``; a
+        piece reaching back to ``lo`` leaves no gap before it."""
         lo, hi = Fraction(lo), Fraction(hi)
         if hi <= lo:
             raise PreconditionError("window needs hi > lo")
-        runs = self.numerator_runs(lo, hi)
-        cuts = [lo, *(Fraction(a, b) for b, nums in runs for a in nums), hi]
-        if cuts[1] == lo:
-            del cuts[1]
-        return [Component(a, b) for a, b in zip(cuts, cuts[1:])]
+        out, cursor = [], lo
+        for b, lefts, rights in self.piece_runs(lo, hi):
+            for l, h in zip(lefts, rights):
+                left = Fraction(l, b)
+                if left > cursor:
+                    out.append(Component(cursor, left))
+                cursor = left if l == h else Fraction(h, b)
+        if cursor < hi:
+            out.append(Component(cursor, hi))
+        return out
 
     def gap_lengths(self, lo: Fraction, hi: Fraction) -> tuple[list, int]:
         """Lengths of ``components(lo, hi)`` in window order, as numerators
         over one scale: (lengths, scale).  Here the lengths are the
         components' own Fractions over scale 1."""
         return [c.length for c in self.components(lo, hi)], 1
-
-    def numerator_runs(self, lo: Fraction, hi: Fraction):
-        """The set points in [lo, hi) as runs (b, (a_1, a_2, ...)) of
-        numerators over a shared denominator b, in increasing order, or None
-        when the set is not a point set (point sets take the exact histogram
-        and derive their components from this)."""
-        return None
 
     def is_measure_zero(self) -> bool:
         return True
@@ -185,15 +189,10 @@ class FinitePoints(SetOracle):
         i = bisect_left(pts, x)
         return min(abs(x - pts[j]) for j in (i - 1, i) if 0 <= j < len(pts))
 
-    def meets_interval(self, lo, hi) -> bool:
-        lo, hi = Fraction(lo), Fraction(hi)
-        i = bisect_left(self.points, lo)
-        return i < len(self.points) and self.points[i] < hi
-
-    def numerator_runs(self, lo, hi):
+    def piece_runs(self, lo, hi):
         i = bisect_left(self.points, Fraction(lo))
         j = bisect_left(self.points, Fraction(hi))
-        return [(p.denominator, (p.numerator,)) for p in self.points[i:j]]
+        return [(p.denominator, nums, nums) for p in self.points[i:j] for nums in [(p.numerator,)]]
 
     def spec_dict(self) -> dict:
         return {"type": "points", "points": [format_rational(p) for p in self.points]}
@@ -208,12 +207,9 @@ class IntegerLattice(SetOracle):
         f = x - math.floor(x)
         return min(f, 1 - f)
 
-    def meets_interval(self, lo, hi) -> bool:
-        return math.ceil(Fraction(lo)) < Fraction(hi)
-
-    def numerator_runs(self, lo, hi):
+    def piece_runs(self, lo, hi):
         ks = range(math.ceil(Fraction(lo)), math.ceil(Fraction(hi)))
-        return [(1, ks)] if ks else []
+        return [(1, ks, ks)] if ks else []
 
     def spec_dict(self) -> dict:
         return {"type": "lattice"}
@@ -310,13 +306,9 @@ class Generated(SetOracle):
         best = min(abs(xn - nums[j] * xd) for j in (i - 1, i) if 0 <= j < len(nums))
         return Fraction(best, xd * self.den)
 
-    def meets_interval(self, lo, hi) -> bool:
-        i = self._first_at_least(Fraction(lo))
-        return i < len(self.numerators) and i < self._first_at_least(Fraction(hi))
-
-    def numerator_runs(self, lo, hi):
+    def piece_runs(self, lo, hi):
         nums = self.numerators[self._first_at_least(Fraction(lo)):self._first_at_least(Fraction(hi))]
-        return [(self.den, nums)] if nums else []
+        return [(self.den, nums, nums)] if nums else []
 
     def gap_lengths(self, lo, hi) -> tuple[list, int]:
         """Integer component lengths over scale = lcm(den, lo's and hi's
@@ -397,33 +389,15 @@ class BoxUnion(SetOracle):
             gaps.append(self.los[k + 1] - x)
         return min(gaps)
 
-    def meets_interval(self, lo, hi) -> bool:
-        k = bisect_left(self.his, Fraction(lo))  # the first interval ending at or after lo
-        return k < len(self.los) and self.los[k] < Fraction(hi)
-
-    def covers_cube(self, cube: Cube) -> bool:
-        # A closed interval contains the half-open cube iff it contains its
-        # closure, and only the last interval starting at or before the
-        # cube's lower end can.
-        lo, hi = cube.as_interval()
-        k = bisect_right(self.los, lo) - 1
-        return k >= 0 and hi <= self.his[k]
-
-    def components(self, lo, hi) -> list[Component]:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        # The intervals reaching past lo and starting before hi.
-        first, stop = bisect_right(self.his, lo), bisect_left(self.los, hi)
-        out = []
-        cursor = lo
+    def piece_runs(self, lo, hi):
+        # The intervals ending at or after lo and starting before hi.
+        first, stop = bisect_left(self.his, Fraction(lo)), bisect_left(self.los, Fraction(hi))
+        runs = []
         for l, h in zip(self.los[first:stop], self.his[first:stop]):
-            if l > cursor:
-                out.append(Component(cursor, l))
-            cursor = h
-        if cursor < hi:
-            out.append(Component(cursor, hi))
-        return out
+            b = math.lcm(l.denominator, h.denominator)
+            lefts = (l.numerator * (b // l.denominator),)
+            runs.append((b, lefts, lefts if l == h else (h.numerator * (b // h.denominator),)))
+        return runs
 
     def is_measure_zero(self) -> bool:
         return self.los == self.his

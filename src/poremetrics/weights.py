@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .dyadic import Cube
 from .errors import PreconditionError
-from .pores import cell_pore_profiles, enumerate_pore_cubes
+from .pores import cell_pore_profiles
 from .porestats import moment_stream
 from .rationals import int_nth_root, rational_pow
 from .setmodels import Generated, Prefixes, SetOracle
@@ -353,28 +353,14 @@ def _means(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list
     return out
 
 
-def _bfs_pore_profiles(oracle: SetOracle, q0: Cube, max_gen: int):
-    """The integer profiles of ``cell_pore_profiles``, for the pores of the
-    BFS, with both end distances queried."""
-    lo_w, hi_w = q0.as_interval()
-    side = hi_w - lo_w
-    for pore in enumerate_pore_cubes(oracle, q0, max_gen):
-        a, b = pore.as_interval()
-        yield _over_one_den((b - a) / side, oracle.distance(a) / side, oracle.distance(b) / side)
-
-
 def _divergent_partial(oracle, q0, theta, max_gen) -> _ScaledMean:
     """theta <= -1 on a window meeting the set: the mean diverges; report the
     exact integral over the pores enumerated so far as a growing lower bound.
 
-    Point sets list their pores from the cells of their points, other sets
-    from the BFS, in the same order, so the float sum and its term count do
-    not depend on the route."""
-    runs = oracle.numerator_runs(*q0.as_interval())
-    if runs is None:
-        pores = _bfs_pore_profiles(oracle, q0, max_gen)
-    else:
-        pores = cell_pore_profiles(oracle, q0, runs, max_gen)
+    The pores come from the integer cells of the set's pieces in the window,
+    generation by generation and left to right, so the float sum and its
+    term count are fixed by the window alone."""
+    pores = cell_pore_profiles(oracle, q0, max_gen)
     total, _, n = _sum_terms(profile_integral(*pore, theta) for pore in pores)
     return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
 

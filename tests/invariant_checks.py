@@ -10,12 +10,11 @@ and the unit floor of the two-factor weight product.
 import math
 from fractions import Fraction
 
-from oracles import eq13_constant, tilde_fraction_length
+from oracles import bfs_pore_cubes, eq13_constant, tilde_fraction_length
 from poremetrics.dyadic import Cube
 from poremetrics.pores import (
     FractionQuery,
     Side,
-    enumerate_pore_cubes,
     enumerate_pores,
     fraction_length,
 )
@@ -29,7 +28,7 @@ def check_instance(oracle, window: Cube, t: Fraction, t2: Fraction) -> None:
     total = window.measure
 
     # Pairwise disjointness and exact mass accounting of the enumeration.
-    pores = sorted(p.as_interval() for p in enumerate_pore_cubes(oracle, window, 12))
+    pores = sorted(p.as_interval() for p in bfs_pore_cubes(oracle, window, 12))
     for (a1, b1), (a2, b2) in zip(pores, pores[1:]):
         assert b1 <= a2
     masses = {g: mass for g, _, _, mass in family.entries()}

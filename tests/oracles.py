@@ -3,12 +3,15 @@
 Everything here deliberately avoids the library's own algorithms: pore
 families come from testing the defining condition cube by cube (on every
 dyadic subcube, or on the children of every cube holding a point, which
-scales to any depth), binomial coefficients from Pascal's triangle and
-binomial rows from Fraction powers, closed-form moments rebuilt from stage 1
-at each level, component quantiles from cumulative walks over Fraction
-laws and from bisection over Fraction half laws, binomial checks from
-Fraction comparison atom by atom, and membership checks are linear scans
-over point lists.  Queries on a union of closed intervals scan every
+scales to any depth), and pore cubes and their profiles from a
+breadth-first search that asks ``meets_cube`` of both halves of every cube
+meeting the set, generation by generation, left to right; a union of
+intervals prunes that search with a scan of its intervals.  Binomial
+coefficients come from Pascal's triangle and binomial rows from Fraction
+powers, closed-form moments are rebuilt from stage 1 at each level,
+component quantiles come from cumulative walks over Fraction laws and from
+bisection over Fraction half laws, binomial checks from Fraction comparison
+atom by atom, and membership checks are linear scans over point lists.  Queries on a union of closed intervals scan every
 interval as given, unsorted and unmerged.
 The 1-D means evaluate the Fraction profile integral below once per
 component, with every endpoint distance queried.
@@ -75,6 +78,61 @@ def pore_histogram(points, window_lo, window_hi, max_gen):
         if pores:
             counts[j] = pores
     return counts
+
+
+def children(cube):
+    """The two halves of ``cube`` one generation down, left one first, built
+    with the ``Cube`` constructor."""
+    gen, i = cube.generation + 1, 2 * cube.index
+    return [Cube(cube.root_origin, cube.root_side, gen, i + d) for d in (0, 1)]
+
+
+def bfs_pore_cubes(oracle, q0, max_gen, covers=None):
+    """The pore cubes of ``q0`` generation by generation, left to right, by a
+    breadth-first search over the cubes meeting the set: a child of a
+    frontier cube is a pore when ``oracle.meets_cube`` says it misses the
+    set, and joins the next frontier otherwise.  ``covers(lo, hi)``, when
+    given, says whether the set contains [lo, hi]; a child it covers has no
+    pores below it and leaves the frontier, which keeps the search to the
+    boundary cubes of a union of intervals."""
+    if max_gen < 1:
+        raise PreconditionError("max_gen must be at least 1")
+    if not oracle.meets_cube(q0):
+        raise PreconditionError("window does not meet the set; choose a window that meets the set")
+    frontier = [q0]
+    for _ in range(max_gen):
+        nxt = []
+        for cube in frontier:
+            for child in children(cube):
+                if not oracle.meets_cube(child):
+                    yield child
+                elif covers is None or not covers(*child.as_interval()):
+                    nxt.append(child)
+        frontier = nxt
+
+
+def bfs_counts(oracle, q0, max_gen, covers=None):
+    """Generation -> count of the pores of ``bfs_pore_cubes``."""
+    counts = {}
+    for pore in bfs_pore_cubes(oracle, q0, max_gen, covers):
+        g = pore.generation - q0.generation
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
+def bfs_profiles(oracle, q0, max_gen, covers=None, distance=None):
+    """(length, distance at the left end, distance at the right end) of each
+    pore of ``bfs_pore_cubes`` in its order, relative to the window, as
+    Fractions, with both end distances queried (of ``oracle`` unless a
+    ``distance`` function is given)."""
+    distance = distance or oracle.distance
+    lo, hi = q0.as_interval()
+    side = hi - lo
+    out = []
+    for pore in bfs_pore_cubes(oracle, q0, max_gen, covers):
+        a, b = pore.as_interval()
+        out.append(((b - a) / side, distance(a) / side, distance(b) / side))
+    return out
 
 
 def box_scan_distance(boxes, x):

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import children
 from poremetrics.dyadic import Cube
-from poremetrics.errors import PreconditionError
+
+
+# The reference pore search of oracles.py bisects cubes with ``children``,
+# which builds both halves with the ``Cube`` constructor.
 
 
 def test_first_bisection():
     root = Cube.interval(0, 1)
-    kids = root.children()
+    kids = children(root)
     assert [k.as_interval() for k in kids] == [
         (Fraction(0), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1)),
@@ -19,30 +23,21 @@ def test_first_bisection():
 
 def test_children_of_inner_cube():
     root = Cube.interval(0, 1)
-    right = root.children()[1]  # [1/2, 1)
-    kids = right.children()
+    right = children(root)[1]  # [1/2, 1)
+    kids = children(right)
     assert [k.as_interval() for k in kids] == [
         (Fraction(1, 2), Fraction(3, 4)),
         (Fraction(3, 4), Fraction(1)),
     ]
 
 
-def test_parent_examples():
-    root = Cube.interval(0, 1)
-    q = root.children()[1].children()[1]  # [3/4, 1)
-    assert q.parent().as_interval() == (Fraction(1, 2), Fraction(1))
-    with pytest.raises(PreconditionError):
-        root.parent()
-    child = Cube(root_origin=Fraction(0), root_side=Fraction(1), generation=2, index=3)
-    assert child.parent().index == 1
-    assert child.parent().generation == 1
-
-
 @pytest.mark.parametrize("depth,origin,side", [(12, Fraction(-3, 7), Fraction(5, 3)), (10, Fraction(0), Fraction(1))])
 def test_descendants_partition_interval(depth, origin, side):
+    # The cubes of one generation, built by index, tile the root in order:
+    # Cube.interval, side, measure and as_interval on non-root cubes.
     root = Cube.interval(origin, origin + side)
-    cells = list(root.descendants(depth))
-    assert len(cells) == 2**depth
+    cells = [Cube(root.root_origin, root.root_side, depth, i) for i in range(2**depth)]
+    assert all(c.side == side / 2**depth for c in cells)
     assert sum(c.measure for c in cells) == root.measure
     cursor = origin
     for cell in cells:
@@ -64,21 +59,10 @@ def cubes(draw, max_gen=20):
 @settings(max_examples=120, deadline=None)
 @given(cubes())
 def test_children_partition_parent(q):
-    kids = q.children()
+    kids = children(q)
     assert len(kids) == 2
     assert sum(k.measure for k in kids) == q.measure
-    assert all(k.parent() == q for k in kids)
+    assert kids[0].as_interval()[0] == q.as_interval()[0]
+    assert kids[0].as_interval()[1] == kids[1].as_interval()[0]
+    assert kids[1].as_interval()[1] == q.as_interval()[1]
     assert len({k.index for k in kids}) == len(kids)
-
-
-@settings(max_examples=120, deadline=None)
-@given(cubes())
-def test_ancestor_chain_reaches_root(q):
-    steps = 0
-    cur = q
-    while cur.generation > 0:
-        cur = cur.parent()
-        steps += 1
-    assert steps == q.generation
-    assert cur.index == 0
-    assert q.ancestor(q.generation) == cur

@@ -57,8 +57,8 @@ def windows(pts, seq, level):
 
 
 def run_points(oracle, lo, hi):
-    """The points of ``numerator_runs`` as Fractions."""
-    return [Fraction(a, b) for b, nums in oracle.numerator_runs(lo, hi) for a in nums]
+    """The points of ``piece_runs`` as Fractions."""
+    return [Fraction(a, b) for b, nums, _ in oracle.piece_runs(lo, hi) for a in nums]
 
 
 def probes(pts, w_lo, w_hi):

@@ -5,6 +5,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    bfs_counts,
+    bfs_pore_cubes,
+    bfs_profiles,
+    box_scan_components,
+    box_scan_covers,
+    box_scan_distance,
+    box_scan_meets,
     brute_force_pores,
     eq13_constant,
     fraction_length_reference,
@@ -19,7 +26,7 @@ from poremetrics.pores import (
     FractionQuery,
     PoreFamily,
     Side,
-    enumerate_pore_cubes,
+    cell_pore_profiles,
     enumerate_pores,
     fraction_length,
     ratio_condition,
@@ -47,7 +54,7 @@ class TestEnumerate:
         assert fam.counts == {j: 1 for j in range(1, 11)}
         assert fam.tail_mass == Fraction(1, 1024)
         # the single pore at generation k is [2^-k, 2^-k+1)
-        pores = list(enumerate_pore_cubes(Z, UNIT, 4))
+        pores = list(bfs_pore_cubes(Z, UNIT, 4))
         assert [p.as_interval() for p in pores] == [
             (Fraction(1, 2), Fraction(1)),
             (Fraction(1, 4), Fraction(1, 2)),
@@ -86,11 +93,7 @@ class TestEnumerate:
         ],
     )
     def test_bfs_and_histogram_paths_agree(self, oracle, window):
-        counts = {}
-        for pore in enumerate_pore_cubes(oracle, window, 11):
-            g = pore.generation
-            counts[g] = counts.get(g, 0) + 1
-        assert enumerate_pores(oracle, window, 11).counts == counts
+        assert enumerate_pores(oracle, window, 11).counts == bfs_counts(oracle, window, 11)
 
     def test_histogram_big_denominators(self):
         # Denominators beyond 2^61 take the same integer algorithm; it must
@@ -100,19 +103,17 @@ class TestEnumerate:
         assert fam.counts == pore_histogram(pts, 0, 1, 8)
 
     def test_disjoint_window_rejected(self):
-        # The point histogram, the BFS and the bare cube walk refuse alike.
+        # The lattice, a point set and a union of intervals refuse alike.
         window = Cube.interval(Fraction(1, 2), Fraction(3, 4))
         message = "^window does not meet the set; choose a window that meets the set$"
         for oracle in (Z, FinitePoints((Fraction(5),)), BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))):
             with pytest.raises(PreconditionError, match=message):
                 enumerate_pores(oracle, window, 10)
-            with pytest.raises(PreconditionError, match=message):
-                list(enumerate_pore_cubes(oracle, window, 10))
 
     def test_pairwise_disjoint_and_mass_identity(self):
         pts = (Fraction(0), Fraction(2, 5), Fraction(1))
         oracle = FinitePoints(pts)
-        pores = [p.as_interval() for p in enumerate_pore_cubes(oracle, UNIT, 8)]
+        pores = [p.as_interval() for p in bfs_pore_cubes(oracle, UNIT, 8)]
         pores.sort()
         for (a1, b1), (a2, b2) in zip(pores, pores[1:]):
             assert b1 <= a2
@@ -124,14 +125,6 @@ class TestEnumerate:
         tails = [enumerate_pores(oracle, UNIT, d).tail_mass for d in (3, 6, 12, 24)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
         assert tails[-1] < Fraction(1, 2**20)
-
-
-def _bfs_counts(oracle, window, max_gen):
-    counts = {}
-    for pore in enumerate_pore_cubes(oracle, window, max_gen):
-        g = pore.generation - window.generation
-        counts[g] = counts.get(g, 0) + 1
-    return counts
 
 
 class TestSplitGenerationHistogram:
@@ -190,7 +183,7 @@ class TestSplitGenerationHistogram:
     @pytest.mark.parametrize("max_gen", [64, 100])
     def test_matches_bfs_deep(self, oracle, window, max_gen):
         fam = enumerate_pores(oracle, window, max_gen)
-        assert fam.counts == _bfs_counts(oracle, window, max_gen)
+        assert fam.counts == bfs_counts(oracle, window, max_gen)
         assert max(fam.counts) == max_gen
 
     def test_point_cloud_1d_takes_histogram_path(self):
@@ -201,19 +194,12 @@ class TestSplitGenerationHistogram:
         cloud = oracle_from_spec({"type": "points", "points": [[format_rational(p)] for p in raw]})
         assert cloud == FinitePoints(tuple(sorted(set(raw))))
         inside = (Fraction(0), Fraction(2, 9), Fraction(1, 3), Fraction(5, 7))
-        runs = cloud.numerator_runs(Fraction(0), Fraction(1))
-        assert tuple(Fraction(a, b) for b, nums in runs for a in nums) == inside
+        runs = cloud.piece_runs(Fraction(0), Fraction(1))
+        assert tuple(Fraction(a, b) for b, nums, _ in runs for a in nums) == inside
         fam = enumerate_pores(cloud, UNIT, 30)
-        assert fam.counts == _bfs_counts(cloud, UNIT, 30)
+        assert fam.counts == bfs_counts(cloud, UNIT, 30)
         assert fam.counts == pore_histogram(raw, 0, 1, 30)
         assert fam.counts == enumerate_pores(FinitePoints(inside), UNIT, 30).counts
-
-
-class _UnprunedBoxUnion(BoxUnion):
-    """A BoxUnion the BFS cannot prune: it never reports a covered cube."""
-
-    def covers_cube(self, cube):
-        return False
 
 
 BOXES_1D = (
@@ -224,8 +210,17 @@ BOXES_1D = (
 )
 
 
+def _covers(boxes):
+    """The reference search's ``covers`` for a union of corner pairs: a scan
+    of every interval as given."""
+    spans = [(lo, hi) for (lo,), (hi,) in boxes]
+    return lambda lo, hi: box_scan_covers(spans, lo, hi)
+
+
 class TestBoxPruning:
-    """The BFS skips cubes a BoxUnion covers and yields the same pores."""
+    """The reference BFS skips the cubes a union covers and yields the same
+    pores as without pruning; the histogram, which needs no search, counts
+    them."""
 
     @pytest.mark.parametrize(
         "boxes,window,depth",
@@ -235,20 +230,21 @@ class TestBoxPruning:
         ],
     )
     def test_pruned_bfs_matches_unpruned(self, boxes, window, depth):
-        pruned, unpruned = BoxUnion(boxes), _UnprunedBoxUnion(boxes)
-        cubes = list(enumerate_pore_cubes(pruned, window, depth))
+        union = BoxUnion(boxes)
+        cubes = list(bfs_pore_cubes(union, window, depth, _covers(boxes)))
         assert cubes
-        assert cubes == list(enumerate_pore_cubes(unpruned, window, depth))
-        fam, ref = enumerate_pores(pruned, window, depth), enumerate_pores(unpruned, window, depth)
-        assert (fam.counts, fam.tail_mass) == (ref.counts, ref.tail_mass)
+        assert cubes == list(bfs_pore_cubes(union, window, depth))
+        fam = enumerate_pores(union, window, depth)
+        assert fam.counts == bfs_counts(union, window, depth)
+        assert fam.tail_mass == window.measure - sum(cube.measure for cube in cubes)
 
     def test_covers_cube(self):
-        box = BoxUnion(BOXES_1D)
-        assert box.covers_cube(Cube.interval(0, Fraction(1, 4)))
-        assert not box.covers_cube(Cube.interval(Fraction(1, 4), Fraction(1, 2)))
-        # two touching boxes, merged into [1/2, 3/4]
-        assert box.covers_cube(Cube.interval(Fraction(1, 2), Fraction(3, 4)))
-        assert not box.covers_cube(Cube.interval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**40)))
+        covers = _covers(BOXES_1D)
+        assert covers(0, Fraction(1, 4))
+        assert not covers(Fraction(1, 4), Fraction(1, 2))
+        # two touching boxes, [1/2, 5/8] and [5/8, 3/4]
+        assert covers(Fraction(1, 2), Fraction(3, 4))
+        assert not covers(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**40))
 
     def test_pruning_visits_only_boundary_cubes(self):
         visited = []
@@ -258,9 +254,163 @@ class TestBoxPruning:
                 visited.append(cube)
                 return super().meets_cube(cube)
 
-        list(enumerate_pore_cubes(Counting(BOXES_1D[:1]), UNIT, 20))
+        list(bfs_pore_cubes(Counting(BOXES_1D[:1]), UNIT, 20, _covers(BOXES_1D[:1])))
         # two children of the single boundary cube per generation, plus the root
         assert len(visited) == 2 * 20 + 1
+
+
+def _random_union(rng):
+    """One to six closed intervals on a grid of [-1, 2] with step 1/8 or
+    1/15: points, and intervals that touch, nest in or overlap an earlier
+    one, which the union merges."""
+    step = rng.choice((Fraction(1, 8), Fraction(1, 15)))
+    grid = [k * step for k in range(int(-1 / step), int(2 / step) + 1)]
+    spans = []
+    for _ in range(rng.randint(1, 6)):
+        lo, hi = sorted(rng.sample(grid, 2))
+        kind = rng.choice(("free", "free", "point", "touch", "nest", "overlap")) if spans else "free"
+        if kind != "free":
+            a, b = rng.choice(spans)
+            lo, hi = {
+                "point": (a, a),
+                "touch": (b, b + hi - lo),
+                "nest": (a + (b - a) / 4, b - (b - a) / 4),
+                "overlap": ((a + b) / 2, b + hi - lo),
+            }[kind]
+        spans.append((lo, hi))
+    return spans
+
+
+def _random_window(rng):
+    """A dyadic window, whose cells have ends on the grid of 1/8, or an
+    off-grid one."""
+    if rng.random() < 0.5:
+        lo = Fraction(rng.randint(-8, 8), 8)
+        return Cube.interval(lo, lo + Fraction(1 << rng.randint(0, 4), 8))
+    lo = Fraction(rng.randint(-30, 30), rng.choice((3, 7, 11)))
+    return Cube.interval(lo, lo + Fraction(rng.randint(1, 60), rng.choice((5, 9, 13))))
+
+
+def _features(spans, union, window, max_gen):
+    """Which of the cases the differential test must reach this union hits."""
+    lo, hi = window.as_interval()
+    unit = window.side / 2**max_gen
+    ends = [e for span in spans for e in span if lo < e < hi]
+    out = set()
+    if len(union.los) < len(spans):
+        out.add("merged")
+    if any(a == b for a, b in spans if lo <= a < hi):
+        out.add("degenerate")
+    if any(b == c for (_, b), (c, _) in zip(sorted(spans), sorted(spans)[1:])):
+        out.add("touching")
+    if any(a < lo <= b for a, b in spans):
+        out.add("past lo")
+    if any(a < hi <= b for a, b in spans):
+        out.add("past hi")
+    if any(((e - lo) / unit).denominator == 1 for e in ends):
+        out.add("end on a cell boundary")
+    if (8 * lo).denominator != 1 or (8 * hi).denominator != 1:
+        out.add("off-grid window")
+    return out
+
+
+class TestPiecesMatchTheBfs:
+    """The pores, the pore profiles and the components of unions of
+    intervals, all from the pieces of one window query, against the
+    reference BFS and the scans of every interval as given."""
+
+    def test_random_unions(self):
+        rng = random.Random(17)
+        seen, unions = set(), 0
+        while unions < 320:
+            spans = _random_union(rng)
+            boxes = tuple(((a,), (b,)) for a, b in spans)
+            union = BoxUnion(boxes)
+            window = _random_window(rng)
+            lo, hi = window.as_interval()
+            got = [(c.left, c.right) for c in union.components(lo, hi)]
+            assert got == box_scan_components(spans, lo, hi), (spans, window)
+            if not box_scan_meets(spans, lo, hi):
+                continue
+            unions += 1
+            max_gen = rng.randint(1, 14)
+            covers = _covers(boxes)
+            cubes = list(bfs_pore_cubes(union, window, max_gen, covers))
+            fam = enumerate_pores(union, window, max_gen)
+            assert fam.counts == bfs_counts(union, window, max_gen, covers), (spans, window, max_gen)
+            assert fam.tail_mass == window.measure - sum(c.measure for c in cubes)
+            profiles = [
+                (Fraction(h, den), Fraction(d_l, den), Fraction(d_r, den))
+                for h, d_l, d_r, den in cell_pore_profiles(union, window, max_gen)
+            ]
+            expected = bfs_profiles(union, window, max_gen, covers, lambda x: box_scan_distance(spans, x))
+            assert profiles == expected, (spans, window, max_gen)
+            seen |= _features(spans, union, window, max_gen)
+        assert seen == {
+            "merged", "degenerate", "touching", "past lo", "past hi",
+            "end on a cell boundary", "off-grid window",
+        }
+
+
+def _counting(cls):
+    """A subclass of the oracle class ``cls`` that records its window
+    queries and refuses every ``meets_*`` call."""
+
+    class Counting(cls):
+        queries = []
+
+        def piece_runs(self, lo, hi):
+            self.queries.append((lo, hi))
+            return super().piece_runs(lo, hi)
+
+        def meets_interval(self, lo, hi):
+            raise AssertionError("meets_interval called")
+
+        def meets_cube(self, cube):
+            raise AssertionError("meets_cube called")
+
+    return Counting
+
+
+class TestOneWindowQuery:
+    """pores, ls-ratio and porosity-check ask the set about each cube once,
+    through ``piece_runs``, windows that miss the set included."""
+
+    @pytest.mark.parametrize(
+        "make,meets,misses",
+        [
+            (lambda: _counting(IntegerLattice)(), "unit:[0,1)", "unit:[1/4,1/2)"),
+            (lambda: _counting(Generated)(HH, 6), "unit:[0,1)", "unit:[1/4,1/2)"),
+            (
+                lambda: _counting(BoxUnion)((((Fraction(1, 4),), (Fraction(3, 8),)), ((Fraction(3),), (Fraction(3),)))),
+                "unit:[0,1)",
+                "unit:[1/2,3/4)",
+            ),
+        ],
+        ids=["lattice", "generated", "box-union"],
+    )
+    def test_one_query_per_cube(self, monkeypatch, capsys, make, meets, misses):
+        oracle = make()
+        # Every command gets the counting oracle; "-" stands for its selector.
+        monkeypatch.setattr(cli, "parse_set", lambda spec: oracle)
+        runs = [
+            (["pores", "--set", "-", "--cube", meets, "--max-gen", "20"], 0, 1),
+            (["pores", "--set", "-", "--cube", misses], 2, 1),
+            (["ls-ratio", "--set", "-", "--cubes", "dyadic:-3..1", "--s", "1/10"], 0, 5),
+            (["ls-ratio", "--set", "-", "--cubes", misses, "--s", "1/10"], 0, 1),
+            (["porosity-check", "--set", "-", "--cube", meets, "--sigma", "1/2", "--gamma", "1/2"], 0, 1),
+            (["porosity-check", "--set", "-", "--cube", misses, "--sigma", "1/2", "--gamma", "1/2"], 0, 1),
+        ]
+        for argv, code, cubes in runs:
+            del oracle.queries[:]
+            assert cli.main(argv) == code, argv
+            assert len(oracle.queries) == cubes, argv
+        out = capsys.readouterr().out
+        # The rows of a window that misses the set keep their bytes.
+        lo, hi = misses[len("unit:["):-1].split(",")
+        assert f'"0:[{lo},{hi})",1/10,,,,false\n' in out
+        assert f'"achieved_mass": "{format_rational(Fraction(hi) - Fraction(lo))}"' in out
+        assert '"holds": true' in out and '"threshold_length": null' in out
 
 
 class TestMaximalPore:

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    bfs_profiles,
+    box_scan_covers,
     decimal_envelope_mean,
     fraction_profile_integral,
     per_component_mean,
     per_component_peak,
     to_decimal,
 )
-from poremetrics import cli, weights
+from poremetrics import cli
 from poremetrics.dyadic import Cube
 from poremetrics.errors import PreconditionError
 from poremetrics.setmodels import (
@@ -38,7 +40,7 @@ from poremetrics.weights import (
     mean_dist_power,
     profile_integral,
 )
-from poremetrics.pores import enumerate_pore_cubes, enumerate_pores
+from poremetrics.pores import enumerate_pores
 from poremetrics.porestats import moment_prefixes
 
 UNIT = Cube.interval(0, 1)
@@ -358,17 +360,12 @@ class TestA1Quotient:
             a1_quotient(Z, UNIT, Fraction(-1, 2))
 
 
-def _bfs_partial(oracle, q0, theta, max_gen):
-    """The divergent partial from the BFS pores, each integrated by the
-    Fraction reference with both end distances queried."""
-    lo, hi = q0.as_interval()
-    side = hi - lo
-    terms = (
-        fraction_profile_integral((b - a) / side, oracle.distance(a) / side, oracle.distance(b) / side, theta)
-        for a, b in (pore.as_interval() for pore in enumerate_pore_cubes(oracle, q0, max_gen))
-    )
+def _bfs_partial(oracle, q0, theta, max_gen, covers=None):
+    """The divergent partial from the pores of the reference BFS, each
+    integrated by the Fraction reference with both end distances queried."""
+    terms = (fraction_profile_integral(*profile, theta) for profile in bfs_profiles(oracle, q0, max_gen, covers))
     total, _, n = _sum_terms(terms)
-    return _ScaledMean(side, theta, total, math.inf, False, max(n, 1))
+    return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
 
 
 def _divergent_cases():
@@ -446,15 +443,19 @@ class TestDivergentCellWalk:
 
 
 class TestDivergentRowsSkipTheBfs:
-    # Divergent rows on point sets never call the BFS; a BoxUnion has no
-    # point runs and still takes it.
+    # Divergent rows build no cube below their window, as a search over
+    # subcubes would: every set lists its pores from the cells of its pieces.
 
     @pytest.fixture
     def no_bfs(self, monkeypatch):
-        def refuse(oracle, q0, max_gen):
-            raise AssertionError("BFS reached")
+        check = Cube.__post_init__
 
-        monkeypatch.setattr(weights, "enumerate_pore_cubes", refuse)
+        def refuse(cube):
+            if cube.generation:
+                raise AssertionError("BFS reached")
+            check(cube)
+
+        monkeypatch.setattr(Cube, "__post_init__", refuse)
 
     @pytest.mark.parametrize("args", [
         ["--set", "point:0", "--alpha", "3/2", "--cubes", "dyadic:-10..10"],
@@ -466,10 +467,14 @@ class TestDivergentRowsSkipTheBfs:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows and all(row.endswith(",III") for row in rows)
 
-    def test_box_union_reaches_the_bfs(self, no_bfs):
+    def test_box_union_matches_the_bfs(self, no_bfs, monkeypatch):
         boxes = BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))
-        with pytest.raises(AssertionError, match="BFS reached"):
-            ap_product(boxes, UNIT, ApQuery(Fraction(3, 2), 2))
+        result = ap_product(boxes, UNIT, ApQuery(Fraction(3, 2), 2))
+        actual = _divergent_partial(boxes, UNIT, Fraction(-3, 2), 40)
+        monkeypatch.undo()
+        covers = lambda lo, hi: box_scan_covers([(Fraction(0), Fraction(1, 4))], lo, hi)  # noqa: E731
+        assert repr(actual) == repr(_bfs_partial(boxes, UNIT, Fraction(-3, 2), 40, covers))
+        assert (result.case, result.path) == ("III", "divergent")
 
 
 def _differential_cases():
