@@ -31,7 +31,6 @@ from .porestats import (
 from .rationals import format_rational, parse_rational
 from .setmodels import (
     BoxUnion,
-    Component,
     ContractionSequence,
     FinitePoints,
     Generated,

@@ -246,7 +246,7 @@ def cmd_pores(args, argv) -> int:
     # denominator below max(side's numerator, side's denominator) * 2^max_gen.
     side = cube.side
     _check_digits(
-        [max(side.numerator, side.denominator) << max(args.max_gen, 0)],
+        [max(side.numerator, side.denominator) << args.max_gen],
         f"--max-gen {args.max_gen}: pore lengths",
     )
     family = enumerate_pores(oracle, cube, args.max_gen)
@@ -378,6 +378,8 @@ def cmd_porosity(args, argv) -> int:
 
 
 def cmd_prob_stats(args, argv) -> int:
+    if args.divergence_out and not args.divergence_t:
+        raise ParseError("--divergence-out needs --divergence-t")
     seq = _parse_sequence(args.rule, args.c)
     lo, hi = _parse_range(args.levels)
     if lo < 0:
@@ -516,6 +518,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            # The window commands' --max-gen, refused before any set or cube is read.
+            if getattr(args, "max_gen", 1) < 1:
+                raise PreconditionError("max_gen must be at least 1")
             code = args.fn(args, argv)
         except ParseError as err:
             code, failure = 1, f"error: {err}"

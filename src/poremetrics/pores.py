@@ -180,7 +180,7 @@ def _pore_family(oracle: SetOracle, q0: Cube, pieces, max_gen: int) -> PoreFamil
     return PoreFamily(q0, counts, max_gen, tail, oracle.is_measure_zero())
 
 
-def cell_pore_profiles(oracle: SetOracle, q0: Cube, max_gen: int):
+def cell_pore_profiles(q0: Cube, pieces, d_lo: Fraction, d_hi: Fraction, max_gen: int):
     """Yield the pores of ``q0`` generation by generation, left to right,
     found from the cells of the ends of the window's ``piece_runs``, each as
     the integer profile (h, d_left, d_right, den): its length and the
@@ -194,20 +194,19 @@ def cell_pore_profiles(oracle: SetOracle, q0: Cube, max_gen: int):
     one (for the right child).  The groups, kept left to right, yield one
     generation at a time.  The set points nearest to a pore are the last end
     before its group's ends and the first one after them.  Where that end
-    lies outside the window, a stand-in at distance dist(lo) below ``lo``
-    (dist(hi) above ``hi``) takes its place: it is that point, or else no
-    nearer to any point of the window than the window's first (last) set
-    point is, so no distance changes.  The oracle is asked for the pieces
-    once and for a distance at most once per window end.
+    lies outside the window, a stand-in at distance ``d_lo`` = dist(lo)
+    below ``lo`` (``d_hi`` = dist(hi) above ``hi``) takes its place: it is
+    that point, or else no nearer to any point of the window than the
+    window's first (last) set point is, so no distance changes.  The caller
+    asks the set for the pieces and the two distances once.
     """
     if max_gen < 1:
         raise PreconditionError("max_gen must be at least 1")
-    lo, hi = q0.as_interval()
     # The ends as (N, m) with relative position N / (m << max_gen), their
     # cells, and the indices of the ends that open and close an interval.
     points, xs, opening, closing = [], [], set(), set()
     top = (1 << max_gen) - 1
-    for div, mul, off, lefts, rights in _scaled_runs(oracle.piece_runs(lo, hi), q0, max_gen):
+    for div, mul, off, lefts, rights in _scaled_runs(pieces, q0, max_gen):
         if rights is lefts:
             for a in lefts:
                 n = a * mul - off
@@ -220,17 +219,14 @@ def cell_pore_profiles(oracle: SetOracle, q0: Cube, max_gen: int):
             closing.add(len(xs) + 1)
             points += [(n, div), (m, div)]
             xs += [max(n // div, 0), min(m // div, top)]
-    side = q0.side
-    outside = {}
+    # The stand-ins at -dist(lo)/side on the left and 1 + dist(hi)/side on
+    # the right.
+    before, after = (
+        (r.numerator << max_gen, r.denominator) for r in (-d_lo / q0.side, 1 + d_hi / q0.side)
+    )
 
     def neighbour(k):
-        if 0 <= k < len(points):
-            return points[k]
-        if k not in outside:
-            # -dist(lo)/side on the left, 1 + dist(hi)/side on the right.
-            r = -oracle.distance(lo) / side if k < 0 else 1 + oracle.distance(hi) / side
-            outside[k] = (r.numerator << max_gen, r.denominator)
-        return outside[k]
+        return before if k < 0 else after if k == len(points) else points[k]
 
     groups = [(0, len(xs))]
     for j in range(1, max_gen + 1):

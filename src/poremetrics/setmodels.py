@@ -1,10 +1,9 @@
-"""Closed subsets of the line: distance queries, gap components, and the copy-contract-copy generator.
+"""Closed subsets of the line: distance queries, window pieces, and the copy-contract-copy generator.
 
 Every oracle represents a closed set on the line.  It answers exact Fraction
-distance queries, half-open interval intersection tests and one window
-query, the set's closed pieces in the window as integer runs; the
-connected components of a window minus the set, the dyadic pores and the
-weight means are all built from these.
+distance queries and one window query, the set's closed pieces in the window
+as integer runs; the gaps of a window, its dyadic pores and the weight means
+are all built from these.
 """
 
 from __future__ import annotations
@@ -24,22 +23,6 @@ from .rationals import format_rational, parse_rational
 
 GENERATE_LEVEL_CAP = 14  # 3**14 + 1 points; beyond this use the length-law recursion
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Component:
-    """Maximal open interval of a window's interior disjoint from the set."""
-
-    left: Fraction
-    right: Fraction
-
-    def __post_init__(self):
-        if self.right <= self.left:
-            raise PreconditionError("component needs right > left")
-
-    @property
-    def length(self) -> Fraction:
-        return self.right - self.left
 
 
 @dataclass(frozen=True)
@@ -123,45 +106,15 @@ class SetOracle:
     def distance(self, x) -> Fraction:
         raise NotImplementedError
 
-    def meets_interval(self, lo: Fraction, hi: Fraction) -> bool:
-        """Does the set intersect the half-open interval [lo, hi)?"""
-        return bool(self.piece_runs(lo, hi))
-
-    def meets_cube(self, cube: Cube) -> bool:
-        return self.meets_interval(*cube.as_interval())
-
     def piece_runs(self, lo: Fraction, hi: Fraction) -> list:
         """The closed pieces [l, h] of the set that meet [lo, hi), whole and
         in increasing order, as runs (b, lefts, rights) of integer ends
         l = lefts[i]/b and h = rights[i]/b over a shared denominator b.  A
         point is a piece with l == h, and a run of points has ``rights is
         lefts``.  No pieces means the window misses the set.  The pores, the
-        pore profiles and the components of every set come from this one
-        query."""
+        pore profiles, the gaps and the weight means of every set come from
+        this one query."""
         raise NotImplementedError
-
-    def components(self, lo: Fraction, hi: Fraction) -> list[Component]:
-        """The gaps of the window between the pieces of ``piece_runs``; a
-        piece reaching back to ``lo`` leaves no gap before it."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        out, cursor = [], lo
-        for b, lefts, rights in self.piece_runs(lo, hi):
-            for l, h in zip(lefts, rights):
-                left = Fraction(l, b)
-                if left > cursor:
-                    out.append(Component(cursor, left))
-                cursor = left if l == h else Fraction(h, b)
-        if cursor < hi:
-            out.append(Component(cursor, hi))
-        return out
-
-    def gap_lengths(self, lo: Fraction, hi: Fraction) -> tuple[list, int]:
-        """Lengths of ``components(lo, hi)`` in window order, as numerators
-        over one scale: (lengths, scale).  Here the lengths are the
-        components' own Fractions over scale 1."""
-        return [c.length for c in self.components(lo, hi)], 1
 
     def is_measure_zero(self) -> bool:
         return True
@@ -293,10 +246,6 @@ class Generated(SetOracle):
         """Index of the first point >= x."""
         return bisect_left(self.numerators, -(-x.numerator * self.den // x.denominator))
 
-    def _first_above(self, x: Fraction) -> int:
-        """Index of the first point > x."""
-        return bisect_right(self.numerators, x.numerator * self.den // x.denominator)
-
     def distance(self, x) -> Fraction:
         # |x - n/den| = |x.numerator den - n x.denominator| / (x.denominator den)
         x = Fraction(x)
@@ -309,22 +258,6 @@ class Generated(SetOracle):
     def piece_runs(self, lo, hi):
         nums = self.numerators[self._first_at_least(Fraction(lo)):self._first_at_least(Fraction(hi))]
         return [(self.den, nums, nums)] if nums else []
-
-    def gap_lengths(self, lo, hi) -> tuple[list, int]:
-        """Integer component lengths over scale = lcm(den, lo's and hi's
-        denominators), so an off-grid window needs no Fraction either."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            raise PreconditionError("window needs hi > lo")
-        inner = self.numerators[self._first_above(lo):self._first_at_least(hi)]
-        scale = math.lcm(self.den, lo.denominator, hi.denominator)
-        k = scale // self.den
-        cuts = [
-            lo.numerator * (scale // lo.denominator),
-            *(n * k for n in inner),
-            hi.numerator * (scale // hi.denominator),
-        ]
-        return [b - a for a, b in zip(cuts, cuts[1:])], scale
 
     def spec_dict(self) -> dict:
         contraction = {"rule": self.seq.rule}

@@ -3,6 +3,9 @@
 Means are closed forms over the gap components of the window: the distance
 profile inside a gap is the minimum of two linear ramps, so each piece
 integrates to a difference of antiderivatives F(u) = u^(theta+1)/(theta+1).
+Every mean over a window is built from one answer of the set: its closed
+pieces in the window (``piece_runs``) and the distances from the window's
+two ends.
 
 Exponent bookkeeping keeps the window side length symbolic, so products in
 which the side's powers cancel (the A_p product, the A_1 quotient) come out
@@ -17,8 +20,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from fractions import Fraction
+from operator import mul, sub
 
 from .dyadic import Cube
 from .errors import PreconditionError
@@ -228,15 +232,40 @@ class _ScaledMean:
 
 
 @dataclass(frozen=True)
+class _Window:
+    """A window and the set's one answer about it: the closed pieces that
+    meet it (``piece_runs``; none when it misses the set) and the distances
+    from its two ends.  An end inside a piece is at distance 0, so only an
+    end in a gap is queried, once."""
+
+    cube: Cube
+    pieces: list
+    d_lo: Fraction
+    d_hi: Fraction
+
+    @classmethod
+    def read(cls, oracle: SetOracle, q0: Cube) -> "_Window":
+        lo, hi = q0.as_interval()
+        pieces = oracle.piece_runs(lo, hi)
+        d_lo = d_hi = _ZERO
+        # lo lies in the first piece when l/b <= lo, hi in the last when h/b >= hi.
+        if not pieces or pieces[0][1][0] * lo.denominator > lo.numerator * pieces[0][0]:
+            d_lo = oracle.distance(lo)
+        if not pieces or pieces[-1][2][-1] * hi.denominator < hi.numerator * pieces[-1][0]:
+            d_hi = oracle.distance(hi)
+        return cls(q0, pieces, d_lo, d_hi)
+
+
+@dataclass(frozen=True)
 class _Gaps:
-    """The gap components of a window, read once for every mean over it.
+    """The gap components of a window, walked once for every mean over it.
 
     A component endpoint other than a window end is a point of the closed
     set, where the distance is exactly 0.  The first component reaches back
     to the window's lower end and the last one to its upper end; where they
     do not, that end lies in the set and its distance is 0 as well.  So only
-    the two window ends need a distance query, and every component between
-    the end ones is determined by its length alone.
+    the two window ends need a distance, and every component between the
+    end ones is determined by its length alone.
     """
 
     side: Fraction
@@ -247,25 +276,41 @@ class _Gaps:
     covered: Fraction  # total length of the components
 
     @classmethod
-    def of(cls, oracle: SetOracle, q0: Cube) -> "_Gaps":
-        """Read the window's gap lengths as numerators over one scale and
-        build one Fraction per distinct length, indexed in window order."""
-        lo_w, hi_w = q0.as_interval()
-        lengths, scale = oracle.gap_lengths(lo_w, hi_w)
-        d_lo, d_hi = oracle.distance(lo_w), oracle.distance(hi_w)
-        if len(lengths) > 1:
-            edge = [lengths[0], lengths[-1]]
-            ends = ((Fraction(edge[0], scale), d_lo, _ZERO), (Fraction(edge[1], scale), _ZERO, d_hi))
+    def of(cls, window: _Window) -> "_Gaps":
+        """Walk the window's piece runs in integers and build one Fraction
+        per distinct length, indexed in window order.
+
+        The gaps inside a run are integer differences over the run's own
+        denominator b.  A gap between a window end and a run, or between two
+        runs, is taken over the lcm of its two ends' denominators only, so
+        no denominator grows with the number of runs.  Each gap is an
+        unreduced (numerator, denominator) pair; only the distinct pairs
+        become Fractions."""
+        lo, hi = window.cube.as_interval()
+        gaps = []
+        # The cursor n/d is where the next gap starts; hi closes the walk as
+        # a run of one point.
+        n, d = lo.numerator, lo.denominator
+        for b, lefts, rights in [*window.pieces, (hi.denominator, (hi.numerator,), (hi.numerator,))]:
+            m = math.lcm(d, b)
+            h = lefts[0] * (m // b) - n * (m // d)
+            if h > 0:
+                gaps.append((h, m))
+            gaps += zip(map(sub, lefts[1:], rights), repeat(b))
+            n, d = rights[-1], b
+        if len(gaps) > 1:
+            ends = ((Fraction(*gaps[0]), window.d_lo, _ZERO), (Fraction(*gaps[-1]), _ZERO, window.d_hi))
         else:
-            edge = lengths
-            ends = tuple((Fraction(h, scale), d_lo, d_hi) for h in edge)
-        interior = lengths[1:-1]
-        counts = Counter(interior)
-        index = {h: k for k, h in enumerate(counts)}
+            ends = tuple((Fraction(*pair), window.d_lo, window.d_hi) for pair in gaps)
+        interior = gaps[1:-1]
+        # Equal lengths may come as different pairs; they share one index.
+        index, distinct = {}, {}
+        for pair in dict.fromkeys(interior):
+            index[pair] = distinct.setdefault(Fraction(*pair), len(distinct))
         order = tuple(map(index.__getitem__, interior))
-        covered = Fraction(sum(edge) + sum(h * m for h, m in counts.items()), scale)
-        distinct = tuple(Fraction(h, scale) for h in counts)
-        return cls(hi_w - lo_w, ends, distinct, tuple(counts.values()), order, covered)
+        counts = tuple(Counter(order).values())  # the indices first occur in increasing order
+        covered = sum((h for h, _, _ in ends), _ZERO) + sum(map(mul, distinct, counts), _ZERO)
+        return cls(hi - lo, ends, tuple(distinct), counts, order, covered)
 
     def peak(self) -> Fraction:
         """Maximum of the distance profile: half the longest interior gap,
@@ -336,7 +381,7 @@ def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | 
     return out
 
 
-def _means(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
+def _means(window: _Window, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
     """Normalized means over a window, one per exponent, from one gap walk.
 
     For theta <= -1 on a window meeting the set the mean diverges and the
@@ -344,23 +389,24 @@ def _means(oracle: SetOracle, q0: Cube, thetas, max_gen: int, gaps=None) -> list
     """
     out = []
     for theta in thetas:
-        if theta <= -1 and oracle.meets_cube(q0):
-            out.append(_divergent_partial(oracle, q0, theta, max_gen))
+        if theta <= -1 and window.pieces:
+            out.append(_divergent_partial(window, theta, max_gen))
             continue
         if gaps is None:
-            gaps = _Gaps.of(oracle, q0)
+            gaps = _Gaps.of(window)
         out.append(gaps.mean(theta))
     return out
 
 
-def _divergent_partial(oracle, q0, theta, max_gen) -> _ScaledMean:
+def _divergent_partial(window: _Window, theta, max_gen) -> _ScaledMean:
     """theta <= -1 on a window meeting the set: the mean diverges; report the
     exact integral over the pores enumerated so far as a growing lower bound.
 
     The pores come from the integer cells of the set's pieces in the window,
     generation by generation and left to right, so the float sum and its
     term count are fixed by the window alone."""
-    pores = cell_pore_profiles(oracle, q0, max_gen)
+    q0 = window.cube
+    pores = cell_pore_profiles(q0, window.pieces, window.d_lo, window.d_hi, max_gen)
     total, _, n = _sum_terms(profile_integral(*pore, theta) for pore in pores)
     return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
 
@@ -375,7 +421,7 @@ def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> Me
     to ``max_gen`` and grows without bound as the depth increases.
     """
     theta = Fraction(theta)
-    (sm,) = _envelope_means(oracle, q0, (theta,)) or _means(oracle, q0, (theta,), max_gen)
+    (sm,) = _envelope_means(oracle, q0, (theta,)) or _means(_Window.read(oracle, q0), (theta,), max_gen)
     return sm.to_mean_value(sm.unit, theta)
 
 
@@ -430,12 +476,12 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
         result = ApResult(_combine_product(*sms, p), "III", "closed_form")
         _assert_holder_floor(result.product)
         return result
-    meets = oracle.meets_cube(q0)
+    window = _Window.read(oracle, q0)
+    meets = bool(window.pieces)
     if not meets:
         # The set lies outside the window, so its nearest point to the window
         # is nearest to one of the window's ends.
-        lo_w, hi_w = q0.as_interval()
-        if min(oracle.distance(lo_w), oracle.distance(hi_w)) >= 2 * q0.side:
+        if min(window.d_lo, window.d_hi) >= 2 * q0.side:
             # The weight varies by a factor of at most (3/2)^|alpha| on the cube,
             # whichever the sign of alpha.
             hi, hi_exact = _pow_any(Fraction(4), abs(alpha))
@@ -445,7 +491,7 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
             _assert_holder_floor(result.product)
             return result
     try:
-        sm1, sm2 = _means(oracle, q0, thetas, max_gen)
+        sm1, sm2 = _means(window, thetas, max_gen)
         product = _combine_product(sm1, sm2, p)
     except OverflowError:
         raise PreconditionError(
@@ -480,8 +526,9 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> MeanVa
     if closed is not None:
         (sm,) = closed
         return sm.to_mean_value(_HALF / sm.unit, alpha)
-    gaps = _Gaps.of(oracle, q0)
+    window = _Window.read(oracle, q0)
+    gaps = _Gaps.of(window)
     if not gaps.ends:
         raise PreconditionError("window is covered by the set")
-    (sm,) = _means(oracle, q0, (-alpha,), max_gen, gaps)
+    (sm,) = _means(window, (-alpha,), max_gen, gaps)
     return sm.to_mean_value(gaps.peak() / sm.unit, alpha)

@@ -10,7 +10,7 @@ and the unit floor of the two-factor weight product.
 import math
 from fractions import Fraction
 
-from oracles import bfs_pore_cubes, eq13_constant, tilde_fraction_length
+from oracles import bfs_pore_cubes, components, eq13_constant, tilde_fraction_length
 from poremetrics.dyadic import Cube
 from poremetrics.pores import (
     FractionQuery,
@@ -77,7 +77,7 @@ def check_instance(oracle, window: Cube, t: Fraction, t2: Fraction) -> None:
 
     # Component/dyadic comparisons.
     lo_w, hi_w = window.as_interval()
-    comps = oracle.components(lo_w, hi_w)
+    comps = components(oracle, lo_w, hi_w)
     tilde_largest = tilde_fraction_length(comps, window, FractionQuery(t, Side.LARGEST)).value
     tilde_smallest = tilde_fraction_length(comps, window, FractionQuery(t, Side.SMALLEST)).value
     assert largest <= tilde_largest

@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own algorithms: pore
 families come from testing the defining condition cube by cube (on every
 dyadic subcube, or on the children of every cube holding a point, which
 scales to any depth), and pore cubes and their profiles from a
-breadth-first search that asks ``meets_cube`` of both halves of every cube
+breadth-first search that asks ``meets`` of both halves of every cube
 meeting the set, generation by generation, left to right; a union of
-intervals prunes that search with a scan of its intervals.  Binomial
+intervals prunes that search with a scan of its intervals.  ``meets`` and
+the Fraction ``components`` of a window are read off the set's one window
+query, ``piece_runs``, piece by piece.  Binomial
 coefficients come from Pascal's triangle and binomial rows from Fraction
 powers, closed-form moments are rebuilt from stage 1 at each level,
 component quantiles come from cumulative walks over Fraction laws and from
@@ -23,6 +25,7 @@ components by a Fraction walk over the component lengths.
 
 import decimal
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from poremetrics.dyadic import Cube
@@ -80,6 +83,45 @@ def pore_histogram(points, window_lo, window_hi, max_gen):
     return counts
 
 
+def meets(oracle, lo, hi):
+    """Does the set meet the half-open window [lo, hi)?"""
+    return bool(oracle.piece_runs(Fraction(lo), Fraction(hi)))
+
+
+@dataclass(frozen=True)
+class Component:
+    """Maximal open interval of a window's interior disjoint from the set."""
+
+    left: Fraction
+    right: Fraction
+
+    def __post_init__(self):
+        if self.right <= self.left:
+            raise PreconditionError("component needs right > left")
+
+    @property
+    def length(self) -> Fraction:
+        return self.right - self.left
+
+
+def components(oracle, lo, hi):
+    """The gaps of [lo, hi) between the set's pieces in it, as Fraction
+    ``Component``s in window order; a piece reaching back to ``lo`` leaves no
+    gap before it."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if hi <= lo:
+        raise PreconditionError("window needs hi > lo")
+    out, cursor = [], lo
+    for b, lefts, rights in oracle.piece_runs(lo, hi):
+        for l, h in zip(lefts, rights):
+            if Fraction(l, b) > cursor:
+                out.append(Component(cursor, Fraction(l, b)))
+            cursor = Fraction(h, b)
+    if cursor < hi:
+        out.append(Component(cursor, hi))
+    return out
+
+
 def children(cube):
     """The two halves of ``cube`` one generation down, left one first, built
     with the ``Cube`` constructor."""
@@ -90,21 +132,21 @@ def children(cube):
 def bfs_pore_cubes(oracle, q0, max_gen, covers=None):
     """The pore cubes of ``q0`` generation by generation, left to right, by a
     breadth-first search over the cubes meeting the set: a child of a
-    frontier cube is a pore when ``oracle.meets_cube`` says it misses the
+    frontier cube is a pore when ``meets`` says it misses the
     set, and joins the next frontier otherwise.  ``covers(lo, hi)``, when
     given, says whether the set contains [lo, hi]; a child it covers has no
     pores below it and leaves the frontier, which keeps the search to the
     boundary cubes of a union of intervals."""
     if max_gen < 1:
         raise PreconditionError("max_gen must be at least 1")
-    if not oracle.meets_cube(q0):
+    if not meets(oracle, *q0.as_interval()):
         raise PreconditionError("window does not meet the set; choose a window that meets the set")
     frontier = [q0]
     for _ in range(max_gen):
         nxt = []
         for cube in frontier:
             for child in children(cube):
-                if not oracle.meets_cube(child):
+                if not meets(oracle, *child.as_interval()):
                     yield child
                 elif covers is None or not covers(*child.as_interval()):
                     nxt.append(child)
@@ -357,7 +399,7 @@ def per_component_mean(oracle, q0, theta):
     theta = Fraction(theta)
     lo, hi = q0.as_interval()
     side = hi - lo
-    comps = oracle.components(lo, hi)
+    comps = components(oracle, lo, hi)
     total, total_f, exact = Fraction(0), 0.0, True
     for comp in comps:
         d_l = oracle.distance(comp.left)
@@ -391,7 +433,7 @@ def per_component_peak(oracle, q0):
     lo, hi = q0.as_interval()
     return max(
         profile_peak(c.length, oracle.distance(c.left), oracle.distance(c.right))
-        for c in oracle.components(lo, hi)
+        for c in components(oracle, lo, hi)
     )
 
 

@@ -514,6 +514,32 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == "error: not an integer: 'a'\n"
 
+    def test_divergence_out_without_t(self, tmp_path, capsys):
+        # A report path for a scan that was not asked for is refused, not
+        # ignored.
+        code = cli.main([
+            "prob-stats", "--rule", "constant", "--c", "1/2", "--levels", "0..2",
+            "--out", str(tmp_path / "moments.csv"), "--divergence-out", str(tmp_path / "divergence.csv"),
+        ])
+        assert (code, *capsys.readouterr()) == (1, "", "error: --divergence-out needs --divergence-t\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("max_gen", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pores", "--cube", "unit:[0,1)"],
+            ["ls-ratio", "--cubes", "unit:[0,1)", "--s", "1/10"],
+            ["ap-scan", "--cubes", "unit:[0,1)", "--alpha", "1/2", "--p", "2"],
+            ["porosity-check", "--cube", "unit:[0,1)", "--sigma", "1/2", "--gamma", "1/2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_max_gen_below_one(self, capsys, command, max_gen):
+        # Refused whether or not the window meets the set: point:5 misses it.
+        code = cli.main([*command, "--set", "point:5", "--max-gen", max_gen])
+        assert (code, *capsys.readouterr()) == (2, "", "precondition violated: max_gen must be at least 1\n")
+
     def test_cube_dimension_differs_from_point_cloud(self, tmp_path):
         spec = tmp_path / "cloud2d.json"
         spec.write_text(json.dumps({"type": "points", "points": [["1/3", "5"], ["3/4", "-2"]]}))

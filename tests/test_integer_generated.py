@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_generate
+from oracles import components, fraction_generate, meets
 from poremetrics.dyadic import Cube
 from poremetrics.errors import PreconditionError
 from poremetrics.pores import enumerate_pores
@@ -25,7 +25,7 @@ from poremetrics.setmodels import (
     load_set_spec,
     save_set_spec,
 )
-from poremetrics.weights import ApQuery, _Gaps, a1_quotient, ap_product
+from poremetrics.weights import ApQuery, _Gaps, _Window, a1_quotient, ap_product
 
 SEQS = {
     "1/2": ContractionSequence.constant(Fraction(1, 2)),
@@ -88,21 +88,21 @@ def test_queries_match_fraction_points(name, level, reflect):
             # Fraction references over windows of more than a few thousand
             # points cost about a second each; levels 0-7 cover every window.
             continue
-        assert g.meets_interval(w_lo, w_hi) == f.meets_interval(w_lo, w_hi)
+        assert meets(g, w_lo, w_hi) == meets(f, w_lo, w_hi)
         assert run_points(g, w_lo, w_hi) == run_points(f, w_lo, w_hi)
         for x in probes(pts, w_lo, w_hi):
             assert g.distance(x) == f.distance(x)
-        assert [(c.left, c.right) for c in g.components(w_lo, w_hi)] == [
-            (c.left, c.right) for c in f.components(w_lo, w_hi)
+        assert [(c.left, c.right) for c in components(g, w_lo, w_hi)] == [
+            (c.left, c.right) for c in components(f, w_lo, w_hi)
         ]
         cube = Cube.interval(w_lo, w_hi)
-        gaps, expected = _Gaps.of(g, cube), _Gaps.of(f, cube)
+        gaps, expected = _Gaps.of(_Window.read(g, cube)), _Gaps.of(_Window.read(f, cube))
         assert gaps.distinct == expected.distinct
         assert gaps.order == expected.order
         assert gaps.covered == expected.covered
         assert gaps.ends == expected.ends
         assert gaps == expected
-        if f.meets_interval(w_lo, w_hi):
+        if meets(f, w_lo, w_hi):
             assert enumerate_pores(g, cube, 45) == enumerate_pores(f, cube, 45)
         else:
             for oracle in (g, f):

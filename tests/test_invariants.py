@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invariant_checks import check_instance
+from oracles import meets
 from poremetrics.dyadic import Cube
 from poremetrics.setmodels import FinitePoints, IntegerLattice
 
@@ -41,5 +42,5 @@ thresholds = st.fractions(
 @given(oracles(), windows(), thresholds, thresholds)
 def test_randomized_structural_invariants(oracle, window, t, t2):
     lo, hi = window.as_interval()
-    assume(oracle.meets_interval(lo, hi))
+    assume(meets(oracle, lo, hi))
     check_instance(oracle, window, t, t2)

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -13,8 +14,10 @@ from oracles import (
     box_scan_distance,
     box_scan_meets,
     brute_force_pores,
+    components,
     eq13_constant,
     fraction_length_reference,
+    meets,
     pore_histogram,
     tilde_fraction_length,
 )
@@ -32,6 +35,7 @@ from poremetrics.pores import (
     ratio_condition,
     weak_porosity_check,
 )
+from poremetrics.weights import a1_quotient, mean_dist_power
 from poremetrics.setmodels import (
     BoxUnion,
     ContractionSequence,
@@ -143,7 +147,7 @@ class TestSplitGenerationHistogram:
             hi = lo + Fraction(rng.randrange(1, 10**5), rng.randrange(1, 10**4))
             window = Cube.interval(lo, hi)
             oracle = FinitePoints(tuple(pts))
-            if not oracle.meets_cube(window):
+            if not meets(oracle, *window.as_interval()):
                 continue
             gen = rng.randrange(1, max_gen + 1)
             for j in (gen, max_gen):
@@ -250,9 +254,9 @@ class TestBoxPruning:
         visited = []
 
         class Counting(BoxUnion):
-            def meets_cube(self, cube):
-                visited.append(cube)
-                return super().meets_cube(cube)
+            def piece_runs(self, lo, hi):
+                visited.append((lo, hi))
+                return super().piece_runs(lo, hi)
 
         list(bfs_pore_cubes(Counting(BOXES_1D[:1]), UNIT, 20, _covers(BOXES_1D[:1])))
         # two children of the single boundary cube per generation, plus the root
@@ -328,7 +332,7 @@ class TestPiecesMatchTheBfs:
             union = BoxUnion(boxes)
             window = _random_window(rng)
             lo, hi = window.as_interval()
-            got = [(c.left, c.right) for c in union.components(lo, hi)]
+            got = [(c.left, c.right) for c in components(union, lo, hi)]
             assert got == box_scan_components(spans, lo, hi), (spans, window)
             if not box_scan_meets(spans, lo, hi):
                 continue
@@ -341,7 +345,9 @@ class TestPiecesMatchTheBfs:
             assert fam.tail_mass == window.measure - sum(c.measure for c in cubes)
             profiles = [
                 (Fraction(h, den), Fraction(d_l, den), Fraction(d_r, den))
-                for h, d_l, d_r, den in cell_pore_profiles(union, window, max_gen)
+                for h, d_l, d_r, den in cell_pore_profiles(
+                    window, union.piece_runs(lo, hi), union.distance(lo), union.distance(hi), max_gen
+                )
             ]
             expected = bfs_profiles(union, window, max_gen, covers, lambda x: box_scan_distance(spans, x))
             assert profiles == expected, (spans, window, max_gen)
@@ -354,20 +360,19 @@ class TestPiecesMatchTheBfs:
 
 def _counting(cls):
     """A subclass of the oracle class ``cls`` that records its window
-    queries and refuses every ``meets_*`` call."""
+    queries and its distance queries."""
 
     class Counting(cls):
         queries = []
+        distances = []
 
         def piece_runs(self, lo, hi):
             self.queries.append((lo, hi))
             return super().piece_runs(lo, hi)
 
-        def meets_interval(self, lo, hi):
-            raise AssertionError("meets_interval called")
-
-        def meets_cube(self, cube):
-            raise AssertionError("meets_cube called")
+        def distance(self, x):
+            self.distances.append(x)
+            return super().distance(x)
 
     return Counting
 
@@ -411,6 +416,57 @@ class TestOneWindowQuery:
         assert f'"0:[{lo},{hi})",1/10,,,,false\n' in out
         assert f'"achieved_mass": "{format_rational(Fraction(hi) - Fraction(lo))}"' in out
         assert '"holds": true' in out and '"threshold_length": null' in out
+
+
+    @pytest.mark.parametrize(
+        "make,meets,misses,far,envelope",
+        [
+            (lambda: _counting(IntegerLattice)(), "unit:[0,1)", "unit:[1/4,1/2)", "unit:[1/8,3/16)", None),
+            (lambda: _counting(Generated)(HH, 6), "unit:[0,2)", "unit:[1/4,1/2)", "unit:[-10,-9)", "unit:[0,1)"),
+            (
+                lambda: _counting(BoxUnion)((((Fraction(1, 4),), (Fraction(3, 8),)), ((Fraction(3),), (Fraction(3),)))),
+                "unit:[0,1)",
+                "unit:[1/2,3/4)",
+                "unit:[1,9/8)",
+                None,
+            ),
+        ],
+        ids=["lattice", "generated", "box-union"],
+    )
+    def test_one_query_per_weight_mean(self, monkeypatch, tmp_path, make, meets, misses, far, envelope):
+        # Each ap-scan row, a1_quotient and mean_dist_power call asks for the
+        # pieces of its window once (never on the closed form) and for the
+        # distance of each window end at most once.
+        oracle = make()
+        monkeypatch.setattr(cli, "parse_set", lambda spec: oracle)
+
+        def check(spec, queries, call):
+            (cube,) = cli.parse_cubes(spec)
+            del oracle.queries[:], oracle.distances[:]
+            result = call(cube)
+            assert oracle.queries == [cube.as_interval()] * queries, spec
+            ends = set(cube.as_interval())
+            assert set(oracle.distances) <= ends and len(oracle.distances) == len(set(oracle.distances)), spec
+            return result
+
+        out = tmp_path / "ap.csv"
+        rows = [(meets, "3/2", "divergent", 1), (meets, "1/2", "gap_walk", 1),
+                (misses, "1/2", "gap_walk", 1), (far, "1/2", "far_cube", 1)]
+        if envelope:
+            rows.append((envelope, "1/2", "closed_form", 0))
+        for spec, alpha, path, queries in rows:
+            argv = ["ap-scan", "--set", "-", "--cubes", spec, "--alpha", alpha, "--p", "2", "--out", str(out)]
+            assert check(spec, queries, lambda cube: cli.main(argv)) == 0
+            sidecar = json.loads((tmp_path / "ap.csv.meta.json").read_text())
+            assert sidecar["mean_paths"][path] == 1, (spec, alpha)
+        for alpha in (Fraction(1, 3), Fraction(3, 2)):
+            check(meets, 1, lambda cube: a1_quotient(oracle, cube, alpha))
+        for theta in (Fraction(-3, 2), Fraction(1, 2)):
+            for spec in (meets, misses):
+                check(spec, 1, lambda cube: mean_dist_power(oracle, cube, theta))
+        if envelope:
+            check(envelope, 0, lambda cube: a1_quotient(oracle, cube, Fraction(1, 3)))
+            check(envelope, 0, lambda cube: mean_dist_power(oracle, cube, Fraction(1, 2)))
 
 
 class TestMaximalPore:
@@ -547,14 +603,14 @@ class TestIntegerWalk:
 
 class TestTilde:
     def test_lattice_always_one(self):
-        comps = Z.components(0, 1)
+        comps = components(Z, 0, 1)
         for t in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
             for side in Side:
                 assert tilde_fraction_length(comps, (0, 1), FractionQuery(t, side)).value == 1
 
     def test_generated_level_one(self):
         g = Generated(HALF, 1)
-        comps = g.components(0, Fraction(5, 2))
+        comps = components(g, 0, Fraction(5, 2))
         win = (0, Fraction(5, 2))
         q = FractionQuery(Fraction(1, 2), Side.LARGEST)
         assert tilde_fraction_length(comps, win, q).value == 1

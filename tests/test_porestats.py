@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     closed_form_moment,
+    components,
     fraction_binomial_cdf_row,
     fraction_binomial_check,
     fraction_binomial_pmf,
@@ -110,7 +111,7 @@ class TestLengthLaw:
         # materialized components.
         g = Generated(seq, level)
         lo, hi = g.envelope
-        comps = g.components(lo, hi)
+        comps = components(g, lo, hi)
         hist: dict = {}
         for c in comps:
             hist[c.length] = hist.get(c.length, Fraction(0)) + c.length / (hi - lo)
@@ -262,7 +263,7 @@ class TestMarkovBounds:
         s = Fraction(1, 10)
         g = Generated(seq, level)
         lo, hi = g.envelope
-        comps = g.components(lo, hi)
+        comps = components(g, lo, hi)
         tl = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.LARGEST)).value
         ts = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.SMALLEST)).value
         law = length_law(seq, level)
@@ -381,7 +382,7 @@ class TestComponentQuantiles:
         s = Fraction(1, 10)
         g = Generated(seq, level)
         lo, hi = g.envelope
-        comps = g.components(lo, hi)
+        comps = components(g, lo, hi)
         tl = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.LARGEST)).value
         ts = tilde_fraction_length(comps, (lo, hi), FractionQuery(s, Side.SMALLEST)).value
         assert tilde_quantiles(seq, level, [(s, "largest"), (s, "smallest")]) == [tl, ts]

@@ -12,7 +12,9 @@ from oracles import (
     box_scan_measure_zero,
     box_scan_meets,
     component_length_multiset,
+    components,
     fraction_generate,
+    meets,
 )
 from poremetrics.dyadic import Cube
 from poremetrics.errors import ParseError, PreconditionError
@@ -145,12 +147,12 @@ class TestDistance:
 
 class TestComponents:
     def test_lattice_unit(self):
-        comps = IntegerLattice().components(0, 1)
+        comps = components(IntegerLattice(), 0, 1)
         assert [(c.left, c.right) for c in comps] == [(0, 1)]
 
     def test_generated_level_one(self):
         g = Generated(HALF, 1)
-        comps = g.components(0, Fraction(5, 2))
+        comps = components(g, 0, Fraction(5, 2))
         assert [(c.left, c.right) for c in comps] == [
             (0, 1),
             (1, Fraction(3, 2)),
@@ -159,12 +161,12 @@ class TestComponents:
         assert [c.length for c in comps] == [1, Fraction(1, 2), 1]
 
     def test_boundary_clipping(self):
-        comps = FinitePoints((0, 1)).components(-1, 2)
+        comps = components(FinitePoints((0, 1)), -1, 2)
         assert [(c.left, c.right) for c in comps] == [(-1, 0), (0, 1), (1, 2)]
 
     def test_total_length(self):
         g = Generated(HH, 4)
-        comps = g.components(Fraction(1, 3), Fraction(19, 2))
+        comps = components(g, Fraction(1, 3), Fraction(19, 2))
         assert sum(c.length for c in comps) == Fraction(19, 2) - Fraction(1, 3)
 
     def test_lattice_window_starting_on_a_point(self):
@@ -172,16 +174,16 @@ class TestComponents:
         # leaves the whole window.
         Z = IntegerLattice()
         assert Z.piece_runs(Fraction(1, 3), Fraction(1, 2)) == []
-        assert [(c.left, c.right) for c in Z.components(Fraction(1, 3), Fraction(1, 2))] == [
+        assert [(c.left, c.right) for c in components(Z, Fraction(1, 3), Fraction(1, 2))] == [
             (Fraction(1, 3), Fraction(1, 2))
         ]
-        assert [(c.left, c.right) for c in Z.components(1, Fraction(7, 2))] == [
+        assert [(c.left, c.right) for c in components(Z, 1, Fraction(7, 2))] == [
             (1, 2), (2, 3), (3, Fraction(7, 2))
         ]
 
     def test_box_union(self):
         boxes = BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))
-        comps = boxes.components(Fraction(-1, 2), 1)
+        comps = components(boxes, Fraction(-1, 2), 1)
         assert [(c.left, c.right) for c in comps] == [
             (Fraction(-1, 2), 0),
             (Fraction(1, 4), 1),
@@ -250,10 +252,10 @@ class TestBoxUnionMatchesScan:
                     assert union.distance(x) == box_scan_distance(boxes, x), (boxes, x)
             for lo, hi in windows:
                 if query == "meets":
-                    assert union.meets_interval(lo, hi) == box_scan_meets(boxes, lo, hi), (boxes, lo, hi)
-                    assert union.meets_cube(Cube.interval(lo, hi)) == box_scan_meets(boxes, lo, hi)
+                    assert meets(union, lo, hi) == box_scan_meets(boxes, lo, hi), (boxes, lo, hi)
+                    assert meets(union, *Cube.interval(lo, hi).as_interval()) == box_scan_meets(boxes, lo, hi)
                 elif query == "components":
-                    got = [(c.left, c.right) for c in union.components(lo, hi)]
+                    got = [(c.left, c.right) for c in components(union, lo, hi)]
                     assert got == box_scan_components(boxes, lo, hi), (boxes, lo, hi)
 
     def test_measure_zero(self):

@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from oracles import (
     bfs_profiles,
     box_scan_covers,
+    components,
     decimal_envelope_mean,
     fraction_profile_integral,
+    meets,
     per_component_mean,
     per_component_peak,
     to_decimal,
@@ -32,6 +35,7 @@ from poremetrics.weights import (
     _divergent_partial,
     _Gaps,
     _means,
+    _Window,
     _over_one_den,
     _ScaledMean,
     _sum_terms,
@@ -209,7 +213,7 @@ class TestMeanDistPower:
             pts = tuple(sorted({Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(rng.randint(1, 5))}))
             lo = Fraction(rng.randint(-8, 8), 4)
             window = Cube.interval(lo, lo + Fraction(2) ** rng.randint(-2, 2))
-            if FinitePoints(pts).meets_interval(*window.as_interval()):
+            if meets(FinitePoints(pts), *window.as_interval()):
                 cases.append((pts, window))
         for pts, window in cases:
             oracle = FinitePoints(pts)
@@ -413,7 +417,7 @@ class TestDivergentCellWalk:
     def test_matches_the_bfs(self, case, max_gen):
         oracle, window = self.CASES[case]
         for theta in self.THETAS:
-            actual = _divergent_partial(oracle, window, theta, max_gen)
+            actual = _divergent_partial(_Window.read(oracle, window), theta, max_gen)
             assert repr(actual) == repr(_bfs_partial(oracle, window, theta, max_gen))
 
     def test_cases_reach_every_outcome(self):
@@ -422,7 +426,7 @@ class TestDivergentCellWalk:
         outcomes = set()
         for oracle, window in self.CASES:
             for theta in self.THETAS:
-                sm = _divergent_partial(oracle, window, theta, 40)
+                sm = _divergent_partial(_Window.read(oracle, window), theta, 40)
                 outcomes.add("inf" if sm.lo_norm == math.inf else "exact" if isinstance(sm.lo_norm, Fraction)
                              else "float" if sm.n_terms > 100 else "short float")
         assert {"inf", "exact", "float"} <= outcomes
@@ -433,13 +437,13 @@ class TestDivergentCellWalk:
         # precision.
         for theta in (Fraction(-7, 3), Fraction(-4, 3)):
             for oracle in (ORIGIN, FinitePoints((Fraction(1, 3), Fraction(3, 5)))):
-                actual = _divergent_partial(oracle, UNIT, theta, 300)
+                actual = _divergent_partial(_Window.read(oracle, UNIT), theta, 300)
                 assert actual.n_terms > 290
                 assert repr(actual) == repr(_bfs_partial(oracle, UNIT, theta, 300))
 
     def test_max_gen_must_be_positive(self):
         with pytest.raises(PreconditionError):
-            _divergent_partial(ORIGIN, UNIT, Fraction(-3, 2), 0)
+            _divergent_partial(_Window.read(ORIGIN, UNIT), Fraction(-3, 2), 0)
 
 
 class TestDivergentRowsSkipTheBfs:
@@ -470,7 +474,7 @@ class TestDivergentRowsSkipTheBfs:
     def test_box_union_matches_the_bfs(self, no_bfs, monkeypatch):
         boxes = BoxUnion((((Fraction(0),), (Fraction(1, 4),)),))
         result = ap_product(boxes, UNIT, ApQuery(Fraction(3, 2), 2))
-        actual = _divergent_partial(boxes, UNIT, Fraction(-3, 2), 40)
+        actual = _divergent_partial(_Window.read(boxes, UNIT), Fraction(-3, 2), 40)
         monkeypatch.undo()
         covers = lambda lo, hi: box_scan_covers([(Fraction(0), Fraction(1, 4))], lo, hi)  # noqa: E731
         assert repr(actual) == repr(_bfs_partial(boxes, UNIT, Fraction(-3, 2), 40, covers))
@@ -513,6 +517,61 @@ DIFFERENTIAL_CASES = _differential_cases()
 THETAS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2))
 
 
+def _random_gap_set(rng):
+    """(oracle, spans): a union of one to five closed intervals on a grid of
+    step 1/8 or 1/15 over [-1, 2], some of them points and some touching,
+    nesting in or overlapping an earlier one; or one to eight points with
+    mixed denominators, as a ``FinitePoints`` (spans of its points)."""
+    if rng.random() < 0.4:
+        pts = {Fraction(rng.randint(-d, 2 * d), d) for d in rng.choices((2, 3, 5, 7, 8, 12), k=rng.randint(1, 8))}
+        return FinitePoints(tuple(pts)), [(x, x) for x in pts]
+    step = rng.choice((Fraction(1, 8), Fraction(1, 15)))
+    grid = [k * step for k in range(int(-1 / step), int(2 / step) + 1)]
+    spans = []
+    for _ in range(rng.randint(1, 5)):
+        lo, hi = sorted(rng.sample(grid, 2))
+        kind = rng.choice(("free", "free", "point", "touch", "nest", "overlap")) if spans else "free"
+        if kind != "free":
+            a, b = rng.choice(spans)
+            lo, hi = {
+                "point": (a, a),
+                "touch": (b, b + hi - lo),
+                "nest": (a + (b - a) / 4, b - (b - a) / 4),
+                "overlap": ((a + b) / 2, b + hi - lo),
+            }[kind]
+        spans.append((lo, hi))
+    return BoxUnion(tuple(((a,), (b,)) for a, b in spans)), spans
+
+
+def _random_gap_window(rng):
+    """A dyadic window with ends on the grid of 1/8, or an off-grid one."""
+    if rng.random() < 0.5:
+        lo = Fraction(rng.randint(-8, 12), 8)
+        return Cube.interval(lo, lo + Fraction(1 << rng.randint(0, 4), 8))
+    lo = Fraction(rng.randint(-30, 30), rng.choice((3, 7, 11)))
+    return Cube.interval(lo, lo + Fraction(rng.randint(1, 60), rng.choice((5, 9, 13))))
+
+
+def _gap_features(spans, window):
+    """Which of the cases the random differential test must reach this set
+    and window hit."""
+    lo, hi = window.as_interval()
+    out = set()
+    if any(a <= lo and hi <= b for a, b in spans):
+        out.add("inside one interval")
+    if any(a < lo <= b for a, b in spans):
+        out.add("past lo")
+    if any(a < hi <= b for a, b in spans):
+        out.add("past hi")
+    if any(b == c for (_, b), (c, _) in zip(sorted(spans), sorted(spans)[1:])):
+        out.add("touching")
+    if len({a.denominator for a, b in spans if a == b and lo <= a < hi}) > 1:
+        out.add("mixed denominators")
+    if (8 * lo).denominator != 1 or (8 * hi).denominator != 1:
+        out.add("off-grid window")
+    return out
+
+
 def _takes_closed_form(oracle, window):
     return isinstance(oracle, Generated) and oracle.envelope_level(window) is not None
 
@@ -537,7 +596,7 @@ class TestGapWalkMatchesPerComponent:
         for theta in THETAS:
             expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
             if _takes_closed_form(oracle, window):
-                (sm,) = _means(oracle, window, (theta,), 40)
+                (sm,) = _means(_Window.read(oracle, window), (theta,), 40)
                 actual = sm.to_mean_value(window.side, theta)
             else:
                 actual = mean_dist_power(oracle, window, theta)
@@ -545,14 +604,14 @@ class TestGapWalkMatchesPerComponent:
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
     def test_ap_product(self, oracle, window):
-        meets = oracle.meets_cube(window)
+        meets_window = meets(oracle, *window.as_interval())
         for alpha in (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2)):
             for p in (Fraction(2), Fraction(3, 2)):
                 sm1 = per_component_mean(oracle, window, -alpha)
                 sm2 = per_component_mean(oracle, window, alpha / (p - 1))
-                expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets else "II", "gap_walk")
+                expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets_window else "II", "gap_walk")
                 if _takes_closed_form(oracle, window):
-                    walk = _means(oracle, window, (-alpha, alpha / (p - 1)), 40)
+                    walk = _means(_Window.read(oracle, window), (-alpha, alpha / (p - 1)), 40)
                     actual = ApResult(_combine_product(*walk, p), "III", "gap_walk")
                 else:
                     actual = ap_product(oracle, window, ApQuery(alpha, p))
@@ -560,7 +619,7 @@ class TestGapWalkMatchesPerComponent:
 
     @pytest.mark.parametrize("oracle,window", DIFFERENTIAL_CASES)
     def test_a1_quotient(self, oracle, window):
-        if not oracle.components(*window.as_interval()):
+        if not components(oracle, *window.as_interval()):
             with pytest.raises(PreconditionError):
                 a1_quotient(oracle, window, Fraction(1, 3))
             return
@@ -568,12 +627,50 @@ class TestGapWalkMatchesPerComponent:
             peak = per_component_peak(oracle, window)
             expected = per_component_mean(oracle, window, -alpha).to_mean_value(peak / window.side, alpha)
             if _takes_closed_form(oracle, window):
-                gaps = _Gaps.of(oracle, window)
-                (sm,) = _means(oracle, window, (-alpha,), 40, gaps)
+                read = _Window.read(oracle, window)
+                gaps = _Gaps.of(read)
+                (sm,) = _means(read, (-alpha,), 40, gaps)
                 actual = sm.to_mean_value(gaps.peak() / window.side, alpha)
             else:
                 actual = a1_quotient(oracle, window, alpha)
             assert repr(actual) == repr(expected)
+
+    def test_random_sets(self):
+        # Unions of intervals and point sets with mixed denominators: the
+        # integer walk over the piece runs against the Fraction walk over
+        # ``components`` with every endpoint distance queried.
+        rng = random.Random(18)
+        seen = set()
+        start = time.perf_counter()
+        for _ in range(150):
+            oracle, spans = _random_gap_set(rng)
+            window = _random_gap_window(rng)
+            lo, hi = window.as_interval()
+            seen |= _gap_features(spans, window)
+            for theta in THETAS:
+                expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
+                assert repr(mean_dist_power(oracle, window, theta)) == repr(expected), (spans, window, theta)
+            if not components(oracle, lo, hi):
+                with pytest.raises(PreconditionError):
+                    a1_quotient(oracle, window, Fraction(1, 3))
+            else:
+                peak = per_component_peak(oracle, window)
+                for alpha in (Fraction(1, 3), Fraction(1, 2)):
+                    sm = per_component_mean(oracle, window, -alpha)
+                    expected = sm.to_mean_value(peak / window.side, alpha)
+                    assert repr(a1_quotient(oracle, window, alpha)) == repr(expected), (spans, window, alpha)
+            meets_window = meets(oracle, lo, hi)
+            if not meets_window and min(oracle.distance(lo), oracle.distance(hi)) >= 2 * window.side:
+                continue  # a far cube, bracketed without means
+            for alpha, p in ((Fraction(1, 3), Fraction(2)), (Fraction(-1, 3), Fraction(3, 2)), (Fraction(1, 2), Fraction(3, 2))):
+                sm1 = per_component_mean(oracle, window, -alpha)
+                sm2 = per_component_mean(oracle, window, alpha / (p - 1))
+                expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets_window else "II", "gap_walk")
+                assert repr(ap_product(oracle, window, ApQuery(alpha, p))) == repr(expected), (spans, window, alpha, p)
+        assert seen == {
+            "inside one interval", "past lo", "past hi", "touching", "mixed denominators", "off-grid window",
+        }
+        assert time.perf_counter() - start < 5
 
     def test_exact_rational_case(self):
         sm = per_component_mean(ORIGIN, UNIT, Fraction(-1, 2))
@@ -625,7 +722,7 @@ class TestEnvelopeClosedForm:
 
     def _check_window(self, g, m, thetas, ap, a1):
         window = envelope_cube(g.seq, m)
-        gaps = _Gaps.of(g, window)
+        gaps = _Gaps.of(_Window.read(g, window))
         walk = {}
 
         def walk_mean(theta):
