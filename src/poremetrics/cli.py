@@ -22,6 +22,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+from operator import mul
 
 from . import __version__
 from .dyadic import Cube
@@ -40,7 +41,7 @@ from .setmodels import (
     FinitePoints,
     Generated,
     IntegerLattice,
-    envelope_length,
+    check_enumerable,
     envelope_lengths,
     load_set_spec,
     save_set_spec,
@@ -224,11 +225,16 @@ def cmd_fig1(args, argv) -> int:
         ("half_harmonic", ContractionSequence.half_harmonic()),
         ("c=1/2", ContractionSequence.constant(Fraction(1, 2))),
     ]
+    # Each group's level is the first whose envelope reaches the bound, from
+    # one pass of the envelope lengths; every level is checked against the
+    # cap before any group's points are built.
+    levels = []
+    for _, seq in groups:
+        level = next(n for n, length in enumerate(envelope_lengths(seq)) if length >= bound)
+        check_enumerable(level)
+        levels.append(level)
     rows = []
-    for label, seq in groups:
-        level = 0
-        while envelope_length(seq, level) < bound:
-            level += 1
+    for (label, seq), level in zip(groups, levels):
         oracle = Generated(seq, level, True)
         # -bound <= n/den <= bound, cross-multiplied.
         den, top = oracle.den, bound.numerator * oracle.den
@@ -388,14 +394,16 @@ def cmd_prob_stats(args, argv) -> int:
     if args.divergence_t and not constant_half:
         raise PreconditionError("--divergence-t scans the constant-1/2 law only (--rule constant --c 1/2)")
     bound = repr(EXPECTATION_PRODUCT_BOUND)
-    ex_all = moment_prefixes(seq, hi, 1)
-    ex_inv_all = moment_prefixes(seq, hi, -1)
-    table = [
-        (level, ex_all[level], ex_inv_all[level], ex_all[level] * ex_inv_all[level])
-        for level in range(lo, hi + 1)
-    ]
-    # Every cell of both reports is checked before either is written.
-    _check_digits([cell for row in table for cell in row], f"--levels {args.levels}: the moment table")
+    levels = range(lo, hi + 1)
+    ex_all = moment_prefixes(seq, hi, 1)[lo:]
+    ex_inv_all = moment_prefixes(seq, hi, -1)[lo:]
+    # Every cell of both reports is checked before either is written; the
+    # level and moment cells before any product is formed.
+    what = f"--levels {args.levels}: the moment table"
+    _check_digits([*levels, *ex_all, *ex_inv_all], what)
+    products = list(map(mul, ex_all, ex_inv_all))
+    _check_digits(products, what)
+    table = list(zip(levels, ex_all, ex_inv_all, products))
     scan = []
     if args.divergence_t:
         scan = divergence_scan(_rational(args.divergence_t), range(lo, hi + 1))

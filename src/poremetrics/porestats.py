@@ -4,11 +4,13 @@ Under normalized Lebesgue measure on the envelope, the length of the gap
 component containing a uniform point is a random variable whose law obeys a
 two-branch recursion: each generator stage keeps a length with weight
 2/(2+c) and contracts it by c with weight c/(2+c).  Everything here -- exact
-laws, moments, the expectation product bound, Markov bounds for the
-component quantiles, the exact component quantiles themselves (Fractions at
-every level, from the law split into two halves), the binomial reduction for
-the constant-1/2 sequence, its normal approximation, and the quantile
-divergence scan -- is built on that recursion.  Each quantile query of a
+laws, closed-form moments, the expectation product bound, the exact
+component quantiles themselves (Fractions at every level, from the law split
+into two halves), the binomial reduction for the constant-1/2 sequence, and
+the quantile divergence scan -- is built on that recursion.  The moments
+summed atom by atom over a law, the Markov bounds for the component
+quantiles and the normal approximation of the binomial reduction are test
+references in ``tests/oracles.py``.  Each quantile query of a
 call starts from the tightest exact tails that earlier queries evaluated
 (the ends of the support for the first), and integer bounds on the tail
 from runs of one half's atoms narrow that bracket before any row of the
@@ -66,20 +68,6 @@ class LengthDistribution:
         return {Fraction(k, den_x): Fraction(m, den_w) for k, m in self.weights.items()}
 
 
-@dataclass(frozen=True)
-class BinomialModel:
-    """Parameters of the dyadic-exponent law for the constant-1/2 sequence."""
-
-    n: int
-    q: Fraction = Fraction(1, 5)
-
-    def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise PreconditionError("q must lie in (0, 1)")
-        if self.n < 0:
-            raise PreconditionError("n must be nonnegative")
-
-
 def _integer_law(seq: ContractionSequence, idxs, cap=math.inf):
     """The two-branch recursion over the stages ``idxs`` in integers.
 
@@ -128,25 +116,6 @@ def length_law(seq: ContractionSequence, level: int) -> LengthDistribution:
     return law
 
 
-def moment(law: LengthDistribution, theta) -> Fraction | float:
-    """Sum of length^theta weighted by mass; exact whenever every power is rational."""
-    theta = Fraction(theta)
-    exact_total = Fraction(0)
-    exact = True
-    float_total = 0.0
-    for x, m in law.masses.items():
-        p = rational_pow(x, theta)
-        if exact and p is not None:
-            exact_total += p * m
-        else:
-            if exact:
-                float_total = float(exact_total)
-                exact = False
-            val = p if p is not None else float(x) ** float(theta)
-            float_total += float(val) * float(m)
-    return exact_total if exact else float_total
-
-
 def moment_stream(seq: ContractionSequence, theta):
     """Closed-form E[X^theta] at levels 0, 1, 2, ..., endlessly, as the
     prefix products of the stage factors (2 + c_i^(1+theta)) / (2 + c_i).
@@ -183,44 +152,6 @@ def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
     return list(islice(moment_stream(seq, theta), level + 1))
 
 
-def moment_closed_form(seq: ContractionSequence, level: int, theta) -> Fraction | float:
-    """Product form of the moment recursion: prod (2 + c_i^(1+theta)) / (2 + c_i)."""
-    return moment_prefixes(seq, level, theta)[-1]
-
-
-def kakeya_product(seq: ContractionSequence, level: int) -> Fraction:
-    """Exact product of the mean length and the mean reciprocal length."""
-    ex = moment_closed_form(seq, level, 1)
-    ex_inv = moment_closed_form(seq, level, -1)
-    return Fraction(ex) * Fraction(ex_inv)
-
-
-@dataclass(frozen=True)
-class MarkovBounds:
-    upper_for_tilde_largest: Fraction | float
-    lower_for_tilde_smallest: Fraction | float
-    ratio_bound: Fraction | float
-
-
-def markov_bounds_from_moments(ex, ex_inv, s, k, k_prime) -> MarkovBounds:
-    """Quantile bounds from the first and inverse-first moments of a law.
-
-    The largest-side component quantile at s is at most k E[X] for k > 1/s;
-    the smallest-side quantile is at least k'/E[X^-1] for k' < s; their ratio
-    is bounded by (k/k') E[X] E[X^-1].
-    """
-    s, k, k_prime = Fraction(s), Fraction(k), Fraction(k_prime)
-    if k <= 1 / s:
-        raise PreconditionError("Markov upper bound needs k > 1/s")
-    if not 0 < k_prime < s:
-        raise PreconditionError("Markov lower bound needs 0 < k' < s")
-    return MarkovBounds(
-        upper_for_tilde_largest=k * ex,
-        lower_for_tilde_smallest=k_prime / ex_inv,
-        ratio_bound=(k / k_prime) * ex * ex_inv,
-    )
-
-
 def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
     """P(Y = k) * b^n = comb(n, k) a^k (b - a)^(n - k) for k = 0..n, where
     Y ~ Bin(n, q) and q = a/b, together with the common denominator b^n."""
@@ -254,34 +185,6 @@ def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
     worst = max([worst] + [num * den_w for num, hit in zip(nums, seen) if not hit])
     max_dev = Fraction(worst, den * den_w)
     return max_dev == 0, max_dev
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def normal_gap(model: BinomialModel) -> float:
-    """Supremum over x of |P(Y <= x) - Phi((x - nq)/sqrt(nq(1-q)))|.
-
-    The supremum is attained at a CDF jump, so both one-sided deviations at
-    every integer point are examined.  P(Y <= k) is the integer prefix sum
-    over b^n, and integer true division rounds it correctly.
-    """
-    n, q = model.n, model.q
-    if n < 1:
-        raise PreconditionError("normal approximation needs n >= 1")
-    nums, den = _binomial_numerators(n, q)
-    mu = n * float(q)
-    sd = math.sqrt(n * float(q) * (1 - float(q)))
-    gap = 0.0
-    prev = 0.0
-    for k, total in enumerate(accumulate(nums)):
-        phi = normal_cdf((k - mu) / sd)
-        here = total / den
-        gap = max(gap, abs(here - phi), abs(prev - phi))
-        prev = here
-    return gap
 
 
 def normal_quantile(r: float) -> float:

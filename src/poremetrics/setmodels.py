@@ -95,6 +95,12 @@ def envelope_length(seq: ContractionSequence, level: int) -> Fraction:
     return next(islice(envelope_lengths(seq), level, None))
 
 
+def check_enumerable(level: int) -> None:
+    """Refuse a stage past ``GENERATE_LEVEL_CAP`` before any point is built."""
+    if level > GENERATE_LEVEL_CAP:
+        raise PreconditionError(f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}")
+
+
 def envelope_cube(seq: ContractionSequence, level: int) -> Cube:
     """The envelope Q_n = [0, |Q_n|) as a root cube."""
     return Cube.interval(0, envelope_length(seq, level))
@@ -203,8 +209,7 @@ class Generated(SetOracle):
     def numerators(self) -> tuple:
         """The points times ``den``, in increasing order: each stage appends
         the previous one contracted by c_i, then an uncontracted copy."""
-        if self.level > GENERATE_LEVEL_CAP:
-            raise PreconditionError(f"explicit enumeration is capped at level {GENERATE_LEVEL_CAP}")
+        check_enumerable(self.level)
         nums = [0, self.den]
         for i in range(1, self.level + 1):
             c = self.seq.value(i)

@@ -411,20 +411,6 @@ def _divergent_partial(window: _Window, theta, max_gen) -> _ScaledMean:
     return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
 
 
-def mean_dist_power(oracle: SetOracle, q0: Cube, theta, max_gen: int = 40) -> MeanValue:
-    """Mean of dist(.,E)^theta over the cube, exact whenever every power is rational.
-
-    On an envelope window of a generated set and for theta > -1 the mean is
-    the closed form of ``_envelope_means``; elsewhere it is the gap walk.
-    For theta <= -1 on a window meeting the set, the true mean is infinite;
-    the bracket's lower end is the exact integral over the pores enumerated
-    to ``max_gen`` and grows without bound as the depth increases.
-    """
-    theta = Fraction(theta)
-    (sm,) = _envelope_means(oracle, q0, (theta,)) or _means(_Window.read(oracle, q0), (theta,), max_gen)
-    return sm.to_mean_value(sm.unit, theta)
-
-
 @dataclass(frozen=True)
 class ApResult:
     product: MeanValue

@@ -8,12 +8,16 @@ breadth-first search that asks ``meets`` of both halves of every cube
 meeting the set, generation by generation, left to right; a union of
 intervals prunes that search with a scan of its intervals.  ``meets`` and
 the Fraction ``components`` of a window are read off the set's one window
-query, ``piece_runs``, piece by piece.  Binomial
-coefficients come from Pascal's triangle and binomial rows from Fraction
-powers, closed-form moments are rebuilt from stage 1 at each level,
-component quantiles come from cumulative walks over Fraction laws and from
-bisection over Fraction half laws, binomial checks from Fraction comparison
-atom by atom, and membership checks are linear scans over point lists.  Queries on a union of closed intervals scan every
+query, ``piece_runs``, piece by piece.  Binomial coefficients come from
+Pascal's triangle and binomial rows from Fraction powers, closed-form
+moments are rebuilt from stage 1 at each level, the moments of a law are
+summed atom by atom over its Fraction view, Markov bounds for the component
+quantiles come from the first and inverse-first moments, the normal gap
+compares the binomial CDF from Pascal's triangle with the normal CDF at
+every jump, component quantiles come from cumulative walks over Fraction
+laws and from bisection over Fraction half laws, binomial checks from
+Fraction comparison atom by atom, and membership checks are linear scans
+over point lists.  Queries on a union of closed intervals scan every
 interval as given, unsorted and unmerged.
 The 1-D means evaluate the Fraction profile integral below once per
 component, with every endpoint distance queried.
@@ -31,6 +35,7 @@ from fractions import Fraction
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
 from poremetrics.pores import LengthAnswer, Side
+from poremetrics.rationals import rational_pow
 
 
 def points_meet(points, lo, hi):
@@ -124,9 +129,10 @@ def components(oracle, lo, hi):
 
 def children(cube):
     """The two halves of ``cube`` one generation down, left one first, built
-    with the ``Cube`` constructor."""
-    gen, i = cube.generation + 1, 2 * cube.index
-    return [Cube(cube.root_origin, cube.root_side, gen, i + d) for d in (0, 1)]
+    with ``Cube.interval``."""
+    lo, hi = cube.as_interval()
+    mid = (lo + hi) / 2
+    return [Cube.interval(lo, mid), Cube.interval(mid, hi)]
 
 
 def bfs_pore_cubes(oracle, q0, max_gen, covers=None):
@@ -157,7 +163,8 @@ def bfs_counts(oracle, q0, max_gen, covers=None):
     """Generation -> count of the pores of ``bfs_pore_cubes``."""
     counts = {}
     for pore in bfs_pore_cubes(oracle, q0, max_gen, covers):
-        g = pore.generation - q0.generation
+        # The sides halve once per generation: q0.side / pore.side is 2**g.
+        g = (q0.side / pore.side).numerator.bit_length() - 1
         counts[g] = counts.get(g, 0) + 1
     return counts
 
@@ -260,14 +267,104 @@ def fraction_divergence_row(t, n):
     return n, k_min, k_max, Fraction(2) ** (k_max - k_min)
 
 
+@dataclass(frozen=True)
+class BinomialModel:
+    """Parameters of the dyadic-exponent law for the constant-1/2 sequence."""
+
+    n: int
+    q: Fraction = Fraction(1, 5)
+
+    def __post_init__(self):
+        if not 0 < self.q < 1:
+            raise PreconditionError("q must lie in (0, 1)")
+        if self.n < 0:
+            raise PreconditionError("n must be nonnegative")
+
+
+def normal_cdf(z):
+    """Standard normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def normal_gap(model):
+    """Supremum over x of |P(Y <= x) - Phi((x - nq)/sqrt(nq(1-q)))|.
+
+    The supremum is attained at a CDF jump, so both one-sided deviations at
+    every integer point are examined.  P(Y <= k) is an integer prefix sum
+    of Pascal's row times the powers of a and b - a for q = a/b, over b^n,
+    and integer true division rounds it correctly.
+    """
+    n, q = model.n, model.q
+    if n < 1:
+        raise PreconditionError("normal approximation needs n >= 1")
+    a, b = q.numerator, q.denominator
+    den = b**n
+    mu = n * float(q)
+    sd = math.sqrt(n * float(q) * (1 - float(q)))
+    gap = 0.0
+    prev = 0.0
+    total = 0
+    for k, coeff in enumerate(pascal_row(n)):
+        total += coeff * a**k * (b - a) ** (n - k)
+        phi = normal_cdf((k - mu) / sd)
+        here = total / den
+        gap = max(gap, abs(here - phi), abs(prev - phi))
+        prev = here
+    return gap
+
+
+def moment(law, theta):
+    """Sum of length^theta weighted by mass over the Fraction view of a law;
+    exact whenever every power is rational."""
+    theta = Fraction(theta)
+    exact_total = Fraction(0)
+    exact = True
+    float_total = 0.0
+    for x, m in law.masses.items():
+        p = rational_pow(x, theta)
+        if exact and p is not None:
+            exact_total += p * m
+        else:
+            if exact:
+                float_total = float(exact_total)
+                exact = False
+            val = p if p is not None else float(x) ** float(theta)
+            float_total += float(val) * float(m)
+    return exact_total if exact else float_total
+
+
+@dataclass(frozen=True)
+class MarkovBounds:
+    upper_for_tilde_largest: Fraction | float
+    lower_for_tilde_smallest: Fraction | float
+    ratio_bound: Fraction | float
+
+
+def markov_bounds_from_moments(ex, ex_inv, s, k, k_prime):
+    """Quantile bounds from the first and inverse-first moments of a law.
+
+    The largest-side component quantile at s is at most k E[X] for k > 1/s;
+    the smallest-side quantile is at least k'/E[X^-1] for k' < s; their ratio
+    is bounded by (k/k') E[X] E[X^-1].
+    """
+    s, k, k_prime = Fraction(s), Fraction(k), Fraction(k_prime)
+    if k <= 1 / s:
+        raise PreconditionError("Markov upper bound needs k > 1/s")
+    if not 0 < k_prime < s:
+        raise PreconditionError("Markov lower bound needs 0 < k' < s")
+    return MarkovBounds(
+        upper_for_tilde_largest=k * ex,
+        lower_for_tilde_smallest=k_prime / ex_inv,
+        ratio_bound=(k / k_prime) * ex * ex_inv,
+    )
+
+
 def closed_form_moment(seq, level, theta):
     """prod_{i <= level} (2 + c_i^(1+theta)) / (2 + c_i), rebuilt from stage 1.
 
     Exact until the first irrational power; from that stage on the product is
     a float, updated as out * float(num) / float(den).
     """
-    from poremetrics.rationals import rational_pow
-
     theta = Fraction(theta)
     out = Fraction(1)
     exact = True

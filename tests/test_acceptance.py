@@ -18,7 +18,16 @@ import time
 from fractions import Fraction
 
 from invariant_checks import check_instance
-from oracles import components, eq13_constant, meets, pascal_binomial_cdf
+from oracles import (
+    BinomialModel,
+    components,
+    eq13_constant,
+    markov_bounds_from_moments,
+    meets,
+    moment,
+    normal_gap,
+    pascal_binomial_cdf,
+)
 from poremetrics.dyadic import Cube
 from poremetrics.pores import (
     FractionQuery,
@@ -29,15 +38,10 @@ from poremetrics.pores import (
 )
 from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
-    BinomialModel,
     binomial_check,
     divergence_scan,
-    kakeya_product,
     length_law,
-    markov_bounds_from_moments,
-    moment,
-    moment_closed_form,
-    normal_gap,
+    moment_prefixes,
     tilde_quantiles,
 )
 from poremetrics.setmodels import (
@@ -89,7 +93,8 @@ def test_criterion_2_expectation_product():
         independent *= 3 * (2 + c * c) / (2 + c) ** 2
         independents[i] = independent
     for level in (1, 2, 5, 10, 20, 35, 50):
-        assert kakeya_product(HH, level) == independents[level], f"level {level} mismatch"
+        product = moment_prefixes(HH, level, 1)[level] * moment_prefixes(HH, level, -1)[level]
+        assert product == independents[level], f"level {level} mismatch"
     bound_15_digits = EXPECTATION_PRODUCT_BOUND  # e^(pi^2/75) = 1.14064595068955...
     assert abs(bound_15_digits - 1.1406459506895485) < 1e-15
     prev = Fraction(0)
@@ -98,12 +103,12 @@ def test_criterion_2_expectation_product():
         assert val >= prev
         assert float(val) <= bound_15_digits
         prev = val
-    assert kakeya_product(HH, 500) == independents[500]
+    assert moment_prefixes(HH, 500, 1)[500] * moment_prefixes(HH, 500, -1)[500] == independents[500]
     for level in range(0, 13):
         law = length_law(HH, level)
         for theta in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1):
             emp = moment(law, theta)
-            closed = moment_closed_form(HH, level, theta)
+            closed = moment_prefixes(HH, level, theta)[level]
             if isinstance(emp, Fraction) and isinstance(closed, Fraction):
                 assert emp == closed
             else:
@@ -157,8 +162,8 @@ def test_criterion_4_markov_domination():
     k_second = Fraction(9, 200)  # and k'' below s'
     c13 = eq13_constant(s, s_prime)
     for level in range(0, 31):
-        ex = moment_closed_form(HH, level, 1)
-        ex_inv = moment_closed_form(HH, level, -1)
+        ex = moment_prefixes(HH, level, 1)[level]
+        ex_inv = moment_prefixes(HH, level, -1)[level]
         mb = markov_bounds_from_moments(ex, ex_inv, s, k, k_prime)
         assert float(mb.ratio_bound) <= 140
         tl, ts, tl4, ts_prime = tilde_quantiles(

@@ -87,6 +87,19 @@ class TestFig1:
         ref = Generated(ContractionSequence.constant(Fraction(1, 2)), 3).points
         assert [p for p in by_group["c=1/2"] if p > 0] == [p for p in ref if 0 < p <= 8]
 
+    @pytest.mark.parametrize("bound", ["1000000", "1" + "0" * 1000], ids=["1e6", "1e1000"])
+    def test_cap_refused_before_any_group_is_built(self, monkeypatch, capsys, bound):
+        # At 10^6 the constant-1/2 group needs level 16 while the other two
+        # stay within the cap; at 10^1000 the first group is already past it.
+        def refuse(oracle):
+            raise AssertionError(f"points built at level {oracle.level}")
+
+        monkeypatch.setattr(Generated, "numerators", property(refuse))
+        assert cli.main(["fig1", "--bound", bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "precondition violated: explicit enumeration is capped at level 14\n"
+
     def test_byte_identical_and_sidecar(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

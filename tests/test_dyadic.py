@@ -9,7 +9,7 @@ from poremetrics.dyadic import Cube
 
 
 # The reference pore search of oracles.py bisects cubes with ``children``,
-# which builds both halves with the ``Cube`` constructor.
+# which builds both halves with ``Cube.interval``.
 
 
 def test_first_bisection():
@@ -33,10 +33,13 @@ def test_children_of_inner_cube():
 
 @pytest.mark.parametrize("depth,origin,side", [(12, Fraction(-3, 7), Fraction(5, 3)), (10, Fraction(0), Fraction(1))])
 def test_descendants_partition_interval(depth, origin, side):
-    # The cubes of one generation, built by index, tile the root in order:
-    # Cube.interval, side, measure and as_interval on non-root cubes.
+    # The cubes of one generation, halved generation by generation, tile the
+    # root in order: Cube.interval, side, measure and as_interval below it.
     root = Cube.interval(origin, origin + side)
-    cells = [Cube(root.root_origin, root.root_side, depth, i) for i in range(2**depth)]
+    cells = [root]
+    for _ in range(depth):
+        cells = [kid for cell in cells for kid in children(cell)]
+    assert len(cells) == 2**depth
     assert all(c.side == side / 2**depth for c in cells)
     assert sum(c.measure for c in cells) == root.measure
     cursor = origin
@@ -49,11 +52,13 @@ def test_descendants_partition_interval(depth, origin, side):
 
 @st.composite
 def cubes(draw, max_gen=20):
+    # A root interval and a path of left/right halvings below it.
     origin = draw(st.fractions(min_value=-8, max_value=8, max_denominator=64))
     side = draw(st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=64))
-    gen = draw(st.integers(min_value=0, max_value=max_gen))
-    index = draw(st.integers(min_value=0, max_value=2**gen - 1))
-    return Cube(origin, side, gen, index)
+    cube = Cube.interval(origin, origin + side)
+    for right in draw(st.lists(st.booleans(), max_size=max_gen)):
+        cube = children(cube)[right]
+    return cube
 
 
 @settings(max_examples=120, deadline=None)
@@ -65,4 +70,4 @@ def test_children_partition_parent(q):
     assert kids[0].as_interval()[0] == q.as_interval()[0]
     assert kids[0].as_interval()[1] == kids[1].as_interval()[0]
     assert kids[1].as_interval()[1] == q.as_interval()[1]
-    assert len({k.index for k in kids}) == len(kids)
+    assert len(set(kids)) == len(kids)

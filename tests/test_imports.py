@@ -3,14 +3,14 @@ function, class and method the package defines is used somewhere, and the
 package needs nothing beyond the standard library.
 
 A stdlib-only stand-in for an unused-import lint: each ``src/poremetrics``
-module except ``__init__.py`` (which imports to re-export) is parsed with
-``ast``, and every name bound by an import must appear as a name somewhere
-else in the module.  Likewise every module-level function or class and
+module, ``__init__.py`` included, is parsed with ``ast``, and every name
+bound by an import must appear as a name somewhere else in the module, so a
+re-export fails it.  Likewise every module-level function or class and
 every method of a module-level class must appear as a name or an attribute
-in ``src/``, ``tests/``, ``scripts/`` or ``bench/``; dunder methods are
-called implicitly and are exempt, and a re-export in ``__init__.py`` is no
-use.  A fresh interpreter imports the package and must not have loaded
-numpy.
+in the package, ``scripts/`` or ``bench/``: what only tests call does not
+belong in the package.  Dunder methods are called implicitly and are
+exempt.  A fresh interpreter imports every module of the package and must
+not have loaded numpy.
 """
 
 import ast
@@ -23,7 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "poremetrics"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,7 +95,7 @@ def test_no_unreferenced_definitions():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     others = [
         p.read_text(encoding="utf-8")
-        for top in ("src", "tests", "scripts", "bench")
+        for top in ("src", "scripts", "bench")
         for p in sorted((ROOT / top).rglob("*.py"))
         if p.parent != PACKAGE
     ]
@@ -103,7 +103,9 @@ def test_no_unreferenced_definitions():
 
 
 def test_package_import_loads_no_numpy():
+    # Every module but __main__, which runs the command line on import.
+    names = [f"poremetrics.{p.stem}" for p in MODULES if p.stem not in ("__init__", "__main__")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, poremetrics; print('numpy' in sys.modules)"
+    code = f"import importlib, sys\nfor name in {names!r}: importlib.import_module(name)\nprint('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "False"

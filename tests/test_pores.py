@@ -21,6 +21,7 @@ from oracles import (
     pore_histogram,
     tilde_fraction_length,
 )
+from test_weights import mean_dist_power
 from poremetrics import cli
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
@@ -35,7 +36,7 @@ from poremetrics.pores import (
     ratio_condition,
     weak_porosity_check,
 )
-from poremetrics.weights import a1_quotient, mean_dist_power
+from poremetrics.weights import a1_quotient
 from poremetrics.setmodels import (
     BoxUnion,
     ContractionSequence,

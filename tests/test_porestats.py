@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    BinomialModel,
     closed_form_moment,
     components,
     fraction_binomial_cdf_row,
@@ -17,6 +18,10 @@ from oracles import (
     fraction_divergence_row,
     fraction_law_quantiles,
     fraction_length_law,
+    markov_bounds_from_moments,
+    moment,
+    normal_cdf,
+    normal_gap,
     pascal_binomial_cdf,
     product_tails,
     tilde_fraction_length,
@@ -26,18 +31,11 @@ from poremetrics.errors import PreconditionError
 from poremetrics.pores import FractionQuery, Side
 from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
-    BinomialModel,
     LengthDistribution,
     binomial_check,
     divergence_scan,
-    kakeya_product,
     length_law,
-    markov_bounds_from_moments,
-    moment,
-    moment_closed_form,
     moment_prefixes,
-    normal_cdf,
-    normal_gap,
     tilde_quantiles,
 )
 from poremetrics.setmodels import ContractionSequence, Generated
@@ -133,7 +131,7 @@ class TestMoments:
     def test_constant_half_matches_closed_form_to_level_50(self, theta):
         for level in (1, 5, 12, 25, 50):
             law_val = moment(length_law(HALF, level), theta)
-            closed = moment_closed_form(HALF, level, theta)
+            closed = moment_prefixes(HALF, level, theta)[level]
             if isinstance(law_val, Fraction) and isinstance(closed, Fraction):
                 assert law_val == closed
             else:
@@ -143,7 +141,7 @@ class TestMoments:
     def test_half_harmonic_matches_closed_form_to_level_12(self, theta):
         for level in (1, 4, 8, 12):
             law_val = moment(length_law(HH, level), theta)
-            closed = moment_closed_form(HH, level, theta)
+            closed = moment_prefixes(HH, level, theta)[level]
             if isinstance(law_val, Fraction) and isinstance(closed, Fraction):
                 assert law_val == closed
             else:
@@ -152,7 +150,7 @@ class TestMoments:
     def test_square_contraction_keeps_half_powers_exact(self):
         val = moment(length_law(QUARTER, 6), Fraction(1, 2))
         assert isinstance(val, Fraction)
-        assert val == moment_closed_form(QUARTER, 6, Fraction(1, 2))
+        assert val == moment_prefixes(QUARTER, 6, Fraction(1, 2))[6]
 
 
 class TestMomentPrefixes:
@@ -169,7 +167,6 @@ class TestMomentPrefixes:
             expected = closed_form_moment(seq, level, theta)
             assert type(value) is type(expected)
             assert repr(value) == repr(expected)
-        assert repr(moment_closed_form(seq, 60, theta)) == repr(prefixes[-1])
 
     def test_switch_to_float_after_exact_stages(self):
         # c^(3/2) is rational for c = 1/4 and 9/16 but not for 1/2, so the
@@ -183,23 +180,20 @@ class TestMomentPrefixes:
             assert repr(value) == repr(closed_form_moment(seq, level, theta))
 
     def test_negative_level_rejected(self):
-        for call in (
-            lambda: moment_prefixes(HH, -1, 1),
-            lambda: moment_closed_form(HH, -1, 1),
-            lambda: moment_closed_form(HALF, -3, -1),
-            lambda: kakeya_product(HH, -2),
-        ):
+        for seq, level, theta in ((HH, -1, 1), (HALF, -3, -1), (HH, -2, -1)):
             with pytest.raises(PreconditionError, match="level must be nonnegative"):
-                call()
+                moment_prefixes(seq, level, theta)
 
 
 class TestKakeyaProduct:
+    # The product column of prob-stats: E[X] E[X^-1] from the moment prefixes.
+
     def test_half_harmonic_level_one(self):
-        assert kakeya_product(HH, 1) == Fraction(27, 25)
+        assert moment_prefixes(HH, 1, 1)[1] * moment_prefixes(HH, 1, -1)[1] == Fraction(27, 25)
 
     def test_level_zero(self):
-        assert kakeya_product(HH, 0) == 1
-        assert kakeya_product(HALF, 0) == 1
+        assert moment_prefixes(HH, 0, 1)[0] * moment_prefixes(HH, 0, -1)[0] == 1
+        assert moment_prefixes(HALF, 0, 1)[0] * moment_prefixes(HALF, 0, -1)[0] == 1
 
     @pytest.mark.parametrize("seq", [HH, HALF, QUARTER])
     def test_matches_single_product_form(self, seq):
@@ -208,19 +202,20 @@ class TestKakeyaProduct:
             for i in range(1, level + 1):
                 c = seq.value(i)
                 expected *= 3 * (2 + c * c) / (2 + c) ** 2
-            assert kakeya_product(seq, level) == expected
+            assert moment_prefixes(seq, level, 1)[level] * moment_prefixes(seq, level, -1)[level] == expected
 
     def test_half_harmonic_bounded_to_level_500(self):
         prev = Fraction(0)
         for level in range(0, 501):
-            val = kakeya_product(HH, level)
+            val = moment_prefixes(HH, level, 1)[level] * moment_prefixes(HH, level, -1)[level]
             assert val >= prev
             prev = val
         assert float(prev) <= EXPECTATION_PRODUCT_BOUND
 
     def test_constant_half_grows_geometrically(self):
         for level in (1, 5, 12):
-            assert kakeya_product(HALF, level) == Fraction(27, 25) ** level
+            product = moment_prefixes(HALF, level, 1)[level] * moment_prefixes(HALF, level, -1)[level]
+            assert product == Fraction(27, 25) ** level
 
 
 class TestMarkovBounds:
@@ -409,8 +404,8 @@ class TestComponentQuantiles:
         for level in range(0, 31):
             L, S = tilde_quantiles(HH, level, [(s, "largest"), (s, "smallest")])
             mb = markov_bounds_from_moments(
-                moment_closed_form(HH, level, 1),
-                moment_closed_form(HH, level, -1),
+                moment_prefixes(HH, level, 1)[level],
+                moment_prefixes(HH, level, -1)[level],
                 s,
                 11,
                 Fraction(9, 100),
