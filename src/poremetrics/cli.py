@@ -12,8 +12,6 @@ separate ``.meta.json`` sidecar.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -21,8 +19,7 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import cache
-from itertools import islice
-from operator import mul
+from itertools import chain, islice
 
 from . import __version__
 from .dyadic import Cube
@@ -32,6 +29,7 @@ from .porestats import (
     EXPECTATION_PRODUCT_BOUND,
     binomial_check,
     divergence_scan,
+    expectation_products,
     length_laws,
     moment_prefixes,
 )
@@ -158,12 +156,23 @@ def _emit(text: str, out: str | None, argv: list[str], meta=None) -> None:
         fh.write("\n")
 
 
+def _csv_cell(value) -> str:
+    s = "" if value is None else str(value)
+    if "," in s or '"' in s or "\n" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The rows as CSV lines ending in "\n", byte for byte as
+    ``csv.writer(..., lineterminator="\n")`` writes them: a cell holding
+    ``,``, ``"`` or a newline is quoted with its quotes doubled, None is an
+    empty cell, and a row of one empty cell is ``""``."""
+    lines = []
+    for row in chain([header], rows):
+        line = ",".join(map(_csv_cell, row))
+        lines.append('""' if not line and len(row) == 1 else line)
+    return "\n".join(lines) + "\n"
 
 
 def _digit_limit(what: str, limit: int) -> PreconditionError:
@@ -318,7 +327,7 @@ def cmd_ls_ratio(args, argv) -> int:
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out, argv)
     else:
-        # csv writes None as an empty cell
+        # _csv_text writes None as an empty cell
         rows = [
             [c["cube_id"], format_rational(r.s), c["L_s"], c["S_s"], c["ratio"], "true" if r.depth_ok else "false"]
             for r, c in zip(report.rows, map(_ratio_row, report.rows))
@@ -395,15 +404,16 @@ def cmd_prob_stats(args, argv) -> int:
         raise PreconditionError("--divergence-t scans the constant-1/2 law only (--rule constant --c 1/2)")
     bound = repr(EXPECTATION_PRODUCT_BOUND)
     levels = range(lo, hi + 1)
+    # Both exponents keep every stage power rational (c^2 and c^0), so every
+    # moment is a coprime integer pair.
     ex_all = moment_prefixes(seq, hi, 1)[lo:]
     ex_inv_all = moment_prefixes(seq, hi, -1)[lo:]
     # Every cell of both reports is checked before either is written; the
     # level and moment cells before any product is formed.
     what = f"--levels {args.levels}: the moment table"
-    _check_digits([*levels, *ex_all, *ex_inv_all], what)
-    products = list(map(mul, ex_all, ex_inv_all))
-    _check_digits(products, what)
-    table = list(zip(levels, ex_all, ex_inv_all, products))
+    _check_digits([*levels, *chain.from_iterable(ex_all), *chain.from_iterable(ex_inv_all)], what)
+    products = list(islice(expectation_products(seq), lo, hi + 1))
+    _check_digits(chain.from_iterable(products), what)
     scan = []
     if args.divergence_t:
         scan = divergence_scan(_rational(args.divergence_t), range(lo, hi + 1))
@@ -415,22 +425,13 @@ def cmd_prob_stats(args, argv) -> int:
     if constant_half:
         laws = islice(length_laws(seq, hi), lo, None)
     rows = []
-    for level, ex, ex_inv, product in table:
+    for level, (ex_n, ex_d), (inv_n, inv_d), (pr_n, pr_d) in zip(levels, ex_all, ex_inv_all, products):
         if laws is not None:
             ok, _ = binomial_check(next(laws))
             binom = "true" if ok else "false"
         else:
             binom = "na"
-        rows.append(
-            [
-                level,
-                format_rational(ex),
-                format_rational(ex_inv),
-                format_rational(product),
-                bound,
-                binom,
-            ]
-        )
+        rows.append([level, f"{ex_n}/{ex_d}", f"{inv_n}/{inv_d}", f"{pr_n}/{pr_d}", bound, binom])
     _emit(
         _csv_text(["level", "EX", "EXinv", "product", "bound_e_pi2_75", "binom_ok"], rows),
         args.out,

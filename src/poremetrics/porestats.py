@@ -17,7 +17,10 @@ from runs of one half's atoms narrow that bracket before any row of the
 exact search is evaluated.  The recursion runs in
 integers, and a ``LengthDistribution`` stores its output as is: integer atom
 keys over one length denominator, integer masses over one mass denominator.
-Its Fraction view ``masses`` is built only when a caller reads it.
+Its Fraction view ``masses`` is built only when a caller reads it.  The
+closed-form moments and the expectation product are prefix products of
+small stage factors, carried as coprime integer pairs while exact; no
+Fraction is formed on the way.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from operator import lt, mul, not_
 from statistics import NormalDist
 
 from .errors import PreconditionError
-from .rationals import rational_pow
+from .rationals import power_pair
 from .setmodels import ContractionSequence
 
 LAW_SUPPORT_CAP = 1 << 17
@@ -116,40 +119,70 @@ def length_law(seq: ContractionSequence, level: int) -> LengthDistribution:
     return law
 
 
+def _times(n: int, d: int, f_num: int, f_den: int) -> tuple[int, int]:
+    """n/d * f_num/f_den as a coprime pair, for coprime n, d and a small
+    factor: the factor is reduced first, then cross-reduced against the
+    pair, so every gcd has a small side and no Fraction is formed."""
+    g = math.gcd(f_num, f_den)
+    f_num, f_den = f_num // g, f_den // g
+    g = math.gcd(n, f_den)
+    if g > 1:
+        n, f_den = n // g, f_den // g
+    g = math.gcd(d, f_num)
+    if g > 1:
+        d, f_num = d // g, f_num // g
+    return n * f_num, d * f_den
+
+
 def moment_stream(seq: ContractionSequence, theta):
     """Closed-form E[X^theta] at levels 0, 1, 2, ..., endlessly, as the
     prefix products of the stage factors (2 + c_i^(1+theta)) / (2 + c_i).
 
-    Entries are exact Fractions up to the first stage whose power is
-    irrational; from there the running product is a float, updated as
-    out * float(num) / float(den), so entry L has the bits of a product
-    computed for level L alone.
+    Entries are coprime integer pairs (n, d), E[X^theta] = n/d, up to the
+    first stage whose power is irrational; from there the running product
+    is a float, started as n / d (rounded as ``float(Fraction(n, d))``) and
+    updated as out * float(2 + c^(1+theta)) / float(2 + c), so entry L has
+    the bits of a product computed for level L alone.
     """
     e = 1 + Fraction(theta)
-    out: Fraction | float = Fraction(1)
-    exact = True
-    yield out
+    e_num, e_den = e.numerator, e.denominator
+    n = d = 1
+    out = None
+    yield n, d
     for i in count(1):
         c = seq.value(i)
-        p = rational_pow(c, e)
-        if p is None:
-            p = float(c) ** float(e)
-            if exact:
-                out = float(out)
-                exact = False
-        if exact:
-            out *= (2 + p) / (2 + c)
-        else:
-            out = out * float(2 + p) / float(2 + c)
+        a, b = c.numerator, c.denominator
+        p = power_pair(a, b, e_num, e_den)
+        if out is None and p is not None:
+            n, d = _times(n, d, (2 * p[1] + p[0]) * b, p[1] * (2 * b + a))
+            yield n, d
+            continue
+        if out is None:
+            out = n / d
+        top = 2 + (a / b) ** (e_num / e_den) if p is None else (2 * p[1] + p[0]) / p[1]
+        out = out * top / ((2 * b + a) / b)
         yield out
 
 
 def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
     """Closed-form E[X^theta] at every level 0..level, from one pass of
-    ``moment_stream``."""
+    ``moment_stream``: coprime integer pairs while exact, then floats."""
     if level < 0:
         raise PreconditionError("level must be nonnegative")
     return list(islice(moment_stream(seq, theta), level + 1))
+
+
+def expectation_products(seq: ContractionSequence):
+    """E[X] E[X^-1] at levels 0, 1, 2, ..., endlessly, as coprime integer
+    pairs: the prefix products of the two moment stage factors,
+    (2 + c_i^2) / (2 + c_i) times 3 / (2 + c_i), each rational."""
+    n = d = 1
+    yield n, d
+    for i in count(1):
+        c = seq.value(i)
+        a, b = c.numerator, c.denominator
+        n, d = _times(n, d, 3 * (2 * b * b + a * a), (2 * b + a) ** 2)
+        yield n, d
 
 
 def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:

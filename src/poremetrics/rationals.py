@@ -1,9 +1,11 @@
 """Exact rational parsing, formatting and power helpers.
 
-All cube geometry and integral bookkeeping runs on
-:class:`fractions.Fraction`.  Floats appear only when a rational power of a
-rational is irrational, and callers are expected to widen such values into
-explicit brackets.
+Rationals cross the package's edges as :class:`fractions.Fraction`: parsed
+inputs, set specs, report cells.  The hot loops inside carry integers
+instead (pore families, profile integrals, the gap-length law, the moment
+prefix products) and build a Fraction only where one is read.  Floats
+appear only when a rational power of a rational is irrational, and callers
+are expected to widen such values into explicit brackets.
 """
 
 from __future__ import annotations
@@ -60,6 +62,23 @@ def int_nth_root(m: int, k: int) -> int | None:
         r = s
 
 
+def power_pair(n: int, d: int, e_num: int, e_den: int) -> tuple[int, int] | None:
+    """(n/d)^(e_num/e_den) for coprime n >= 0, d > 0 and e_den >= 1 as a
+    coprime integer pair when it is rational, else None: it is rational
+    exactly when n and d have integer e_den-th roots.  A negative exponent
+    needs n > 0."""
+    if e_den > 1:
+        n = int_nth_root(n, e_den)
+        if n is None:
+            return None
+        d = int_nth_root(d, e_den)
+        if d is None:
+            return None
+    if e_num < 0:
+        return d**-e_num, n**-e_num
+    return n**e_num, d**e_num
+
+
 def rational_pow(x: Fraction, e: Fraction) -> Fraction | None:
     """``x**e`` as an exact Fraction when the result is rational, else None.
 
@@ -76,13 +95,5 @@ def rational_pow(x: Fraction, e: Fraction) -> Fraction | None:
         if e == 0:
             return Fraction(1)
         raise ZeroDivisionError("0 raised to a negative power")
-    a, b = e.numerator, e.denominator
-    if b == 1:
-        return x**a
-    rn = int_nth_root(x.numerator, b)
-    if rn is None:
-        return None
-    rd = int_nth_root(x.denominator, b)
-    if rd is None:
-        return None
-    return Fraction(rn, rd) ** a
+    r = power_pair(x.numerator, x.denominator, e.numerator, e.denominator)
+    return None if r is None else Fraction(*r)

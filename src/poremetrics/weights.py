@@ -28,7 +28,7 @@ from .dyadic import Cube
 from .errors import PreconditionError
 from .pores import cell_pore_profiles
 from .porestats import moment_stream
-from .rationals import int_nth_root, rational_pow
+from .rationals import power_pair, rational_pow
 from .setmodels import Generated, Prefixes, SetOracle
 
 _BASE_SLACK = 1e-15
@@ -131,18 +131,12 @@ def _antiderivative(n: int, d: int, e_num: int, e_den: int):
         return math.log(_positive_quotient(n, d))
     g = math.gcd(n, d)
     n, d = n // g, d // g
-    if e_den > 1:
-        rn = int_nth_root(n, e_den)
-        rd = None if rn is None else int_nth_root(d, e_den)
-        if rd is None:
-            e = e_num / e_den
-            return (_positive_quotient(n, d) if e < 0 else n / d) ** e / e
-        n, d = rn, rd
-    # (n/d)^e_num * e_den / e_num; the denominator is negative when e is.
-    p = abs(e_num)
-    if e_num < 0:
-        n, d = d, n
-    return n**p * e_den, d**p * e_num
+    r = power_pair(n, d, e_num, e_den)
+    if r is None:
+        e = e_num / e_den
+        return (_positive_quotient(n, d) if e < 0 else n / d) ** e / e
+    # (n/d)^e * e_den / e_num; the denominator is negative when e is.
+    return r[0] * e_den, r[1] * e_num
 
 
 def _positive_quotient(n: int, d: int) -> float:
@@ -359,7 +353,8 @@ def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | 
     with X_m the gap-length variable of ``porestats``: unit 1/2 and norm
     E[X_m^theta]/(theta+1).  One pass of ``moment_stream`` per exponent,
     kept on the oracle and drawn as far as the largest m asked for, serves
-    every envelope of the set.
+    every envelope of the set; its exact entries are integer pairs, and only
+    the one read here becomes a Fraction.
     """
     if not isinstance(oracle, Generated) or min(thetas) <= -1:
         return None
@@ -372,8 +367,8 @@ def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | 
         if moments is None:
             moments = oracle.moments[theta] = Prefixes(moment_stream(oracle.seq, theta))
         moment = moments.upto(m)[m]
-        if isinstance(moment, Fraction):
-            norm, exact = moment / (theta + 1), True
+        if type(moment) is tuple:
+            norm, exact = Fraction(*moment) / (theta + 1), True
         else:
             norm, exact = moment / float(theta + 1), False
         # The terms behind a float norm: m stage factors and the division.

@@ -359,6 +359,12 @@ def markov_bounds_from_moments(ex, ex_inv, s, k, k_prime):
     )
 
 
+def moment_number(entry):
+    """An entry of ``porestats.moment_stream`` as a number: the Fraction of an
+    integer pair (n, d), a float as it is."""
+    return Fraction(*entry) if isinstance(entry, tuple) else entry
+
+
 def closed_form_moment(seq, level, theta):
     """prod_{i <= level} (2 + c_i^(1+theta)) / (2 + c_i), rebuilt from stage 1.
 

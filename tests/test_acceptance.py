@@ -25,6 +25,7 @@ from oracles import (
     markov_bounds_from_moments,
     meets,
     moment,
+    moment_number,
     normal_gap,
     pascal_binomial_cdf,
 )
@@ -51,6 +52,7 @@ from poremetrics.setmodels import (
     IntegerLattice,
 )
 from poremetrics.weights import ApQuery, a1_quotient, ap_product
+from test_porestats import expectation_product
 
 HALF = ContractionSequence.constant(Fraction(1, 2))
 HH = ContractionSequence.half_harmonic()
@@ -93,7 +95,7 @@ def test_criterion_2_expectation_product():
         independent *= 3 * (2 + c * c) / (2 + c) ** 2
         independents[i] = independent
     for level in (1, 2, 5, 10, 20, 35, 50):
-        product = moment_prefixes(HH, level, 1)[level] * moment_prefixes(HH, level, -1)[level]
+        product = expectation_product(HH, level)
         assert product == independents[level], f"level {level} mismatch"
     bound_15_digits = EXPECTATION_PRODUCT_BOUND  # e^(pi^2/75) = 1.14064595068955...
     assert abs(bound_15_digits - 1.1406459506895485) < 1e-15
@@ -103,12 +105,12 @@ def test_criterion_2_expectation_product():
         assert val >= prev
         assert float(val) <= bound_15_digits
         prev = val
-    assert moment_prefixes(HH, 500, 1)[500] * moment_prefixes(HH, 500, -1)[500] == independents[500]
+    assert expectation_product(HH, 500) == independents[500]
     for level in range(0, 13):
         law = length_law(HH, level)
         for theta in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1):
             emp = moment(law, theta)
-            closed = moment_prefixes(HH, level, theta)[level]
+            closed = moment_number(moment_prefixes(HH, level, theta)[level])
             if isinstance(emp, Fraction) and isinstance(closed, Fraction):
                 assert emp == closed
             else:
@@ -162,8 +164,8 @@ def test_criterion_4_markov_domination():
     k_second = Fraction(9, 200)  # and k'' below s'
     c13 = eq13_constant(s, s_prime)
     for level in range(0, 31):
-        ex = moment_prefixes(HH, level, 1)[level]
-        ex_inv = moment_prefixes(HH, level, -1)[level]
+        ex = moment_number(moment_prefixes(HH, level, 1)[level])
+        ex_inv = moment_number(moment_prefixes(HH, level, -1)[level])
         mb = markov_bounds_from_moments(ex, ex_inv, s, k, k_prime)
         assert float(mb.ratio_bound) <= 140
         tl, ts, tl4, ts_prime = tilde_quantiles(

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poremetrics import cli
 from poremetrics.dyadic import Cube
@@ -351,6 +354,19 @@ class TestReports:
         assert rows[0] == ["40", "7", "11", "16/1"]
 
 
+_CELLS = st.one_of(st.text(alphabet='a1/ ,"\n', max_size=6), st.integers(), st.none())
+
+
+class TestCsvText:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(_CELLS, min_size=1, max_size=6), min_size=1, max_size=6))
+    @example([["level", None], [None], [""], ["a,b"], ['say "hi"'], ["x\ny", 3, ""]])
+    def test_matches_csv_writer(self, table):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        assert cli._csv_text(table[0], table[1:]) == buf.getvalue()
+
+
 class TestPointCloudFile:
     # One-coordinate points, a duplicate and one outside the unit window: the
     # file loads as the FinitePoints of its distinct values.
@@ -654,6 +670,19 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "divergence.csv", "divergence.csv.meta.json", "moments.csv", "moments.csv.meta.json"
         ]
+
+    def test_prob_stats_refused_before_the_product_column(self, monkeypatch, capsys):
+        # The half-harmonic moment pairs pass 4300 digits before level 6000,
+        # so the level and moment cells refuse the table and no product is
+        # formed.
+        def no_products(seq):
+            raise AssertionError("product column formed")
+
+        monkeypatch.setattr(cli, "expectation_products", no_products)
+        code = cli.main(["prob-stats", "--rule", "half_harmonic", "--levels", "0..6000"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"precondition violated: --levels 0..6000: the moment table would need more than 4300 digits, {DIGIT_LIMIT}"
+        )
 
     @pytest.mark.parametrize("args,what", [
         (["ls-ratio", "--cubes", "envelopes:10000..10000", "--s", "1/10"], "cube 0: its ends"),

@@ -2,7 +2,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from oracles import (
     fraction_length_law,
     markov_bounds_from_moments,
     moment,
+    moment_number,
     normal_cdf,
     normal_gap,
     pascal_binomial_cdf,
@@ -34,6 +35,7 @@ from poremetrics.porestats import (
     LengthDistribution,
     binomial_check,
     divergence_scan,
+    expectation_products,
     length_law,
     moment_prefixes,
     tilde_quantiles,
@@ -46,6 +48,13 @@ QUARTER = ContractionSequence.constant(Fraction(1, 4))
 TWO_SEVENTHS = ContractionSequence.constant(Fraction(2, 7))
 TWO_THIRDS = ContractionSequence.constant(Fraction(2, 3))
 ONE = ContractionSequence.constant(1)
+
+
+def expectation_product(seq, level):
+    """E[X] E[X^-1] at ``level`` as a Fraction, from the two moment prefixes."""
+    ex = moment_prefixes(seq, level, 1)[level]
+    ex_inv = moment_prefixes(seq, level, -1)[level]
+    return moment_number(ex) * moment_number(ex_inv)
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ class TestMoments:
     def test_constant_half_matches_closed_form_to_level_50(self, theta):
         for level in (1, 5, 12, 25, 50):
             law_val = moment(length_law(HALF, level), theta)
-            closed = moment_prefixes(HALF, level, theta)[level]
+            closed = moment_number(moment_prefixes(HALF, level, theta)[level])
             if isinstance(law_val, Fraction) and isinstance(closed, Fraction):
                 assert law_val == closed
             else:
@@ -141,7 +150,7 @@ class TestMoments:
     def test_half_harmonic_matches_closed_form_to_level_12(self, theta):
         for level in (1, 4, 8, 12):
             law_val = moment(length_law(HH, level), theta)
-            closed = moment_prefixes(HH, level, theta)[level]
+            closed = moment_number(moment_prefixes(HH, level, theta)[level])
             if isinstance(law_val, Fraction) and isinstance(closed, Fraction):
                 assert law_val == closed
             else:
@@ -150,7 +159,7 @@ class TestMoments:
     def test_square_contraction_keeps_half_powers_exact(self):
         val = moment(length_law(QUARTER, 6), Fraction(1, 2))
         assert isinstance(val, Fraction)
-        assert val == moment_prefixes(QUARTER, 6, Fraction(1, 2))[6]
+        assert val == moment_number(moment_prefixes(QUARTER, 6, Fraction(1, 2))[6])
 
 
 class TestMomentPrefixes:
@@ -161,7 +170,7 @@ class TestMomentPrefixes:
     def test_matches_per_level_products(self, seq, theta):
         # Same type and the same bits at every level, on the exact path, the
         # float path and across the switch between them.
-        prefixes = moment_prefixes(seq, 60, theta)
+        prefixes = list(map(moment_number, moment_prefixes(seq, 60, theta)))
         assert len(prefixes) == 61
         for level, value in enumerate(prefixes):
             expected = closed_form_moment(seq, level, theta)
@@ -174,7 +183,7 @@ class TestMomentPrefixes:
         q, h, n = Fraction(1, 4), Fraction(1, 2), Fraction(9, 16)
         seq = _Stages((q, n, q, h, n, h, q, n))
         theta = Fraction(1, 2)
-        prefixes = moment_prefixes(seq, 8, theta)
+        prefixes = list(map(moment_number, moment_prefixes(seq, 8, theta)))
         assert [type(v) for v in prefixes] == [Fraction] * 4 + [float] * 5
         for level, value in enumerate(prefixes):
             assert repr(value) == repr(closed_form_moment(seq, level, theta))
@@ -185,15 +194,66 @@ class TestMomentPrefixes:
                 moment_prefixes(seq, level, theta)
 
 
+def _stream_mismatches(seq, theta, top=200):
+    """The levels 0..top at which ``moment_prefixes`` differs from the
+    Fraction reference: an exact entry must be the reference's numerator and
+    denominator (so equal to it, coprime, with d > 0), a float must have the
+    reference's repr."""
+    bad = []
+    for level, entry in enumerate(moment_prefixes(seq, top, theta)):
+        ref = closed_form_moment(seq, level, theta)
+        if isinstance(ref, Fraction):
+            ok = type(entry) is tuple and entry == (ref.numerator, ref.denominator)
+        else:
+            ok = type(entry) is float and repr(entry) == repr(ref)
+        if not ok:
+            bad.append(level)
+    return bad
+
+
+class TestIntegerMomentStream:
+    # c = 1/8 keeps every power exact at theta = 1/3, -1/3 and 2/3, c = 1/4
+    # at theta = 1/2 and -1/2, and theta = 1 and -1 keep every stage exact.
+    @pytest.mark.parametrize(
+        "seq", [HH, ONE, HALF, QUARTER, TWO_THIRDS, ContractionSequence.constant(Fraction(1, 8))]
+    )
+    @pytest.mark.parametrize(
+        "theta",
+        [1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)],
+    )
+    def test_matches_fraction_reference_to_level_200(self, seq, theta):
+        assert _stream_mismatches(seq, theta) == []
+
+    @pytest.mark.parametrize("skipped", ["numerator", "denominator"])
+    def test_a_skipped_cross_reduction_is_caught(self, monkeypatch, skipped):
+        # The stage product of the stream with one of its two cross-reductions
+        # left out: its pairs keep their values but not lowest terms.  A
+        # constant c repeats one coprime factor, so only the half-harmonic
+        # stages ever cancel across the pair.
+        def times(n, d, f_num, f_den):
+            g = math.gcd(f_num, f_den)
+            f_num, f_den = f_num // g, f_den // g
+            if skipped != "numerator":
+                g = math.gcd(n, f_den)
+                n, f_den = n // g, f_den // g
+            if skipped != "denominator":
+                g = math.gcd(d, f_num)
+                d, f_num = d // g, f_num // g
+            return n * f_num, d * f_den
+
+        monkeypatch.setattr(porestats, "_times", times)
+        assert _stream_mismatches(HH, 1, 20) != []
+
+
 class TestKakeyaProduct:
     # The product column of prob-stats: E[X] E[X^-1] from the moment prefixes.
 
     def test_half_harmonic_level_one(self):
-        assert moment_prefixes(HH, 1, 1)[1] * moment_prefixes(HH, 1, -1)[1] == Fraction(27, 25)
+        assert expectation_product(HH, 1) == Fraction(27, 25)
 
     def test_level_zero(self):
-        assert moment_prefixes(HH, 0, 1)[0] * moment_prefixes(HH, 0, -1)[0] == 1
-        assert moment_prefixes(HALF, 0, 1)[0] * moment_prefixes(HALF, 0, -1)[0] == 1
+        assert expectation_product(HH, 0) == 1
+        assert expectation_product(HALF, 0) == 1
 
     @pytest.mark.parametrize("seq", [HH, HALF, QUARTER])
     def test_matches_single_product_form(self, seq):
@@ -202,19 +262,29 @@ class TestKakeyaProduct:
             for i in range(1, level + 1):
                 c = seq.value(i)
                 expected *= 3 * (2 + c * c) / (2 + c) ** 2
-            assert moment_prefixes(seq, level, 1)[level] * moment_prefixes(seq, level, -1)[level] == expected
+            assert expectation_product(seq, level) == expected
+
+    @pytest.mark.parametrize("seq", [HH, HALF, QUARTER, TWO_THIRDS, ONE])
+    def test_expectation_products_are_the_moment_products(self, seq):
+        # prob-stats forms the column from the two stage factors, not from
+        # the moment pairs: the same coprime pairs at every level.
+        products = list(islice(expectation_products(seq), 201))
+        moments = zip(moment_prefixes(seq, 200, 1), moment_prefixes(seq, 200, -1))
+        for level, (ex, ex_inv) in enumerate(moments):
+            expected = Fraction(*ex) * Fraction(*ex_inv)
+            assert products[level] == (expected.numerator, expected.denominator)
 
     def test_half_harmonic_bounded_to_level_500(self):
         prev = Fraction(0)
         for level in range(0, 501):
-            val = moment_prefixes(HH, level, 1)[level] * moment_prefixes(HH, level, -1)[level]
+            val = expectation_product(HH, level)
             assert val >= prev
             prev = val
         assert float(prev) <= EXPECTATION_PRODUCT_BOUND
 
     def test_constant_half_grows_geometrically(self):
         for level in (1, 5, 12):
-            product = moment_prefixes(HALF, level, 1)[level] * moment_prefixes(HALF, level, -1)[level]
+            product = expectation_product(HALF, level)
             assert product == Fraction(27, 25) ** level
 
 
@@ -404,8 +474,8 @@ class TestComponentQuantiles:
         for level in range(0, 31):
             L, S = tilde_quantiles(HH, level, [(s, "largest"), (s, "smallest")])
             mb = markov_bounds_from_moments(
-                moment_prefixes(HH, level, 1)[level],
-                moment_prefixes(HH, level, -1)[level],
+                moment_number(moment_prefixes(HH, level, 1)[level]),
+                moment_number(moment_prefixes(HH, level, -1)[level]),
                 s,
                 11,
                 Fraction(9, 100),
