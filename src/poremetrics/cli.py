@@ -20,6 +20,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
+from operator import add
 
 from . import __version__
 from .dyadic import Cube
@@ -31,7 +32,7 @@ from .porestats import (
     divergence_scan,
     expectation_products,
     length_laws,
-    moment_prefixes,
+    moment_stream,
 )
 from .rationals import format_rational, format_ratio, parse_rational
 from .setmodels import (
@@ -192,6 +193,17 @@ def _check_digits(values, what: str) -> None:
     # 2^(3 limit) < 10^limit, so shorter integers need no power of ten.
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
         raise _digit_limit(what, limit)
+
+
+def _checked_rows(stream, levels: range, what: str) -> list:
+    """The rows ``levels`` of an endless ``stream`` of integer tuples, each
+    digit-checked as it is drawn: a table past the limit is refused at its
+    first long row, and no row past that one is drawn."""
+    rows = []
+    for row in islice(stream, levels.start, levels.stop):
+        _check_digits(row, what)
+        rows.append(row)
+    return rows
 
 
 def _check_envelope_level(level: int) -> None:
@@ -404,16 +416,14 @@ def cmd_prob_stats(args, argv) -> int:
         raise PreconditionError("--divergence-t scans the constant-1/2 law only (--rule constant --c 1/2)")
     bound = repr(EXPECTATION_PRODUCT_BOUND)
     levels = range(lo, hi + 1)
-    # Both exponents keep every stage power rational (c^2 and c^0), so every
-    # moment is a coprime integer pair.
-    ex_all = moment_prefixes(seq, hi, 1)[lo:]
-    ex_inv_all = moment_prefixes(seq, hi, -1)[lo:]
-    # Every cell of both reports is checked before either is written; the
-    # level and moment cells before any product is formed.
+    # Every cell of both reports is checked before either is written (the
+    # levels parsed under the same digit limit): each moment row as the two
+    # streams draw it, so a long table is refused at its first long row, and
+    # then the products.  Both exponents keep every stage power rational
+    # (c^2 and c^0), so a moment row is (EX, EXinv) as two coprime pairs.
     what = f"--levels {args.levels}: the moment table"
-    _check_digits([*levels, *chain.from_iterable(ex_all), *chain.from_iterable(ex_inv_all)], what)
-    products = list(islice(expectation_products(seq), lo, hi + 1))
-    _check_digits(chain.from_iterable(products), what)
+    moments = _checked_rows(map(add, moment_stream(seq, 1), moment_stream(seq, -1)), levels, what)
+    products = _checked_rows(expectation_products(seq), levels, what)
     scan = []
     if args.divergence_t:
         scan = divergence_scan(_rational(args.divergence_t), range(lo, hi + 1))
@@ -425,7 +435,7 @@ def cmd_prob_stats(args, argv) -> int:
     if constant_half:
         laws = islice(length_laws(seq, hi), lo, None)
     rows = []
-    for level, (ex_n, ex_d), (inv_n, inv_d), (pr_n, pr_d) in zip(levels, ex_all, ex_inv_all, products):
+    for level, (ex_n, ex_d, inv_n, inv_d), (pr_n, pr_d) in zip(levels, moments, products):
         if laws is not None:
             ok, _ = binomial_check(next(laws))
             binom = "true" if ok else "false"

@@ -17,10 +17,12 @@ from runs of one half's atoms narrow that bracket before any row of the
 exact search is evaluated.  The recursion runs in
 integers, and a ``LengthDistribution`` stores its output as is: integer atom
 keys over one length denominator, integer masses over one mass denominator.
-Its Fraction view ``masses`` is built only when a caller reads it.  The
-closed-form moments and the expectation product are prefix products of
-small stage factors, carried as coprime integer pairs while exact; no
-Fraction is formed on the way.
+Its Fraction view ``masses`` is built only when a caller reads it.  Every
+law, moment and product reads the stages as the coprime integer pairs
+(a, b), c_i = a/b, of ``ContractionSequence.stages``.  The closed-form
+moments and the expectation product are prefix products of small stage
+factors, carried as coprime integer pairs while exact; no Fraction is
+formed on the way.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, islice, pairwise
+from itertools import accumulate, compress, islice, pairwise
 from operator import lt, mul, not_
 from statistics import NormalDist
 
@@ -71,22 +73,21 @@ class LengthDistribution:
         return {Fraction(k, den_x): Fraction(m, den_w) for k, m in self.weights.items()}
 
 
-def _integer_law(seq: ContractionSequence, idxs, cap=math.inf):
-    """The two-branch recursion over the stages ``idxs`` in integers.
+def _integer_law(stages, cap=math.inf):
+    """The two-branch recursion in integers over ``stages``, the coprime
+    pairs (p, q) of the factors c = p/q.
 
     Yields (masses, den_x, den_w) before the first stage and after each one:
     each atom x is stored as the key x * den_x with mass masses[key] / den_w,
-    where den_x is the product of the denominators q of the factors c = p/q
-    and den_w the product of 2q + p.  Keep multiplies the key by q and the
-    mass by 2q; contract multiplies both by p.  Equal atoms get equal keys,
-    so this is the exact law with no Fraction arithmetic on the way.
+    where den_x is the product of the q and den_w the product of 2q + p.
+    Keep multiplies the key by q and the mass by 2q; contract multiplies both
+    by p.  Equal atoms get equal keys, so this is the exact law with no
+    Fraction arithmetic on the way.
     """
     masses = {1: 1}
     den_x = den_w = 1
     yield masses, den_x, den_w
-    for i in idxs:
-        c = seq.value(i)
-        p, q = c.numerator, c.denominator
+    for p, q in stages:
         keep = 2 * q
         den_x *= q
         den_w *= 2 * q + p
@@ -109,7 +110,7 @@ def length_laws(seq: ContractionSequence, level: int):
     """The gap-length law at every level 0..level, from one pass of the recursion."""
     if level < 0:
         raise PreconditionError("level must be nonnegative")
-    laws = _integer_law(seq, range(1, level + 1), LAW_SUPPORT_CAP)
+    laws = _integer_law(islice(seq.stages(), level), LAW_SUPPORT_CAP)
     return (LengthDistribution(*law, n, seq) for n, law in enumerate(laws))
 
 
@@ -149,9 +150,7 @@ def moment_stream(seq: ContractionSequence, theta):
     n = d = 1
     out = None
     yield n, d
-    for i in count(1):
-        c = seq.value(i)
-        a, b = c.numerator, c.denominator
+    for a, b in seq.stages():
         p = power_pair(a, b, e_num, e_den)
         if out is None and p is not None:
             n, d = _times(n, d, (2 * p[1] + p[0]) * b, p[1] * (2 * b + a))
@@ -164,23 +163,13 @@ def moment_stream(seq: ContractionSequence, theta):
         yield out
 
 
-def moment_prefixes(seq: ContractionSequence, level: int, theta) -> list:
-    """Closed-form E[X^theta] at every level 0..level, from one pass of
-    ``moment_stream``: coprime integer pairs while exact, then floats."""
-    if level < 0:
-        raise PreconditionError("level must be nonnegative")
-    return list(islice(moment_stream(seq, theta), level + 1))
-
-
 def expectation_products(seq: ContractionSequence):
     """E[X] E[X^-1] at levels 0, 1, 2, ..., endlessly, as coprime integer
     pairs: the prefix products of the two moment stage factors,
     (2 + c_i^2) / (2 + c_i) times 3 / (2 + c_i), each rational."""
     n = d = 1
     yield n, d
-    for i in count(1):
-        c = seq.value(i)
-        a, b = c.numerator, c.denominator
+    for a, b in seq.stages():
         n, d = _times(n, d, 3 * (2 * b * b + a * a), (2 * b + a) ** 2)
         yield n, d
 
@@ -218,13 +207,6 @@ def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
     worst = max([worst] + [num * den_w for num, hit in zip(nums, seen) if not hit])
     max_dev = Fraction(worst, den * den_w)
     return max_dev == 0, max_dev
-
-
-def normal_quantile(r: float) -> float:
-    """Inverse of the standard normal CDF."""
-    if not 0 < r < 1:
-        raise PreconditionError("quantile level must lie in (0, 1)")
-    return NormalDist().inv_cdf(r)
 
 
 @dataclass(frozen=True)
@@ -268,18 +250,19 @@ QUANTILE_EDGE_PROBES = 2  # run-bound probes per end after it
 QUANTILE_OVERSHOOT = 1 / 8  # stretch of a pivot's distance from the end that moved last
 
 
-def _half_law(seq: ContractionSequence, lo: int, hi: int):
-    """Sorted integer keys of the law over the stages lo..hi-1, their integer
-    masses, and the key and mass denominators.
+def _half_law(stages: list):
+    """Sorted integer keys of the law over ``stages`` (coprime pairs, as
+    ``_integer_law`` reads them), their integer masses, and the key and mass
+    denominators.
 
     The law is the product of the ``_integer_law`` of each half of the
     stages: keys and masses multiply, and equal keys merge.  Both factors
     are walked by rising key, so the products arrive in ascending runs that
     the final sort merges.
     """
-    mid = (lo + hi) // 2
-    ((m1, x1, w1),) = deque(_integer_law(seq, range(lo, mid)), maxlen=1)
-    ((m2, x2, w2),) = deque(_integer_law(seq, range(mid, hi)), maxlen=1)
+    mid = len(stages) // 2
+    ((m1, x1, w1),) = deque(_integer_law(stages[:mid]), maxlen=1)
+    ((m2, x2, w2),) = deque(_integer_law(stages[mid:]), maxlen=1)
     row = sorted(m2.items())
     masses: dict = {}
     for a, wa in sorted(m1.items()):
@@ -290,13 +273,16 @@ def _half_law(seq: ContractionSequence, lo: int, hi: int):
     return keys, [masses[k] for k in keys], x1 * x2, w1 * w2
 
 
+_NORMAL = NormalDist()
+
+
 def _score(tail: int, den: int) -> float:
     """Normal score of the upper-tail mass tail/den, growing as the tail
     shrinks.  It varies with log v far more evenly than the tail does, so
     regula falsi on it places pivots better."""
     if 2 * tail <= den:
-        return -normal_quantile(max(tail / den, 1e-300))
-    return normal_quantile(max((den - tail) / den, 1e-300))
+        return -_NORMAL.inv_cdf(max(tail / den, 1e-300))
+    return _NORMAL.inv_cdf(max((den - tail) / den, 1e-300))
 
 
 def _shrink(z_far: float, z_old: float, z_new: float, z_need: float) -> float:
@@ -392,9 +378,10 @@ class _ProductTail:
     """
 
     def __init__(self, seq: ContractionSequence, level: int):
+        stages = list(islice(seq.stages(), level))
         mid = level // 2
-        self.ka, self.wa, dxa, dwa = _half_law(seq, 1, mid + 1)
-        self.kb, self.wb, dxb, dwb = _half_law(seq, mid + 1, level + 1)
+        self.ka, self.wa, dxa, dwa = _half_law(stages[:mid])
+        self.kb, self.wb, dxb, dwb = _half_law(stages[mid:])
         self.top = list(accumulate(reversed(self.wb), initial=0))[::-1]
         self.K, self.D = dxa * dxb, dwa * dwb
         ka, na = self.ka, len(self.ka)

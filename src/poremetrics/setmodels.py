@@ -3,7 +3,8 @@
 Every oracle represents a closed set on the line.  It answers exact Fraction
 distance queries and one window query, the set's closed pieces in the window
 as integer runs; the gaps of a window, its dyadic pores and the weight means
-are all built from these.
+are all built from these.  The generator reads its contraction factors as
+coprime integer pairs, one per stage.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, repeat
 from operator import mul
 
 from .dyadic import Cube
@@ -32,6 +33,8 @@ class ContractionSequence:
     The constructor is the one place that knows the rules: ``constant`` needs
     ``c``, ``half_harmonic`` (c_n = 1 - 1/(2n)) takes none.  An unknown rule
     name, a missing ``c`` or a ``c`` given to ``half_harmonic`` does not parse.
+    ``stages`` yields the factors as coprime integer pairs, the one form in
+    which the laws, moments, envelope lengths and generator stages read them.
     """
 
     RULES = ("constant", "half_harmonic")
@@ -58,13 +61,12 @@ class ContractionSequence:
     def half_harmonic(cls) -> "ContractionSequence":
         return cls("half_harmonic", None)
 
-    def value(self, n: int) -> Fraction:
-        """c_n, 1-indexed."""
-        if n < 1:
-            raise PreconditionError("contraction index starts at 1")
+    def stages(self):
+        """c_1, c_2, ..., endlessly, as coprime integer pairs (a, b) with
+        c_n = a/b and b > 0: (2n - 1, 2n) for the half-harmonic rule."""
         if self.rule == "constant":
-            return self.c
-        return 1 - Fraction(1, 2 * n)
+            return repeat((self.c.numerator, self.c.denominator))
+        return ((2 * n - 1, 2 * n) for n in count(1))
 
 
 class Prefixes:
@@ -85,7 +87,7 @@ class Prefixes:
 def envelope_lengths(seq: ContractionSequence):
     """|Q_0|, |Q_1|, |Q_2|, ..., endlessly: the exact prefix products of
     (2 + c_i), strictly increasing."""
-    return accumulate((2 + seq.value(i) for i in count(1)), mul, initial=Fraction(1))
+    return accumulate((Fraction(2 * b + a, b) for a, b in seq.stages()), mul, initial=Fraction(1))
 
 
 def envelope_length(seq: ContractionSequence, level: int) -> Fraction:
@@ -203,7 +205,7 @@ class Generated(SetOracle):
     def den(self) -> int:
         """prod q_i for c_i = p_i/q_i: a point of stage i-1 is a multiple of
         q_i ... q_level over den, so the contraction by c_i divides exactly."""
-        return math.prod(self.seq.value(i).denominator for i in range(1, self.level + 1))
+        return math.prod(q for _, q in islice(self.seq.stages(), self.level))
 
     @cached_property
     def numerators(self) -> tuple:
@@ -211,9 +213,8 @@ class Generated(SetOracle):
         the previous one contracted by c_i, then an uncontracted copy."""
         check_enumerable(self.level)
         nums = [0, self.den]
-        for i in range(1, self.level + 1):
-            c = self.seq.value(i)
-            p, q, last = c.numerator, c.denominator, nums[-1]
+        for p, q in islice(self.seq.stages(), self.level):
+            last = nums[-1]
             top = last + last // q * p
             nums += [last + x // q * p for x in nums[1:]] + [top + x for x in nums[1:]]
         if self.with_reflection:

@@ -10,7 +10,8 @@ intervals prunes that search with a scan of its intervals.  ``meets`` and
 the Fraction ``components`` of a window are read off the set's one window
 query, ``piece_runs``, piece by piece.  Binomial coefficients come from
 Pascal's triangle and binomial rows from Fraction powers, closed-form
-moments are rebuilt from stage 1 at each level, the moments of a law are
+moments are rebuilt from stage 1 at each level from Fraction stage factors
+read off the rule, the moments of a law are
 summed atom by atom over its Fraction view, Markov bounds for the component
 quantiles come from the first and inverse-first moments, the normal gap
 compares the binomial CDF from Pascal's triangle with the normal CDF at
@@ -31,10 +32,12 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
 from poremetrics.pores import LengthAnswer, Side
+from poremetrics.porestats import moment_stream
 from poremetrics.rationals import rational_pow
 
 
@@ -359,6 +362,27 @@ def markov_bounds_from_moments(ex, ex_inv, s, k, k_prime):
     )
 
 
+def stage_value(seq, n):
+    """c_n, 1-indexed, as a Fraction from the rule itself (or from a test
+    sequence's ``factors``): the reference for ``seq.stages()``."""
+    if n < 1:
+        raise ValueError("contraction index starts at 1")
+    factors = getattr(seq, "factors", None)
+    if factors is not None:
+        return factors[n - 1]
+    if seq.rule == "constant":
+        return seq.c
+    return 1 - Fraction(1, 2 * n)
+
+
+def moment_prefixes(seq, level, theta):
+    """The entries 0..level of ``porestats.moment_stream``: coprime integer
+    pairs while exact, then floats."""
+    if level < 0:
+        raise PreconditionError("level must be nonnegative")
+    return list(islice(moment_stream(seq, theta), level + 1))
+
+
 def moment_number(entry):
     """An entry of ``porestats.moment_stream`` as a number: the Fraction of an
     integer pair (n, d), a float as it is."""
@@ -375,7 +399,7 @@ def closed_form_moment(seq, level, theta):
     out = Fraction(1)
     exact = True
     for i in range(1, level + 1):
-        c = seq.value(i)
+        c = stage_value(seq, i)
         p = rational_pow(c, 1 + theta)
         if p is None:
             p = float(c) ** float(1 + theta)
@@ -408,7 +432,7 @@ def decimal_envelope_mean(seq, m, theta):
         e = to_decimal(1 + Fraction(theta))
         moment = decimal.Decimal(1)
         for i in range(1, m + 1):
-            c = to_decimal(seq.value(i))
+            c = to_decimal(stage_value(seq, i))
             moment = moment * (2 + c**e) / (2 + c)
         return to_decimal(Fraction(1, 2)) ** to_decimal(theta), moment / to_decimal(1 + Fraction(theta))
 
@@ -442,7 +466,7 @@ def fraction_generate(seq, level, with_reflection=False):
     stage contracted by c_i, then an uncontracted copy, sharing endpoints."""
     pts = [Fraction(0), Fraction(1)]
     for i in range(1, level + 1):
-        c = seq.value(i)
+        c = stage_value(seq, i)
         contracted = [pts[-1] + c * p for p in pts]
         shifted = [contracted[-1] + p for p in pts]
         pts = pts + contracted[1:] + shifted[1:]

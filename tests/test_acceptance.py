@@ -26,8 +26,10 @@ from oracles import (
     meets,
     moment,
     moment_number,
+    moment_prefixes,
     normal_gap,
     pascal_binomial_cdf,
+    stage_value,
 )
 from poremetrics.dyadic import Cube
 from poremetrics.pores import (
@@ -42,7 +44,6 @@ from poremetrics.porestats import (
     binomial_check,
     divergence_scan,
     length_law,
-    moment_prefixes,
     tilde_quantiles,
 )
 from poremetrics.setmodels import (
@@ -91,7 +92,7 @@ def test_criterion_2_expectation_product():
     independent = Fraction(1)
     independents = {0: independent}
     for i in range(1, 501):
-        c = HH.value(i)
+        c = stage_value(HH, i)
         independent *= 3 * (2 + c * c) / (2 + c) ** 2
         independents[i] = independent
     for level in (1, 2, 5, 10, 20, 35, 50):

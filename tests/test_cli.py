@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from poremetrics import cli
 from poremetrics.dyadic import Cube
-from poremetrics.porestats import binomial_check, length_law
+from poremetrics.porestats import binomial_check, length_law, moment_stream
 from poremetrics.rationals import parse_rational
 from poremetrics.setmodels import ContractionSequence, Generated
 
@@ -683,6 +683,30 @@ class TestExitCodes:
         assert (code, *capsys.readouterr()) == (
             2, "", f"precondition violated: --levels 0..6000: the moment table would need more than 4300 digits, {DIGIT_LIMIT}"
         )
+
+    def test_prob_stats_refusal_draws_no_moment_past_the_first_long_row(self, monkeypatch, capsys):
+        # Both moment streams are checked level by level as they are drawn,
+        # so the refusal stops them at the first level with a moment cell of
+        # more than 4300 digits, well before level 6000.
+        seq, big = ContractionSequence.half_harmonic(), 10 ** sys.get_int_max_str_digits()
+        rows = zip(moment_stream(seq, 1), moment_stream(seq, -1))
+        first = next(level for level, (ex, ex_inv) in enumerate(rows) if max(*ex, *ex_inv) >= big)
+        drawn = {}
+
+        def counted(seq, theta):
+            drawn[theta] = 0
+            for entry in moment_stream(seq, theta):
+                drawn[theta] += 1
+                yield entry
+
+        monkeypatch.setattr(cli, "moment_stream", counted)
+        code = cli.main(["prob-stats", "--rule", "half_harmonic", "--levels", "0..6000"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"precondition violated: --levels 0..6000: the moment table would need more than 4300 digits, {DIGIT_LIMIT}"
+        )
+        assert first < 6000
+        assert sorted(drawn) == [-1, 1]
+        assert max(drawn.values()) == first + 1  # the entries 0..first, none past it
 
     @pytest.mark.parametrize("args,what", [
         (["ls-ratio", "--cubes", "envelopes:10000..10000", "--s", "1/10"], "cube 0: its ends"),

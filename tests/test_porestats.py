@@ -21,10 +21,12 @@ from oracles import (
     markov_bounds_from_moments,
     moment,
     moment_number,
+    moment_prefixes,
     normal_cdf,
     normal_gap,
     pascal_binomial_cdf,
     product_tails,
+    stage_value,
     tilde_fraction_length,
 )
 from poremetrics import porestats
@@ -37,7 +39,6 @@ from poremetrics.porestats import (
     divergence_scan,
     expectation_products,
     length_law,
-    moment_prefixes,
     tilde_quantiles,
 )
 from poremetrics.setmodels import ContractionSequence, Generated
@@ -63,8 +64,8 @@ class _Stages:
 
     factors: tuple
 
-    def value(self, n):
-        return self.factors[n - 1]
+    def stages(self):
+        return ((c.numerator, c.denominator) for c in self.factors)
 
 
 class TestLengthLaw:
@@ -107,7 +108,7 @@ class TestLengthLaw:
     @pytest.mark.parametrize("seq", [HALF, HH, QUARTER, TWO_SEVENTHS])
     def test_matches_fraction_recursion(self, seq):
         for level in range(0, 10):
-            expected = fraction_length_law(seq.value(i) for i in range(1, level + 1))
+            expected = fraction_length_law(stage_value(seq, i) for i in range(1, level + 1))
             # Same atoms, masses and insertion order: moment() sums in that order.
             assert list(length_law(seq, level).masses.items()) == list(expected.items())
 
@@ -260,7 +261,7 @@ class TestKakeyaProduct:
         for level in (1, 2, 10, 33, 50):
             expected = Fraction(1)
             for i in range(1, level + 1):
-                c = seq.value(i)
+                c = stage_value(seq, i)
                 expected *= 3 * (2 + c * c) / (2 + c) ** 2
             assert expectation_product(seq, level) == expected
 
@@ -456,7 +457,7 @@ class TestComponentQuantiles:
         # Each half is the sorted integer form of the exact law over its stages.
         for seq in (HH, HALF, QUARTER, TWO_SEVENTHS):
             for level in (0, 1, 5, 9):
-                keys, masses, den_x, den_w = porestats._half_law(seq, 1, level + 1)
+                keys, masses, den_x, den_w = porestats._half_law(list(islice(seq.stages(), level)))
                 law = length_law(seq, level)
                 atoms = sorted(law.masses)
                 assert [Fraction(k, den_x) for k in keys] == atoms
@@ -518,8 +519,8 @@ class TestExactQuantiles:
     @pytest.mark.parametrize("level", [20, 25, 30])
     def test_certificate_at_deep_levels(self, level):
         mid = level // 2
-        half_a = fraction_length_law(HH.value(i) for i in range(1, mid + 1))
-        half_b = fraction_length_law(HH.value(i) for i in range(mid + 1, level + 1))
+        half_a = fraction_length_law(stage_value(HH, i) for i in range(1, mid + 1))
+        half_b = fraction_length_law(stage_value(HH, i) for i in range(mid + 1, level + 1))
         queries = [(Fraction(1, 10), "largest"), (Fraction(2, 7), "smallest")]
         if level < 30:  # each Fraction certificate at level 30 takes over a second
             queries += [(Fraction(1, 10), "smallest"), (Fraction(1, 2), "largest")]

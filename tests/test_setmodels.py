@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from oracles import (
     components,
     fraction_generate,
     meets,
+    stage_value,
 )
 from poremetrics.dyadic import Cube
 from poremetrics.errors import ParseError, PreconditionError
@@ -64,7 +67,7 @@ class TestGenerate:
         prev = Fraction(1)
         for level in range(1, 13):
             cur = envelope_length(seq, level)
-            assert cur == (2 + seq.value(level)) * prev
+            assert cur == (2 + stage_value(seq, level)) * prev
             prev = cur
 
     def test_envelope_matches_points(self):
@@ -112,7 +115,7 @@ class TestGenerate:
             prev, cur = Generated(seq, level - 1), Generated(seq, level)
             prev_lengths = component_length_multiset(prev.points, *prev.envelope)
             cur_lengths = component_length_multiset(cur.points, *cur.envelope)
-            c = seq.value(level)
+            c = stage_value(seq, level)
             expected = sorted(prev_lengths * 2 + [c * x for x in prev_lengths])
             assert cur_lengths == expected
 
@@ -301,6 +304,24 @@ class TestRuleNames:
             )
         assert ContractionSequence("half_harmonic") == HH
         assert ContractionSequence("constant", Fraction(1, 2)) == HALF
+
+
+class TestStages:
+    @pytest.mark.parametrize(
+        "seq",
+        [HH, HALF, *(ContractionSequence.constant(Fraction(c)) for c in ("1", "2/3", "1/4", "6/7"))],
+        ids=["half_harmonic", "1/2", "1", "2/3", "1/4", "6/7"],
+    )
+    def test_pairs_are_the_reduced_factors(self, seq):
+        # Every stage is c_n = a/b as a coprime pair of ints with b > 0, and
+        # each call of ``stages`` starts again at c_1.
+        pairs = list(islice(seq.stages(), 500))
+        assert len(pairs) == 500
+        for n, (a, b) in enumerate(pairs, start=1):
+            assert type(a) is int and type(b) is int
+            assert b > 0 and math.gcd(a, b) == 1
+            assert Fraction(a, b) == stage_value(seq, n)
+        assert list(islice(seq.stages(), 500)) == pairs
 
 
 class TestSpecRoundTrip:

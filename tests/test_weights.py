@@ -14,6 +14,7 @@ from oracles import (
     decimal_envelope_mean,
     fraction_profile_integral,
     meets,
+    moment_prefixes,
     per_component_mean,
     per_component_peak,
     to_decimal,
@@ -46,7 +47,6 @@ from poremetrics.weights import (
     profile_integral,
 )
 from poremetrics.pores import enumerate_pores
-from poremetrics.porestats import moment_prefixes
 
 UNIT = Cube.interval(0, 1)
 Z = IntegerLattice()
