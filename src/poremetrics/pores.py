@@ -9,7 +9,8 @@ threshold walks are integers; Fractions are built only for report cells and
 exception messages.  On the line the pores are fixed by the set's closed
 pieces in the window, so one ``piece_runs`` query and one pass over the
 integer cells of the pieces' ends find them for every set; no tree search
-is needed.
+is needed.  Each end's cell costs one multiply and shift, by a reciprocal
+of the run's divisor fixed once per run.
 """
 
 from __future__ import annotations
@@ -110,16 +111,34 @@ class PoreFamily:
 
 
 def _scaled_runs(pieces, q0: Cube, max_gen: int):
-    """The runs (b, lefts, rights) of the window's pieces as (div, mul, off,
-    lefts, rights): an end a/b has relative position (p - lo)/side equal to
-    (a mul - off) / (div << max_gen), so its generation-max_gen cell
-    x = floor(2**max_gen (p - lo)/side) is (a mul - off) // div.  Within a
-    run every factor but a is fixed."""
+    """The runs (b, lefts, rights) of the window's pieces as (k, c, s, div,
+    mul, off, lefts, rights), the one place that fixes the integer cell of a
+    piece end.
+
+    An end a/b has relative position (p - lo)/side = N / (div << max_gen)
+    with N = a mul - off, and its generation-max_gen cell
+    x = floor(2**max_gen (p - lo)/side) is floor(N / div).  Within a run
+    only a varies, so div, mul and off are reduced by their gcd and the
+    division by div becomes a multiplication by one reciprocal fixed for the
+    run: with s = (div << max_gen).bit_length() + div.bit_length() and
+    m = ceil(2**s / div), the cell is (a k - c) >> s for k = mul m and
+    c = off m.  It is exact: 2**s > div (div << max_gen), so for every
+    0 <= N < div << max_gen, N m / 2**s exceeds N / div by less than 1 / div
+    and the floor does not change.  An N < 0 (a left end below lo) still
+    maps below 0, and an N past the window never maps below its true floor,
+    so the consumers' clamps to [0, 2**max_gen) hold as well.
+    """
     lo, _ = q0.as_interval()
     c, d = lo.numerator, lo.denominator
     e, f = q0.side.numerator, q0.side.denominator
+    de, df, cf = d * e, d * f << max_gen, c * f << max_gen
     for b, lefts, rights in pieces:
-        yield b * d * e, d * f << max_gen, c * b * f << max_gen, lefts, rights
+        div, off = b * de, b * cf
+        g = math.gcd(div, df, off)
+        div, mul, off = div // g, df // g, off // g
+        s = (div << max_gen).bit_length() + div.bit_length()
+        m = -(-(1 << s) // div)
+        yield mul * m, off * m, s, div, mul, off, lefts, rights
 
 
 def _pore_family(oracle: SetOracle, q0: Cube, pieces, max_gen: int) -> PoreFamily:
@@ -127,12 +146,15 @@ def _pore_family(oracle: SetOracle, q0: Cube, pieces, max_gen: int) -> PoreFamil
     ``piece_runs``.
 
     With J = max_gen and x = floor(2**J (p - lo)/side) clamped to [0, 2**J),
-    the generation-j cell of a piece end p is x >> (J - j), so two adjacent
-    ends first fall into different cells at generation
-    J + 1 - (x ^ x_prev).bit_length().  A piece [l, h] meets the
-    generation-j cells from the cell of l to the cell of h, and the ends are
-    sorted, so the cells meeting the set are those holding an end,
-    1 + #{adjacent ends split by j}, and those strictly inside one
+    the cell that ``_scaled_runs`` gives a piece end p by one multiply and
+    shift, the generation-j cell of p is x >> (J - j), so two adjacent ends
+    first fall into different cells at generation
+    J + 1 - (x ^ x_prev).bit_length().  The loop counts adjacent ends by that
+    bit length (0 for ends in one cell; the first end is its own
+    predecessor) and reverses the counts into ``splits`` once.  A piece
+    [l, h] meets the generation-j cells from the cell of l to the cell of h,
+    and the ends are sorted, so the cells meeting the set are those holding
+    an end, 1 + #{adjacent ends split by j}, and those strictly inside one
     interval's cell range, which hold no end.  The pores of
     generation j are the empty children of the nonempty cells one generation
     up: counts[j] = 2 nonempty(j-1) - nonempty(j).  Everything is exact
@@ -144,28 +166,30 @@ def _pore_family(oracle: SetOracle, q0: Cube, pieces, max_gen: int) -> PoreFamil
     if not pieces:
         raise PreconditionError("window does not meet the set; choose a window that meets the set")
     top = (1 << max_gen) - 1
-    splits = [0] * (max_gen + 1)
+    buckets = [0] * (max_gen + 2)
     inside = [0] * (max_gen + 1)
-    prev = None
-    for div, mul, off, lefts, rights in _scaled_runs(pieces, q0, max_gen):
+    runs = list(_scaled_runs(pieces, q0, max_gen))
+    k, c, s, *_, lefts, _ = runs[0]
+    prev = max((lefts[0] * k - c) >> s, 0)
+    for k, c, s, *_, lefts, rights in runs:
         if rights is lefts:
             for a in lefts:
-                x = (a * mul - off) // div
-                if prev is not None and x != prev:
-                    splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
+                x = (a * k - c) >> s
+                buckets[(x ^ prev).bit_length()] += 1
                 prev = x
             continue
-        for a, c in zip(lefts, rights):
-            x = max((a * mul - off) // div, 0)
-            y = min((c * mul - off) // div, top)
-            if prev is not None and x != prev:
-                splits[max_gen + 1 - (x ^ prev).bit_length()] += 1
+        for a, b in zip(lefts, rights):
+            x = max((a * k - c) >> s, 0)
+            y = min((b * k - c) >> s, top)
+            buckets[(x ^ prev).bit_length()] += 1
             if y != x:
-                first = max_gen + 1 - (x ^ y).bit_length()
-                splits[first] += 1
-                for j in range(first + 1, max_gen + 1):
+                split = (x ^ y).bit_length()
+                buckets[split] += 1
+                for j in range(max_gen + 2 - split, max_gen + 1):
                     inside[j] += (y >> (max_gen - j)) - (x >> (max_gen - j)) - 1
             prev = y
+    # splits[j]: the adjacent ends that generation j separates first.
+    splits = buckets[::-1]
     counts: dict = {}
     nonempty = holding_ends = 1
     for j in range(1, max_gen + 1):
@@ -203,22 +227,21 @@ def cell_pore_profiles(q0: Cube, pieces, d_lo: Fraction, d_hi: Fraction, max_gen
     if max_gen < 1:
         raise PreconditionError("max_gen must be at least 1")
     # The ends as (N, m) with relative position N / (m << max_gen), their
-    # cells, and the indices of the ends that open and close an interval.
+    # cells by the multiply and shift of ``_scaled_runs``, and the indices
+    # of the ends that open and close an interval.
     points, xs, opening, closing = [], [], set(), set()
     top = (1 << max_gen) - 1
-    for div, mul, off, lefts, rights in _scaled_runs(pieces, q0, max_gen):
+    for k, c, s, div, mul, off, lefts, rights in _scaled_runs(pieces, q0, max_gen):
         if rights is lefts:
             for a in lefts:
-                n = a * mul - off
-                points.append((n, div))
-                xs.append(n // div)
+                points.append((a * mul - off, div))
+                xs.append((a * k - c) >> s)
             continue
-        for a, c in zip(lefts, rights):
-            n, m = a * mul - off, c * mul - off
+        for a, b in zip(lefts, rights):
             opening.add(len(xs))
             closing.add(len(xs) + 1)
-            points += [(n, div), (m, div)]
-            xs += [max(n // div, 0), min(m // div, top)]
+            points += [(a * mul - off, div), (b * mul - off, div)]
+            xs += [max((a * k - c) >> s, 0), min((b * k - c) >> s, top)]
     # The stand-ins at -dist(lo)/side on the left and 1 + dist(hi)/side on
     # the right.
     before, after = (

@@ -20,6 +20,7 @@ laws and from bisection over Fraction half laws, binomial checks from
 Fraction comparison atom by atom, and membership checks are linear scans
 over point lists.  Queries on a union of closed intervals scan every
 interval as given, unsorted and unmerged.
+The cell of a point at a generation is one Fraction floor.
 The 1-D means evaluate the Fraction profile integral below once per
 component, with every endpoint distance queried.
 Envelope means in closed form are evaluated in 60-digit decimal arithmetic.
@@ -89,6 +90,14 @@ def pore_histogram(points, window_lo, window_hi, max_gen):
         if pores:
             counts[j] = pores
     return counts
+
+
+def cell_of(p, q0, max_gen):
+    """The generation-``max_gen`` cell floor(2**J (p - lo)/side) of a point
+    p relative to the window ``q0``, a Fraction floor, not clamped to the
+    window."""
+    lo, _ = q0.as_interval()
+    return math.floor((Fraction(p) - lo) * 2**max_gen / q0.side)
 
 
 def meets(oracle, lo, hi):

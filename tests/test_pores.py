@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from oracles import (
     box_scan_distance,
     box_scan_meets,
     brute_force_pores,
+    cell_of,
     components,
     eq13_constant,
     fraction_length_reference,
@@ -22,7 +25,7 @@ from oracles import (
     tilde_fraction_length,
 )
 from test_weights import mean_dist_power
-from poremetrics import cli
+from poremetrics import cli, pores
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
 from poremetrics.rationals import format_rational
@@ -357,6 +360,99 @@ class TestPiecesMatchTheBfs:
             "merged", "degenerate", "touching", "past lo", "past hi",
             "end on a cell boundary", "off-grid window",
         }
+
+
+def _boundary_ends(window, max_gen, den):
+    """Ends over ``den`` at the generation-J cell boundaries
+    lo + q side 2**-J of ``window`` for q = 1, 2**(J-1) and 2**J - 1, one
+    numerator unit below each, and the last end below hi.  ``den`` is a
+    multiple of every boundary's denominator."""
+    lo, hi = window.as_interval()
+    ends = {Fraction(math.ceil(hi * den) - 1, den)}
+    for q in {1, 1 << (max_gen - 1), (1 << max_gen) - 1}:
+        a = (lo + q * window.side / 2**max_gen) * den
+        ends |= {a / den, (a - 1) / den}
+    return ends
+
+
+def _cell_rule_sets(max_gen):
+    """(set, window) pairs whose piece ends sit where a short reciprocal or
+    shift in the cell rule shows: on cell boundaries, one numerator unit
+    below them and just below hi, as mixed-denominator point runs (ends over
+    the boundaries' denominator and over 127 times it), as unions of
+    intervals reaching past both window ends, and as reflected generated
+    sets whose first and last points fall on boundaries."""
+    for lo, side in ((Fraction(0), Fraction(1)), (Fraction(1, 127), Fraction(5, 3)), (Fraction(-2, 7), Fraction(9, 5))):
+        window = Cube.interval(lo, lo + side)
+        den = math.lcm(lo.denominator, side.denominator << max_gen)
+        ends = sorted(_boundary_ends(window, max_gen, den) | _boundary_ends(window, max_gen, 127 * den))
+        yield FinitePoints(ends), window
+        inner = list(zip(ends[1:-1:2], ends[2:-1:2]))
+        spans = [(lo - Fraction(1, 7), ends[0]), *inner, (ends[-1], lo + side + Fraction(2, 3))]
+        yield BoxUnion(tuple(((a,), (b,)) for a, b in spans)), window
+    for seq, level in ((HH, 2), (HALF, 2), (ContractionSequence.constant(Fraction(2, 5)), 2)):
+        points = Generated(seq, level, True).points
+        side = (points[-1] - points[0]) * 2**max_gen / ((1 << max_gen) - 1)
+        yield Generated(seq, level, True), Cube.interval(points[0], points[0] + side)
+
+
+class TestCellRule:
+    """Every cell that the pore histogram and the pore profiles compute from
+    ``_scaled_runs``, against the Fraction floor ``cell_of``; and what they
+    make of those cells, against the reference BFS."""
+
+    GENERATIONS = (1, 2, 40, 64, 300)
+
+    def test_every_cell_matches_the_fraction_floor(self):
+        seen = set()
+        scaled_runs = pores._scaled_runs
+        for max_gen in self.GENERATIONS:
+            top = (1 << max_gen) - 1
+            for oracle, window in _cell_rule_sets(max_gen):
+                lo, hi = window.as_interval()
+                calls = []
+
+                def recording(pieces, q0, max_gen):
+                    runs = list(scaled_runs(pieces, q0, max_gen))
+                    calls.append((pieces, runs))
+                    return iter(runs)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(pores, "_scaled_runs", recording)
+                    enumerate_pores(oracle, window, max_gen)
+                    pieces = oracle.piece_runs(lo, hi)
+                    list(cell_pore_profiles(window, pieces, oracle.distance(lo), oracle.distance(hi), max_gen))
+                assert len(calls) == 2
+                for runs_in, runs in calls:
+                    assert runs_in == pieces and len(runs) == len(pieces)
+                    for (b, lefts, rights), (k, c, s, *_, run_lefts, run_rights) in zip(runs_in, runs):
+                        assert run_lefts is lefts and run_rights is rights
+                        for a in {*lefts, *rights}:
+                            cell, x = cell_of(Fraction(a, b), window, max_gen), (a * k - c) >> s
+                            if 0 <= cell <= top:
+                                assert x == cell, (oracle, window, max_gen, Fraction(a, b))
+                            else:
+                                # An interval end past the window: the consumers clamp it.
+                                assert min(max(x, 0), top) == min(max(cell, 0), top), (oracle, window, Fraction(a, b))
+                                seen.add("below lo" if cell < 0 else "past hi")
+                            seen.add("negative" if a < 0 else "nonnegative")
+        assert seen == {"below lo", "past hi", "negative", "nonnegative"}
+
+    def test_histogram_and_profiles_match_the_bfs(self):
+        for max_gen in self.GENERATIONS:
+            for oracle, window in _cell_rule_sets(max_gen):
+                lo, hi = window.as_interval()
+                covers = None
+                if isinstance(oracle, BoxUnion):
+                    covers = _covers(tuple(((a,), (b,)) for a, b in zip(oracle.los, oracle.his)))
+                expected = bfs_profiles(oracle, window, max_gen, covers)
+                profiles = cell_pore_profiles(
+                    window, oracle.piece_runs(lo, hi), oracle.distance(lo), oracle.distance(hi), max_gen
+                )
+                assert [(Fraction(h, d), Fraction(l, d), Fraction(r, d)) for h, l, r, d in profiles] == expected
+                # A pore of generation g has relative length 2**-g.
+                counts = Counter((1 / length).numerator.bit_length() - 1 for length, _, _ in expected)
+                assert enumerate_pores(oracle, window, max_gen).counts == counts, (oracle, window, max_gen)
 
 
 def _counting(cls):
