@@ -102,11 +102,11 @@ def parse_set(spec: str):
 _INTERVAL_RE = re.compile(r"^\[([^,]+),([^)]+)\)$")
 
 
-def parse_cubes(spec: str, oracle=None, printable: bool = False) -> list[Cube]:
+def parse_cubes(spec: str, oracle=None) -> list[Cube]:
     """Cube family: unit:[a,b) | interval:[a,b) | dyadic:A..B | envelopes:A..B.
 
-    With ``printable``, an envelope range whose last window has ends past the
-    interpreter's digit limit is refused before any length is drawn."""
+    An envelope range whose last window has ends past the interpreter's
+    digit limit is refused before any length is drawn."""
     if spec.startswith(("unit:", "interval:")):
         body = spec.split(":", 1)[1]
         m = _INTERVAL_RE.match(body)
@@ -122,14 +122,13 @@ def parse_cubes(spec: str, oracle=None, printable: bool = False) -> list[Cube]:
         a, b = _parse_range(spec[len("envelopes:"):])
         if a < 0:
             raise PreconditionError("level must be nonnegative")
-        if printable:
-            _check_envelope_level(b)
+        _check_envelope_level(b)
         return [Cube.interval(0, length) for length in islice(envelope_lengths(oracle.seq), a, b + 1)]
     raise ParseError(f"cannot parse cube spec {spec!r}")
 
 
 def _one_cube(spec: str, oracle, command: str) -> Cube:
-    cubes = parse_cubes(spec, oracle, printable=True)
+    cubes = parse_cubes(spec, oracle)
     if len(cubes) != 1:
         raise PreconditionError(f"{command} needs exactly one cube, got {len(cubes)}")
     return cubes[0]
@@ -326,7 +325,7 @@ def _ratio_row(r) -> dict:
 
 def cmd_ls_ratio(args, argv) -> int:
     oracle = parse_set(args.set)
-    cubes = parse_cubes(args.cubes, oracle, printable=True)
+    cubes = parse_cubes(args.cubes, oracle)
     for i, cube in enumerate(cubes):
         _check_digits(cube.as_interval(), f"cube {i}: its ends")
     report = ratio_condition(oracle, cubes, _rational(args.s), args.max_gen)
@@ -350,7 +349,7 @@ def cmd_ls_ratio(args, argv) -> int:
 
 def cmd_ap_scan(args, argv) -> int:
     oracle = parse_set(args.set)
-    cubes = parse_cubes(args.cubes, oracle, printable=True)
+    cubes = parse_cubes(args.cubes, oracle)
     query = ApQuery(_rational(args.alpha), _rational(args.p))
     rows = []
     paths = dict.fromkeys(MEAN_PATHS, 0)

@@ -10,7 +10,8 @@ exception messages.  On the line the pores are fixed by the set's closed
 pieces in the window, so one ``piece_runs`` query and one pass over the
 integer cells of the pieces' ends find them for every set; no tree search
 is needed.  Each end's cell costs one multiply and shift, by a reciprocal
-of the run's divisor fixed once per run.
+of the run's divisor fixed once per run.  A fraction length is a
+``Bracket`` of two pore lengths, exact when depth leaves one crossing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 from .dyadic import Cube
 from .errors import InsufficientDepthError, PreconditionError
+from .rationals import Bracket
 from .setmodels import SetOracle
 
 
@@ -44,30 +46,6 @@ class FractionQuery:
         object.__setattr__(self, "t", t)
         if not 0 < t < 1:
             raise PreconditionError("fraction threshold t must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class LengthAnswer:
-    """A side length, either exact or bracketed when depth left it ambiguous."""
-
-    lo: Fraction
-    hi: Fraction
-    exact: bool
-
-    @classmethod
-    def exactly(cls, v) -> "LengthAnswer":
-        v = Fraction(v)
-        return cls(v, v, True)
-
-    @classmethod
-    def between(cls, lo, hi) -> "LengthAnswer":
-        return cls(Fraction(lo), Fraction(hi), False)
-
-    @property
-    def value(self) -> Fraction:
-        if not self.exact:
-            raise PreconditionError("no exact value; inspect lo/hi")
-        return self.lo
 
 
 @dataclass(frozen=True)
@@ -228,15 +206,11 @@ def cell_pore_profiles(q0: Cube, pieces, d_lo: Fraction, d_hi: Fraction, max_gen
         raise PreconditionError("max_gen must be at least 1")
     # The ends as (N, m) with relative position N / (m << max_gen), their
     # cells by the multiply and shift of ``_scaled_runs``, and the indices
-    # of the ends that open and close an interval.
+    # of the ends that open and close an interval.  A point is the interval
+    # [a, a]: its two ends share a cell, so no group separates them.
     points, xs, opening, closing = [], [], set(), set()
     top = (1 << max_gen) - 1
     for k, c, s, div, mul, off, lefts, rights in _scaled_runs(pieces, q0, max_gen):
-        if rights is lefts:
-            for a in lefts:
-                points.append((a * mul - off, div))
-                xs.append((a * k - c) >> s)
-            continue
         for a, b in zip(lefts, rights):
             opening.add(len(xs))
             closing.add(len(xs) + 1)
@@ -287,7 +261,7 @@ def enumerate_pores(oracle: SetOracle, q0: Cube, max_gen: int) -> PoreFamily:
     return _pore_family(oracle, q0, oracle.piece_runs(*q0.as_interval()), max_gen)
 
 
-def fraction_length(family: PoreFamily, query: FractionQuery) -> LengthAnswer:
+def fraction_length(family: PoreFamily, query: FractionQuery) -> Bracket:
     """Extremal side length at which one side of the histogram reaches mass t.
 
     Largest side: the greatest length L with mass{l >= L} >= t|Q0|.
@@ -299,7 +273,7 @@ def fraction_length(family: PoreFamily, query: FractionQuery) -> LengthAnswer:
     every enumerated length: on the smallest side it counts first when it is
     pore mass, and a mixed tail may or may not be pore mass, so the walk also
     notes where counting it would cross and brackets the answer between the
-    two crossings.
+    two crossings; the bracket is exact when they meet.
     """
     J, tail = family.max_generation, family.tail
     a, b = query.t.numerator, query.t.denominator
@@ -324,30 +298,24 @@ def fraction_length(family: PoreFamily, query: FractionQuery) -> LengthAnswer:
     # returned length, and falls short of it at the length before.
     if not b * before < need <= b * cum:
         raise AssertionError("the pore walk missed the threshold")
-    if optimistic == gen:
-        return LengthAnswer.exactly(family.length_of(gen))
-    return LengthAnswer.between(family.length_of(optimistic), family.length_of(gen))
+    return Bracket(family.length_of(optimistic), family.length_of(gen))
 
 
 @dataclass(frozen=True)
 class RatioRow:
     cube_id: str
     s: Fraction
-    largest: LengthAnswer | None
-    smallest: LengthAnswer | None
-    depth_ok: bool
+    largest: Bracket | None
+    smallest: Bracket | None
     note: str = ""
 
     @property
+    def depth_ok(self) -> bool:
+        return self.largest is not None and self.largest.exact and self.smallest.exact
+
+    @property
     def ratio(self) -> Fraction | None:
-        if (
-            self.largest is not None
-            and self.smallest is not None
-            and self.largest.exact
-            and self.smallest.exact
-        ):
-            return self.largest.value / self.smallest.value
-        return None
+        return self.largest.value / self.smallest.value if self.depth_ok else None
 
 
 @dataclass
@@ -386,19 +354,16 @@ def ratio_condition(
         pieces = oracle.piece_runs(*cube.as_interval())
         if not pieces:
             report.rows.append(
-                RatioRow(cube_id, s, None, None, False, "disjoint from set; skipped")
+                RatioRow(cube_id, s, None, None, "disjoint from set; skipped")
             )
             continue
         family = _pore_family(oracle, cube, pieces, max_gen)
         try:
             big = fraction_length(family, FractionQuery(s, Side.LARGEST))
             small = fraction_length(family, FractionQuery(s, Side.SMALLEST))
-            depth_ok = big.exact and small.exact
-            report.rows.append(RatioRow(cube_id, s, big, small, depth_ok))
+            report.rows.append(RatioRow(cube_id, s, big, small))
         except InsufficientDepthError as err:
-            report.rows.append(
-                RatioRow(cube_id, s, None, None, False, f"insufficient depth: {err}")
-            )
+            report.rows.append(RatioRow(cube_id, s, None, None, f"insufficient depth: {err}"))
     return report
 
 

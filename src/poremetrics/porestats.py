@@ -176,9 +176,15 @@ def expectation_products(seq: ContractionSequence):
 
 def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
     """P(Y = k) * b^n = comb(n, k) a^k (b - a)^(n - k) for k = 0..n, where
-    Y ~ Bin(n, q) and q = a/b, together with the common denominator b^n."""
+    Y ~ Bin(n, q) and q = a/b with 0 < q < 1, together with the common
+    denominator b^n.  The row follows from (b - a)^n by the ratio of
+    neighbouring terms, (n - k) a / ((k + 1) (b - a)); each division is
+    exact, since every term is an integer."""
     a, b = q.numerator, q.denominator
-    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)], b**n
+    row = [(b - a) ** n]
+    for k in range(n):
+        row.append(row[k] * (n - k) * a // ((k + 1) * (b - a)))
+    return row, b**n
 
 
 def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:

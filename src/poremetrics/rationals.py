@@ -1,17 +1,44 @@
-"""Exact rational parsing, formatting and power helpers.
+"""Exact rational parsing, formatting and power helpers, and the one
+result type of a reported quantity.
 
 Rationals cross the package's edges as :class:`fractions.Fraction`: parsed
 inputs, set specs, report cells.  The hot loops inside carry integers
 instead (pore families, profile integrals, the gap-length law, the moment
 prefix products) and build a Fraction only where one is read.  Floats
 appear only when a rational power of a rational is irrational, and callers
-are expected to widen such values into explicit brackets.
+widen such values into explicit brackets.  Every quantity a report prints
+either exactly or as ``[lo, hi]`` (a fraction length, an ``A_p`` product,
+an ``A_1`` quotient) is a :class:`Bracket`, exact when its two ends are one
+Fraction.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import PreconditionError
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A quantity known to lie in [lo, hi]; the ends are Fractions, or
+    floats where a power is irrational, and ``math.inf`` for no upper bound.
+    Exactness is read from the ends alone."""
+
+    lo: Fraction | float
+    hi: Fraction | float
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.lo, Fraction) and self.lo == self.hi
+
+    @property
+    def value(self) -> Fraction:
+        if not self.exact:
+            raise PreconditionError("no exact value; inspect lo/hi")
+        return self.lo
 
 
 def parse_rational(text: str) -> Fraction:

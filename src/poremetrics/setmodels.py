@@ -127,9 +127,6 @@ class SetOracle:
     def is_measure_zero(self) -> bool:
         return True
 
-    def spec_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FinitePoints(SetOracle):
@@ -155,9 +152,6 @@ class FinitePoints(SetOracle):
         j = bisect_left(self.points, Fraction(hi))
         return [(p.denominator, nums, nums) for p in self.points[i:j] for nums in [(p.numerator,)]]
 
-    def spec_dict(self) -> dict:
-        return {"type": "points", "points": [format_rational(p) for p in self.points]}
-
 
 @dataclass(frozen=True)
 class IntegerLattice(SetOracle):
@@ -171,9 +165,6 @@ class IntegerLattice(SetOracle):
     def piece_runs(self, lo, hi):
         ks = range(math.ceil(Fraction(lo)), math.ceil(Fraction(hi)))
         return [(1, ks, ks)] if ks else []
-
-    def spec_dict(self) -> dict:
-        return {"type": "lattice"}
 
 
 @dataclass(frozen=True)
@@ -341,9 +332,6 @@ class BoxUnion(SetOracle):
     def is_measure_zero(self) -> bool:
         return self.los == self.his
 
-    def spec_dict(self) -> dict:
-        raise PreconditionError("box unions have no file representation")
-
 
 def oracle_from_spec(spec: dict) -> SetOracle:
     """Build an oracle from the set-spec JSON dictionary.
@@ -388,7 +376,7 @@ def load_set_spec(path) -> SetOracle:
     return oracle_from_spec(spec)
 
 
-def save_set_spec(oracle: SetOracle, path) -> None:
+def save_set_spec(oracle: Generated, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(oracle.spec_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -13,6 +13,10 @@ exact whenever the normalized integrals are rational.  On the envelope
 windows of a generated set the means need no gaps at all: they are the
 closed form 2^-theta E[X_m^theta]/(theta+1) in the moments of the gap-length
 variable, with the factor 2^-theta kept symbolic the same way.
+
+Every mean, product and quotient is a ``Bracket``: exact when its ends are
+one Fraction, else float ends widened outward, with ``math.inf`` above a
+mean that diverges.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .dyadic import Cube
 from .errors import PreconditionError
 from .pores import cell_pore_profiles
 from .porestats import moment_stream
-from .rationals import power_pair, rational_pow
+from .rationals import Bracket, power_pair, rational_pow
 from .setmodels import Generated, Prefixes, SetOracle
 
 _BASE_SLACK = 1e-15
@@ -50,40 +54,23 @@ class ApQuery:
             raise PreconditionError("p must be at least 1")
 
 
-@dataclass(frozen=True)
-class MeanValue:
-    """A sound bracket [lo, hi]; exact means lo == hi as a Fraction."""
-
-    lo: Fraction | float
-    hi: Fraction | float
-    exact: bool
-
-    @classmethod
-    def exactly(cls, v) -> "MeanValue":
-        return cls(v, v, True)
-
-    @property
-    def value(self):
-        return self.lo if self.exact else (self.lo + self.hi) / 2
-
-
 def _pow_any(v, e: Fraction):
-    """(value, is_exact) for v**e over nonnegative v of either numeric kind."""
+    """v**e over nonnegative v of either numeric kind: a Fraction when v is
+    one and the power is rational, else a float (math.inf for 0 to a
+    negative power)."""
     if isinstance(v, Fraction):
         if v == 0 and e < 0:
-            return math.inf, True
+            return math.inf
         r = rational_pow(v, e)
-        if r is not None:
-            return r, True
-        return float(v) ** float(e), False
+        return float(v) ** float(e) if r is None else r
     if v == math.inf:
-        return (math.inf if e > 0 else 0.0), True
+        return math.inf if e > 0 else 0.0
     if v == 0.0 and e < 0:
-        return math.inf, True
-    return float(v) ** float(e), False
+        return math.inf
+    return float(v) ** float(e)
 
 
-def _assemble(lo, hi, n_terms) -> MeanValue:
+def _assemble(lo, hi, n_terms) -> Bracket:
     """The float bracket [lo, hi], widened outward by a slack that grows
     with the number of terms behind it."""
     slack = _BASE_SLACK * max(8, n_terms)
@@ -93,7 +80,7 @@ def _assemble(lo, hi, n_terms) -> MeanValue:
         lo_f = lo_f - abs(lo_f) * slack
     if hi_f != math.inf:
         hi_f = hi_f + abs(hi_f) * slack
-    return MeanValue(lo_f, hi_f, False)
+    return Bracket(lo_f, hi_f)
 
 
 def _sum_terms(terms):
@@ -204,25 +191,22 @@ class _ScaledMean:
 
     The unit is the window side on the gap walk and 1/2 in the closed form on
     an envelope; products of means over one window share it, so its powers
-    cancel exactly.
+    cancel exactly.  ``n_terms`` counts the float terms behind an inexact
+    norm, which set how far it is widened.
     """
 
     unit: Fraction
-    theta: Fraction
-    lo_norm: Fraction | float
-    hi_norm: Fraction | float
-    exact: bool
+    norm: Bracket
     n_terms: int
 
-    def to_mean_value(self, base: Fraction, e: Fraction) -> MeanValue:
+    def to_mean_value(self, base: Fraction, e: Fraction) -> Bracket:
         """The normalized mean times base**e: the cube mean for base = unit
         and e = theta, the A_1 quotient for base = peak / unit and e = -theta."""
-        scale, scale_exact = _pow_any(base, e)
-        if self.exact and scale_exact and isinstance(scale, Fraction):
-            return MeanValue.exactly(scale * self.lo_norm)
-        lo = float(scale) * float(self.lo_norm)
-        hi = float(scale) * float(self.hi_norm) if self.hi_norm != math.inf else math.inf
-        return _assemble(lo, hi, self.n_terms + 2)
+        scale, norm = _pow_any(base, e), self.norm
+        if norm.exact and isinstance(scale, Fraction):
+            return Bracket(scale * norm.lo, scale * norm.lo)
+        hi = float(scale) * float(norm.hi) if norm.hi != math.inf else math.inf
+        return _assemble(float(scale) * float(norm.lo), hi, self.n_terms + 2)
 
 
 @dataclass(frozen=True)
@@ -327,10 +311,9 @@ class _Gaps:
         if all(is_exact for _, is_exact in chain(interior, ends)):
             total = sum((val for val, _ in ends), _ZERO)
             total = sum((val * m for (val, _), m in zip(interior, self.counts)), total)
-            exact = True
         else:
             terms = chain(ends[:1], (interior[k] for k in self.order), ends[1:])
-            total, exact, _ = _sum_terms(terms)
+            total, _, _ = _sum_terms(terms)
         # Distance vanishes on the part of the window inside the set: it adds
         # nothing for theta > 0, exactly its normalized measure for theta = 0,
         # and diverges for theta < 0.
@@ -338,8 +321,8 @@ class _Gaps:
             if theta == 0:
                 total += (side - self.covered) / side
             elif theta < 0:
-                return _ScaledMean(side, theta, total, math.inf, False, n + 1)
-        return _ScaledMean(side, theta, total, total, exact, n)
+                return _ScaledMean(side, Bracket(total, math.inf), n + 1)
+        return _ScaledMean(side, Bracket(total, total), n)
 
 
 def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | None:
@@ -367,30 +350,23 @@ def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | 
         if moments is None:
             moments = oracle.moments[theta] = Prefixes(moment_stream(oracle.seq, theta))
         moment = moments.upto(m)[m]
-        if type(moment) is tuple:
-            norm, exact = Fraction(*moment) / (theta + 1), True
-        else:
-            norm, exact = moment / float(theta + 1), False
+        norm = Fraction(*moment) / (theta + 1) if type(moment) is tuple else moment / float(theta + 1)
         # The terms behind a float norm: m stage factors and the division.
-        out.append(_ScaledMean(_HALF, theta, norm, norm, exact, m + 2))
+        out.append(_ScaledMean(_HALF, Bracket(norm, norm), m + 2))
     return out
 
 
-def _means(window: _Window, thetas, max_gen: int, gaps=None) -> list[_ScaledMean]:
-    """Normalized means over a window, one per exponent, from one gap walk.
+def _means(window: _Window, thetas, max_gen: int, gaps: _Gaps) -> list[_ScaledMean]:
+    """Normalized means over a window, one per exponent, from the window's
+    one gap walk ``gaps``.
 
     For theta <= -1 on a window meeting the set the mean diverges and the
     growing lower bound over the enumerated pores is reported instead.
     """
-    out = []
-    for theta in thetas:
-        if theta <= -1 and window.pieces:
-            out.append(_divergent_partial(window, theta, max_gen))
-            continue
-        if gaps is None:
-            gaps = _Gaps.of(window)
-        out.append(gaps.mean(theta))
-    return out
+    return [
+        _divergent_partial(window, theta, max_gen) if theta <= -1 and window.pieces else gaps.mean(theta)
+        for theta in thetas
+    ]
 
 
 def _divergent_partial(window: _Window, theta, max_gen) -> _ScaledMean:
@@ -403,12 +379,12 @@ def _divergent_partial(window: _Window, theta, max_gen) -> _ScaledMean:
     q0 = window.cube
     pores = cell_pore_profiles(q0, window.pieces, window.d_lo, window.d_hi, max_gen)
     total, _, n = _sum_terms(profile_integral(*pore, theta) for pore in pores)
-    return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
+    return _ScaledMean(q0.side, Bracket(total, math.inf), max(n, 1))
 
 
 @dataclass(frozen=True)
 class ApResult:
-    product: MeanValue
+    product: Bracket
     case: str  # "I" far cube, "II" near disjoint cube, "III" cube meeting the set
     path: str  # one of MEAN_PATHS: how the two means were found
 
@@ -418,23 +394,14 @@ class ApResult:
 MEAN_PATHS = ("closed_form", "gap_walk", "far_cube", "divergent")
 
 
-def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> MeanValue:
+def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> Bracket:
     """(unit^-a m1) * (unit^(a/(p-1)) m2)^(p-1): the unit powers cancel exactly."""
-    e = p - 1
-    lo2, lo2_exact = _pow_any(sm2.lo_norm, e)
-    hi2, hi2_exact = _pow_any(sm2.hi_norm, e)
-    exact = (
-        sm1.exact
-        and sm2.exact
-        and lo2_exact
-        and hi2_exact
-        and isinstance(sm1.lo_norm, Fraction)
-        and isinstance(lo2, Fraction)
-    )
-    if exact and sm1.lo_norm == sm1.hi_norm and lo2 == hi2:
-        return MeanValue.exactly(sm1.lo_norm * lo2)
-    lo = float(sm1.lo_norm) * float(lo2)
-    hi = math.inf if (sm1.hi_norm == math.inf or hi2 == math.inf) else float(sm1.hi_norm) * float(hi2)
+    n1, e = sm1.norm, p - 1
+    lo2, hi2 = _pow_any(sm2.norm.lo, e), _pow_any(sm2.norm.hi, e)
+    if n1.exact and sm2.norm.exact and isinstance(lo2, Fraction):
+        return Bracket(n1.lo * lo2, n1.lo * lo2)
+    lo = float(n1.lo) * float(lo2)
+    hi = math.inf if (n1.hi == math.inf or hi2 == math.inf) else float(n1.hi) * float(hi2)
     return _assemble(lo, hi, sm1.n_terms + sm2.n_terms)
 
 
@@ -465,14 +432,14 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
         if min(window.d_lo, window.d_hi) >= 2 * q0.side:
             # The weight varies by a factor of at most (3/2)^|alpha| on the cube,
             # whichever the sign of alpha.
-            hi, hi_exact = _pow_any(Fraction(4), abs(alpha))
-            if not hi_exact:
-                hi = float(hi) * (1 + 1e-14)
-            result = ApResult(MeanValue(Fraction(1), hi, False), "I", "far_cube")
+            hi = _pow_any(Fraction(4), abs(alpha))
+            if not isinstance(hi, Fraction):
+                hi *= 1 + 1e-14
+            result = ApResult(Bracket(Fraction(1), hi), "I", "far_cube")
             _assert_holder_floor(result.product)
             return result
     try:
-        sm1, sm2 = _means(window, thetas, max_gen)
+        sm1, sm2 = _means(window, thetas, max_gen, _Gaps.of(window))
         product = _combine_product(sm1, sm2, p)
     except OverflowError:
         raise PreconditionError(
@@ -484,14 +451,14 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
     return result
 
 
-def _assert_holder_floor(product: MeanValue):
+def _assert_holder_floor(product: Bracket):
     # Jensen: the true product is at least 1, so any sound bracket reaches 1.
     hi = product.hi
     if not (hi == math.inf or hi >= 1 - 1e-11):
         raise AssertionError(f"A_p product bracket upper end {hi} fell below 1")
 
 
-def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> MeanValue:
+def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> Bracket:
     """Bracket of (mean of dist^-alpha) / (essential infimum of dist^-alpha).
 
     The essential infimum comes from the farthest point of the window from

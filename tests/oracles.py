@@ -27,6 +27,8 @@ Envelope means in closed form are evaluated in 60-digit decimal arithmetic.
 Fraction lengths of a pore family are found by Fraction walks over its
 masses, with the threshold masses summed again after the walk; those of gap
 components by a Fraction walk over the component lengths.
+The set-spec dictionaries of point sets and the lattice, which no command
+writes, are written here as the reference for the spec loader.
 """
 
 import decimal
@@ -37,9 +39,18 @@ from itertools import islice
 
 from poremetrics.dyadic import Cube
 from poremetrics.errors import InsufficientDepthError, PreconditionError
-from poremetrics.pores import LengthAnswer, Side
+from poremetrics.pores import Side
 from poremetrics.porestats import moment_stream
-from poremetrics.rationals import rational_pow
+from poremetrics.rationals import Bracket, format_rational, rational_pow
+from poremetrics.setmodels import IntegerLattice
+
+
+def spec_dict(oracle):
+    """The set-spec dictionary of the lattice or of a ``FinitePoints`` set,
+    every point a ``p/q`` string."""
+    if isinstance(oracle, IntegerLattice):
+        return {"type": "lattice"}
+    return {"type": "points", "points": [format_rational(p) for p in oracle.points]}
 
 
 def points_meet(points, lo, hi):
@@ -542,7 +553,7 @@ def per_component_mean(oracle, q0, theta):
         d_r = oracle.distance(comp.right)
         val, is_exact = fraction_profile_integral(comp.length / side, d_l / side, d_r / side, theta)
         if val == math.inf:
-            return _ScaledMean(side, theta, math.inf, math.inf, False, len(comps))
+            return _ScaledMean(side, Bracket(math.inf, math.inf), len(comps))
         if is_exact and exact:
             total += val
         else:
@@ -555,10 +566,10 @@ def per_component_mean(oracle, q0, theta):
             total += (side - covered) / side
         elif theta < 0:
             lo_norm = total if exact else total_f
-            return _ScaledMean(side, theta, lo_norm, math.inf, False, len(comps) + 1)
+            return _ScaledMean(side, Bracket(lo_norm, math.inf), len(comps) + 1)
     if exact:
-        return _ScaledMean(side, theta, total, total, True, len(comps))
-    return _ScaledMean(side, theta, total_f, total_f, False, len(comps))
+        return _ScaledMean(side, Bracket(total, total), len(comps))
+    return _ScaledMean(side, Bracket(total_f, total_f), len(comps))
 
 
 def per_component_peak(oracle, q0):
@@ -628,7 +639,7 @@ def _scan_largest(family, target):
     for gen in sorted(family.counts):
         cum += _pore_mass(family, gen)
         if cum >= target:
-            return LengthAnswer.exactly(family.length_of(gen))
+            return Bracket(family.length_of(gen), family.length_of(gen))
     # Threshold not reached among enumerated lengths.
     if family.tail_is_pore_mass:
         raise InsufficientDepthError(
@@ -636,7 +647,7 @@ def _scan_largest(family, target):
             tail_mass=family.tail_mass,
         )
     if cum + family.tail_mass >= target:
-        return LengthAnswer.between(Fraction(0), family.length_of(family.max_generation))
+        return Bracket(Fraction(0), family.length_of(family.max_generation))
     raise PreconditionError("fraction threshold exceeds the total pore mass")
 
 
@@ -665,7 +676,7 @@ def _scan_smallest(family, target):
         hit = crossing(family.tail_mass)
         if hit is None:
             raise PreconditionError("fraction threshold exceeds the total pore mass")
-        return LengthAnswer.exactly(hit)
+        return Bracket(hit, hit)
 
     # Tail mass may or may not be pore mass: bracket the crossing.
     optimistic = crossing(family.tail_mass)
@@ -679,9 +690,7 @@ def _scan_smallest(family, target):
             "smallest-side threshold cannot be certified at this depth",
             tail_mass=family.tail_mass,
         )
-    if optimistic == pessimistic:
-        return LengthAnswer.exactly(pessimistic)
-    return LengthAnswer.between(optimistic, pessimistic)
+    return Bracket(optimistic, pessimistic)
 
 
 def _assert_threshold_bounds(family, query, value):
@@ -760,5 +769,5 @@ def tilde_fraction_length(components, window, query):
     for L in lengths:
         cum += masses[L]
         if cum >= target:
-            return LengthAnswer.exactly(L)
+            return Bracket(L, L)
     raise PreconditionError("fraction threshold exceeds the total component mass")

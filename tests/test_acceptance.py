@@ -212,7 +212,7 @@ def test_criterion_5b_a1_quotient_as_stated():
     start = time.time()
     alpha = Fraction(1, 2)
     mv = a1_quotient(Z, UNIT, alpha)
-    value = float(mv.value)
+    value = float((mv.lo + mv.hi) / 2)
     # On [0,1), dist(x, Z) = min(x, 1-x).  The mean of dist^-alpha is
     # 2 * int_0^(1/2) x^-alpha dx = 2 (1/2)^(1-alpha) / (1-alpha), and the
     # essential infimum is (1/2)^-alpha at the gap midpoint.  Their quotient

@@ -1,17 +1,20 @@
-"""Repeatable mutation checks for the exact cores, starting with the pore
-layer.
+"""Repeatable mutation checks for the exact cores: the pore layer, the gap
+walk of the weight means, the binomial rows, the CSV writer and the
+exactness of a ``Bracket``.
 
 A mutant is one edit to the syntax tree of one function: the one node whose
 source reads ``old`` becomes ``new`` (an expression where ``old`` is one,
-else a statement).  The edited function is compiled again in its module's
-namespace and patched in with ``monkeypatch`` wherever a loaded module binds
-the original, the package's callers and the test modules alike; the named
-check, a test of the suite run in-process, must then fail with an
-``AssertionError``.  The same round trip without the edit must pass every
-check its mutants name, so a patch that breaks a function by itself cannot
-pass for a kill, and an ``old`` that no longer matches exactly one node of
-its function fails the table.  Standard library only: ``ast``, ``inspect``
-and ``compile``.
+else a statement).  The target is a module function, or a method,
+classmethod or property named ``Class.attribute``.  The edited function is
+compiled again, with its decorators, in its module's namespace and patched
+in with ``monkeypatch``: a module function wherever a loaded module binds
+the original, the package's callers and the test modules alike, and a class
+attribute on its class.  The named check, a test of the suite run
+in-process, must then fail with an ``AssertionError``.  The same round trip
+without the edit must pass every check its mutants name, so a patch that
+breaks a function by itself cannot pass for a kill, and an ``old`` that no
+longer matches exactly one node of its function fails the table.
+Standard library only: ``ast``, ``inspect`` and ``compile``.
 """
 
 import __future__
@@ -19,13 +22,19 @@ import ast
 import inspect
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
+import test_cli
 import test_pores
+import test_porestats
+import test_rationals
 import test_weights
-from poremetrics import pores
+from poremetrics import cli, pores, porestats, rationals, weights
 
 
 def cell_rule():
@@ -45,11 +54,30 @@ def integer_walk():
     test_pores.TestIntegerWalk().test_random_histograms_match_fraction_scans()
 
 
+def random_gap_sets():
+    test_weights.TestGapWalkMatchesPerComponent().test_random_sets()
+
+
+def csv_text():
+    # Hypothesis ties a test method to the first instance that runs it in a
+    # thread, so each run takes a fresh instance in a fresh thread.
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(test_cli.TestCsvText().test_matches_csv_writer).result()
+
+
+def binomial_rows():
+    test_porestats.TestBinomialReduction().test_integer_rows_match_fraction_formula(Fraction(1, 5))
+
+
+def bracket_exactness():
+    test_rationals.test_bracket_exactness_is_read_from_its_ends()
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
     module: object
-    function: str
+    target: str  # a module function, or Class.attribute
     old: str
     new: str
     check: object
@@ -75,6 +103,26 @@ MUTANTS = (
         "fraction_length tail one unit high", pores, "fraction_length",
         "J, tail = family.max_generation, family.tail",
         "J, tail = family.max_generation, family.tail + 1", integer_walk,
+    ),
+    Mutant("zero-length gaps kept", weights, "_Gaps.of", "h > 0", "h >= 0", random_gap_sets),
+    Mutant(
+        "closing gap to hi dropped", weights, "_Gaps.of",
+        "[*window.pieces, (hi.denominator, (hi.numerator,), (hi.numerator,))]", "window.pieces", random_gap_sets,
+    ),
+    Mutant("cross-run gap over the run's denominator", weights, "_Gaps.of", "math.lcm(d, b)", "b", random_gap_sets),
+    Mutant(
+        "one-empty-cell rule dropped", cli, "_csv_text",
+        """'""' if not line and len(row) == 1 else line""", "line", csv_text,
+    ),
+    Mutant(
+        "newlines left unquoted", cli, "_csv_cell",
+        r"""',' in s or '"' in s or '\n' in s""", """',' in s or '"' in s""", csv_text,
+    ),
+    Mutant("binomial row from b ** n", porestats, "_binomial_numerators", "(b - a) ** n", "b ** n", binomial_rows),
+    Mutant("binomial ratio one factor short", porestats, "_binomial_numerators", "n - k", "n - k - 1", binomial_rows),
+    Mutant(
+        "Bracket.exact without its Fraction test", rationals, "Bracket.exact",
+        "isinstance(self.lo, Fraction) and self.lo == self.hi", "self.lo == self.hi", bracket_exactness,
     ),
 )
 
@@ -121,21 +169,38 @@ def patch_everywhere(monkeypatch, original, replacement):
     assert bound
 
 
-UNMUTATED = sorted({(m.module, m.function, m.check) for m in MUTANTS}, key=lambda t: (t[1], t[2].__name__))
+def patch_target(monkeypatch, module, target, old=None, new=None):
+    """Replace ``target`` of ``module`` by its recompiled, and with ``old``
+    given mutated, definition.  A class attribute is read raw from the
+    class, so a classmethod or property keeps its kind: its source starts
+    with the decorator."""
+    *path, name = target.split(".")
+    owner = module
+    for part in path:
+        owner = getattr(owner, part)
+    original = vars(owner)[name]
+    function = getattr(original, "fget", None) or getattr(original, "__func__", original)
+    replacement = recompiled(function, old, new)
+    if isinstance(owner, ModuleType):
+        patch_everywhere(monkeypatch, original, replacement)
+    else:
+        assert type(replacement) is type(original)
+        monkeypatch.setattr(owner, name, replacement)
+
+
+UNMUTATED = sorted({(m.module, m.target, m.check) for m in MUTANTS}, key=lambda t: (t[1], t[2].__name__))
 
 
 @pytest.mark.parametrize(
-    "module,function,check", UNMUTATED, ids=[f"{function}-{check.__name__}" for _, function, check in UNMUTATED]
+    "module,target,check", UNMUTATED, ids=[f"{target}-{check.__name__}" for _, target, check in UNMUTATED]
 )
-def test_unmutated_round_trip_passes(monkeypatch, module, function, check):
-    original = getattr(module, function)
-    patch_everywhere(monkeypatch, original, recompiled(original))
+def test_unmutated_round_trip_passes(monkeypatch, module, target, check):
+    patch_target(monkeypatch, module, target)
     check()
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_mutant_is_killed(monkeypatch, mutant):
-    original = getattr(mutant.module, mutant.function)
-    patch_everywhere(monkeypatch, original, recompiled(original, mutant.old, mutant.new))
+    patch_target(monkeypatch, mutant.module, mutant.target, mutant.old, mutant.new)
     with pytest.raises(AssertionError):
         mutant.check()

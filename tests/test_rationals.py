@@ -1,14 +1,30 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poremetrics.errors import PreconditionError
 from poremetrics.rationals import (
+    Bracket,
     int_nth_root,
     parse_rational,
     rational_pow,
 )
+
+
+def test_bracket_exactness_is_read_from_its_ends():
+    # Exact only when both ends are one Fraction: equal floats, equal
+    # infinities and distinct Fractions are brackets.
+    assert not Bracket(0.5, 0.5).exact
+    assert not Bracket(math.inf, math.inf).exact
+    assert not Bracket(Fraction(1), Fraction(2)).exact
+    half = Bracket(Fraction(1, 2), Fraction(1, 2))
+    assert half.exact and half.value == Fraction(1, 2)
+    for inexact in (Bracket(0.5, 0.5), Bracket(Fraction(1), Fraction(2)), Bracket(Fraction(1), math.inf)):
+        with pytest.raises(PreconditionError):
+            inexact.value
 
 
 def test_int_nth_root_exact_cases():

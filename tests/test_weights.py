@@ -22,6 +22,7 @@ from oracles import (
 from poremetrics import cli
 from poremetrics.dyadic import Cube
 from poremetrics.errors import PreconditionError
+from poremetrics.rationals import Bracket
 from poremetrics.setmodels import (
     BoxUnion,
     ContractionSequence,
@@ -63,7 +64,11 @@ def mean_dist_power(oracle, q0, theta, max_gen=40):
     to ``max_gen`` and grows without bound as the depth increases.
     """
     theta = Fraction(theta)
-    (sm,) = _envelope_means(oracle, q0, (theta,)) or _means(_Window.read(oracle, q0), (theta,), max_gen)
+    if (closed := _envelope_means(oracle, q0, (theta,))) is not None:
+        (sm,) = closed
+    else:
+        window = _Window.read(oracle, q0)
+        (sm,) = _means(window, (theta,), max_gen, _Gaps.of(window))
     return sm.to_mean_value(sm.unit, theta)
 
 
@@ -384,7 +389,7 @@ def _bfs_partial(oracle, q0, theta, max_gen, covers=None):
     integrated by the Fraction reference with both end distances queried."""
     terms = (fraction_profile_integral(*profile, theta) for profile in bfs_profiles(oracle, q0, max_gen, covers))
     total, _, n = _sum_terms(terms)
-    return _ScaledMean(q0.side, theta, total, math.inf, False, max(n, 1))
+    return _ScaledMean(q0.side, Bracket(total, math.inf), max(n, 1))
 
 
 def _divergent_cases():
@@ -442,7 +447,7 @@ class TestDivergentCellWalk:
         for oracle, window in self.CASES:
             for theta in self.THETAS:
                 sm = _divergent_partial(_Window.read(oracle, window), theta, 40)
-                outcomes.add("inf" if sm.lo_norm == math.inf else "exact" if isinstance(sm.lo_norm, Fraction)
+                outcomes.add("inf" if sm.norm.lo == math.inf else "exact" if isinstance(sm.norm.lo, Fraction)
                              else "float" if sm.n_terms > 100 else "short float")
         assert {"inf", "exact", "float"} <= outcomes
 
@@ -608,7 +613,8 @@ class TestGapWalkMatchesPerComponent:
         for theta in THETAS:
             expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
             if _takes_closed_form(oracle, window):
-                (sm,) = _means(_Window.read(oracle, window), (theta,), 40)
+                read = _Window.read(oracle, window)
+                (sm,) = _means(read, (theta,), 40, _Gaps.of(read))
                 actual = sm.to_mean_value(window.side, theta)
             else:
                 actual = mean_dist_power(oracle, window, theta)
@@ -623,7 +629,8 @@ class TestGapWalkMatchesPerComponent:
                 sm2 = per_component_mean(oracle, window, alpha / (p - 1))
                 expected = ApResult(_combine_product(sm1, sm2, p), "III" if meets_window else "II", "gap_walk")
                 if _takes_closed_form(oracle, window):
-                    walk = _means(_Window.read(oracle, window), (-alpha, alpha / (p - 1)), 40)
+                    read = _Window.read(oracle, window)
+                    walk = _means(read, (-alpha, alpha / (p - 1)), 40, _Gaps.of(read))
                     actual = ApResult(_combine_product(*walk, p), "III", "gap_walk")
                 else:
                     actual = ap_product(oracle, window, ApQuery(alpha, p))
@@ -659,6 +666,10 @@ class TestGapWalkMatchesPerComponent:
             window = _random_gap_window(rng)
             lo, hi = window.as_interval()
             seen |= _gap_features(spans, window)
+            gaps = _Gaps.of(_Window.read(oracle, window))
+            lengths = [gaps.distinct[k] for k in gaps.order]
+            lengths = [h for h, _, _ in gaps.ends[:1]] + lengths + [h for h, _, _ in gaps.ends[1:]]
+            assert lengths == [c.length for c in components(oracle, lo, hi)], (spans, window)
             for theta in THETAS:
                 expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
                 assert repr(mean_dist_power(oracle, window, theta)) == repr(expected), (spans, window, theta)
