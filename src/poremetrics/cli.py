@@ -29,7 +29,8 @@ from .pores import enumerate_pores, ratio_condition, weak_porosity_check
 from .porestats import (
     EXPECTATION_PRODUCT_BOUND,
     binomial_check,
-    divergence_scan,
+    binomial_numerators,
+    divergence_row,
     expectation_products,
     length_laws,
     moment_stream,
@@ -51,6 +52,12 @@ SCHEMA = "pore-metrics/1"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as -1/2 or -.5 is a negative number, not an option:
+        # no option of these parsers starts with a dash and a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -423,30 +430,31 @@ def cmd_prob_stats(args, argv) -> int:
     what = f"--levels {args.levels}: the moment table"
     moments = _checked_rows(map(add, moment_stream(seq, 1), moment_stream(seq, -1)), levels, what)
     products = _checked_rows(expectation_products(seq), levels, what)
-    scan = []
-    if args.divergence_t:
-        scan = divergence_scan(_rational(args.divergence_t), range(lo, hi + 1))
+    t = _rational(args.divergence_t) if args.divergence_t else None
+    laws = islice(length_laws(seq, hi), lo, None) if constant_half else None
+    rows, scan = [], []
+    for level, (ex_n, ex_d, inv_n, inv_d), (pr_n, pr_d) in zip(levels, moments, products):
+        binom = "na"
+        if laws is not None:
+            # One Bin(level, 1/5) row serves the divergence scan and the
+            # binomial check; t is checked before the first law is drawn.
+            binomial = binomial_numerators(level, Fraction(1, 5))
+            if t is not None:
+                scan.append(divergence_row(t, binomial))
+            ok, _ = binomial_check(next(laws), binomial)
+            binom = "true" if ok else "false"
+        rows.append([level, f"{ex_n}/{ex_d}", f"{inv_n}/{inv_d}", f"{pr_n}/{pr_d}", bound, binom])
+    if scan:
         _check_digits(
             [x for r in scan for x in (r.level, r.k_min, r.k_max, r.tilde_ratio)],
             f"--levels {args.levels}: the divergence scan",
         )
-    laws = None
-    if constant_half:
-        laws = islice(length_laws(seq, hi), lo, None)
-    rows = []
-    for level, (ex_n, ex_d, inv_n, inv_d), (pr_n, pr_d) in zip(levels, moments, products):
-        if laws is not None:
-            ok, _ = binomial_check(next(laws))
-            binom = "true" if ok else "false"
-        else:
-            binom = "na"
-        rows.append([level, f"{ex_n}/{ex_d}", f"{inv_n}/{inv_d}", f"{pr_n}/{pr_d}", bound, binom])
     _emit(
         _csv_text(["level", "EX", "EXinv", "product", "bound_e_pi2_75", "binom_ok"], rows),
         args.out,
         argv,
     )
-    if args.divergence_t:
+    if t is not None:
         scan_rows = [[r.level, r.k_min, r.k_max, format_rational(r.tilde_ratio)] for r in scan]
         _emit(
             _csv_text(["level", "k_min", "k_max", "tilde_ratio"], scan_rows),

@@ -9,16 +9,14 @@ dyadic subcubes of a window as integer cells, and the reference search of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class Cube:
-    lo: Fraction
-    hi: Fraction
+class Cube(namedtuple("Cube", "lo hi")):
+    __slots__ = ()
 
     @classmethod
     def interval(cls, lo, hi) -> "Cube":
@@ -31,11 +29,6 @@ class Cube:
     @property
     def side(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def measure(self) -> Fraction:
-        """Lebesgue measure, which on the line is the side length."""
-        return self.side
 
     def as_interval(self) -> tuple[Fraction, Fraction]:
         return self.lo, self.hi

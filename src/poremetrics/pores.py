@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -34,22 +34,18 @@ class Side(Enum):
     SMALLEST = "smallest"
 
 
-@dataclass(frozen=True)
 class FractionQuery:
     """A mass-fraction threshold query, t in (0,1), on one side of the histogram."""
 
-    t: Fraction
-    side: Side
+    __slots__ = ("t", "side")
 
-    def __post_init__(self):
-        t = Fraction(self.t)
-        object.__setattr__(self, "t", t)
-        if not 0 < t < 1:
+    def __init__(self, t, side: Side):
+        self.t, self.side = Fraction(t), side
+        if not 0 < self.t < 1:
             raise PreconditionError("fraction threshold t must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class PoreFamily:
+class PoreFamily(namedtuple("PoreFamily", "root counts max_generation tail tail_is_pore_mass")):
     """Generation histogram of the pores of a window, counted in units.
 
     A unit is ``|root| * 2**-max_generation``, the measure of the deepest
@@ -61,15 +57,11 @@ class PoreFamily:
     ``tail_mass`` are the Fraction views for reports.
     """
 
-    root: Cube
-    counts: dict
-    max_generation: int
-    tail: int
-    tail_is_pore_mass: bool = True
+    __slots__ = ()
 
     @property
     def tail_mass(self) -> Fraction:
-        return self.root.measure * Fraction(self.tail, 1 << self.max_generation)
+        return self.root.side * Fraction(self.tail, 1 << self.max_generation)
 
     def length_of(self, gen: int) -> Fraction:
         return self.root.side / (1 << gen)
@@ -301,13 +293,8 @@ def fraction_length(family: PoreFamily, query: FractionQuery) -> Bracket:
     return Bracket(family.length_of(optimistic), family.length_of(gen))
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    cube_id: str
-    s: Fraction
-    largest: Bracket | None
-    smallest: Bracket | None
-    note: str = ""
+class RatioRow(namedtuple("RatioRow", "cube_id s largest smallest note", defaults=("",))):
+    __slots__ = ()
 
     @property
     def depth_ok(self) -> bool:
@@ -318,10 +305,8 @@ class RatioRow:
         return self.largest.value / self.smallest.value if self.depth_ok else None
 
 
-@dataclass
-class RatioReport:
-    s: Fraction
-    rows: list = field(default_factory=list)
+class RatioReport(namedtuple("RatioReport", "s rows")):
+    __slots__ = ()
 
     @property
     def max_ratio(self) -> Fraction | None:
@@ -348,31 +333,24 @@ def ratio_condition(
             "s is at or above 1/(1+2^n); ratios are exploratory only",
             stacklevel=2,
         )
-    report = RatioReport(s=s)
+    rows = []
     for i, cube in enumerate(cubes):
         cube_id = f"{i}:{cube}"
         pieces = oracle.piece_runs(*cube.as_interval())
         if not pieces:
-            report.rows.append(
-                RatioRow(cube_id, s, None, None, "disjoint from set; skipped")
-            )
+            rows.append(RatioRow(cube_id, s, None, None, "disjoint from set; skipped"))
             continue
         family = _pore_family(oracle, cube, pieces, max_gen)
         try:
             big = fraction_length(family, FractionQuery(s, Side.LARGEST))
             small = fraction_length(family, FractionQuery(s, Side.SMALLEST))
-            report.rows.append(RatioRow(cube_id, s, big, small))
+            rows.append(RatioRow(cube_id, s, big, small))
         except InsufficientDepthError as err:
-            report.rows.append(RatioRow(cube_id, s, None, None, f"insufficient depth: {err}"))
-    return report
+            rows.append(RatioRow(cube_id, s, None, None, f"insufficient depth: {err}"))
+    return RatioReport(s, rows)
 
 
-@dataclass(frozen=True)
-class PorosityResult:
-    holds: bool
-    achieved_mass: Fraction
-    threshold_length: Fraction | None
-    maximal_length: Fraction | None
+PorosityResult = namedtuple("PorosityResult", "holds achieved_mass threshold_length maximal_length")
 
 
 def weak_porosity_check(
@@ -392,7 +370,7 @@ def weak_porosity_check(
         raise PreconditionError("sigma and gamma must lie in (0, 1)")
     pieces = oracle.piece_runs(*q0.as_interval())
     if not pieces:
-        return PorosityResult(True, q0.measure, None, None)
+        return PorosityResult(True, q0.side, None, None)
     family = _pore_family(oracle, q0, pieces, max_gen)
     if not family.counts:
         raise InsufficientDepthError(
@@ -412,7 +390,5 @@ def weak_porosity_check(
         for g, k in family.counts.items()
         if gamma.denominator << top >= gamma.numerator << g
     )
-    achieved = q0.measure * Fraction(units, 1 << J)
-    return PorosityResult(
-        achieved >= porosity_sigma * q0.measure, achieved, threshold, max_len
-    )
+    achieved = q0.side * Fraction(units, 1 << J)
+    return PorosityResult(achieved >= porosity_sigma * q0.side, achieved, threshold, max_len)

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, islice, pairwise
@@ -46,24 +45,18 @@ LAW_SUPPORT_CAP = 1 << 17
 EXPECTATION_PRODUCT_BOUND = math.exp(math.pi**2 / 75)
 
 
-@dataclass(frozen=True)
 class LengthDistribution:
     """Exact gap-length law at one generator level, in integers: the atom
     key / den_x carries the mass weights[key] / den_w."""
 
-    weights: dict
-    den_x: int
-    den_w: int
-    level: int
-    seq: ContractionSequence | None = None
-
-    def __post_init__(self):
-        if sum(self.weights.values()) != self.den_w:
+    def __init__(self, weights: dict, den_x: int, den_w: int, level: int, seq: ContractionSequence | None = None):
+        if sum(weights.values()) != den_w:
             raise PreconditionError("probability masses must sum to one")
-        if any(key <= 0 for key in self.weights):
+        if any(key <= 0 for key in weights):
             raise PreconditionError("lengths must be positive")
-        if any(w < 0 for w in self.weights.values()):
+        if any(w < 0 for w in weights.values()):
             raise PreconditionError("masses must be nonnegative")
+        self.weights, self.den_x, self.den_w, self.level, self.seq = weights, den_x, den_w, level, seq
 
     @cached_property
     def masses(self) -> dict:
@@ -174,7 +167,7 @@ def expectation_products(seq: ContractionSequence):
         yield n, d
 
 
-def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
+def binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
     """P(Y = k) * b^n = comb(n, k) a^k (b - a)^(n - k) for k = 0..n, where
     Y ~ Bin(n, q) and q = a/b with 0 < q < 1, together with the common
     denominator b^n.  The row follows from (b - a)^n by the ratio of
@@ -187,19 +180,21 @@ def _binomial_numerators(n: int, q: Fraction) -> tuple[list[int], int]:
     return row, b**n
 
 
-def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
+def binomial_check(law: LengthDistribution, row=None) -> tuple[bool, Fraction]:
     """Exact test that a constant-1/2 law is binomial with q = 1/5 in the exponent.
 
-    Bin(n, 1/5) puts mass nums[k] / 5^n on the atom 2^-k.  Every deviation
-    is an integer over 5^n * den_w: the atom key / den_x is 2^-k exactly when
-    key << k == den_x, and then deviates by |w * 5^n - nums[k] * den_w|; any
-    other atom, and any k the law lacks, deviates by its whole mass.
+    Bin(n, 1/5) puts mass nums[k] / 5^n on the atom 2^-k, where ``row`` =
+    (nums, 5^n) is ``binomial_numerators(n, 1/5)``, built here unless the
+    caller has it.  Every deviation is an integer over 5^n * den_w: the atom
+    key / den_x is 2^-k exactly when key << k == den_x, and then deviates by
+    |w * 5^n - nums[k] * den_w|; any other atom, and any k the law lacks,
+    deviates by its whole mass.
     Returns whether the law matches and the largest deviation of any atom.
     """
     if law.seq is None or law.seq.rule != "constant" or law.seq.c != Fraction(1, 2):
         raise PreconditionError("binomial_check applies to the constant-1/2 sequence")
     n = law.level
-    nums, den = _binomial_numerators(n, Fraction(1, 5))
+    nums, den = binomial_numerators(n, Fraction(1, 5)) if row is None else row
     den_x, den_w = law.den_x, law.den_w
     worst = 0
     seen = [False] * (n + 1)
@@ -215,16 +210,12 @@ def binomial_check(law: LengthDistribution) -> tuple[bool, Fraction]:
     return max_dev == 0, max_dev
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
-    level: int
-    k_min: int
-    k_max: int
-    tilde_ratio: Fraction
+DivergenceRow = namedtuple("DivergenceRow", "level k_min k_max tilde_ratio")
 
 
-def divergence_scan(t, levels) -> list[DivergenceRow]:
-    """Quantile-exponent scan of the constant-1/2 law.
+def divergence_row(t: Fraction, row) -> DivergenceRow:
+    """Quantile-exponent row of the constant-1/2 law at level n, from the
+    level's ``row = binomial_numerators(n, 1/5)``, Y ~ Bin(n, 1/5).
 
     k_min is the smallest exponent whose CDF reaches 4t (the largest-side
     threshold carries the factor-4 adjustment from the dyadic comparison);
@@ -234,18 +225,15 @@ def divergence_scan(t, levels) -> list[DivergenceRow]:
     P(Y <= k) >= 4t reads b below[k + 1] >= 4a 5^n and P(Y >= k) >= t reads
     b (5^n - below[k]) >= a 5^n.
     """
-    t = Fraction(t)
     if not 0 < t < Fraction(1, 8):
         raise PreconditionError("divergence scan needs t in (0, 1/8)")
     a, b = t.numerator, t.denominator
-    out = []
-    for n in levels:
-        nums, den = _binomial_numerators(n, Fraction(1, 5))
-        below = list(accumulate(nums, initial=0))
-        k_min = next(k for k in range(n + 1) if b * below[k + 1] >= 4 * a * den)
-        k_max = max(k for k in range(n + 1) if b * (den - below[k]) >= a * den)
-        out.append(DivergenceRow(n, k_min, k_max, Fraction(2) ** (k_max - k_min)))
-    return out
+    nums, den = row
+    n = len(nums) - 1
+    below = list(accumulate(nums, initial=0))
+    k_min = next(k for k in range(n + 1) if b * below[k + 1] >= 4 * a * den)
+    k_max = max(k for k in range(n + 1) if b * (den - below[k]) >= a * den)
+    return DivergenceRow(n, k_min, k_max, Fraction(2) ** (k_max - k_min))
 
 
 # -- component quantiles of generated-set laws ------------------------------

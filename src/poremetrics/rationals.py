@@ -15,20 +15,18 @@ Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(namedtuple("Bracket", "lo hi")):
     """A quantity known to lie in [lo, hi]; the ends are Fractions, or
     floats where a power is irrational, and ``math.inf`` for no upper bound.
     Exactness is read from the ends alone."""
 
-    lo: Fraction | float
-    hi: Fraction | float
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice, repeat
@@ -26,7 +25,6 @@ GENERATE_LEVEL_CAP = 14  # 3**14 + 1 points; beyond this use the length-law recu
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class ContractionSequence:
     """The sequence {c_n} in (0, 1] driving the copy-contract-copy generator.
 
@@ -35,23 +33,29 @@ class ContractionSequence:
     name, a missing ``c`` or a ``c`` given to ``half_harmonic`` does not parse.
     ``stages`` yields the factors as coprime integer pairs, the one form in
     which the laws, moments, envelope lengths and generator stages read them.
+    Two sequences are equal when their rule and ``c`` are.
     """
 
     RULES = ("constant", "half_harmonic")
+    __slots__ = ("rule", "c")
 
-    rule: str
-    c: Fraction | None = None
-
-    def __post_init__(self):
-        if self.rule not in self.RULES:
-            raise ParseError(f"unknown contraction rule {self.rule!r}")
-        if self.rule == "half_harmonic":
-            if self.c is not None:
+    def __init__(self, rule: str, c: Fraction | None = None):
+        if rule not in self.RULES:
+            raise ParseError(f"unknown contraction rule {rule!r}")
+        if rule == "half_harmonic":
+            if c is not None:
                 raise ParseError("half_harmonic rule takes no c")
-        elif self.c is None:
+        elif c is None:
             raise ParseError("constant rule needs c")
-        elif not 0 < self.c <= 1:
+        elif not 0 < c <= 1:
             raise PreconditionError("constant rule needs c in (0, 1]")
+        self.rule, self.c = rule, c
+
+    def __eq__(self, other):
+        return isinstance(other, ContractionSequence) and (self.rule, self.c) == (other.rule, other.c)
+
+    def __hash__(self):
+        return hash((self.rule, self.c))
 
     @classmethod
     def constant(cls, c) -> "ContractionSequence":
@@ -111,6 +115,8 @@ def envelope_cube(seq: ContractionSequence, level: int) -> Cube:
 class SetOracle:
     """Common query surface over all set representations."""
 
+    __slots__ = ()
+
     def distance(self, x) -> Fraction:
         raise NotImplementedError
 
@@ -128,18 +134,19 @@ class SetOracle:
         return True
 
 
-@dataclass(frozen=True)
 class FinitePoints(SetOracle):
     """A finite set of points on the line, stored as its distinct values
     in increasing order, however they were given."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(sorted({Fraction(p) for p in self.points}))
-        if not pts:
+    def __init__(self, points):
+        self.points = tuple(sorted({Fraction(p) for p in points}))
+        if not self.points:
             raise PreconditionError("FinitePoints needs at least one point")
-        object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        return isinstance(other, FinitePoints) and self.points == other.points
 
     def distance(self, x) -> Fraction:
         x = Fraction(x)
@@ -153,9 +160,10 @@ class FinitePoints(SetOracle):
         return [(p.denominator, nums, nums) for p in self.points[i:j] for nums in [(p.numerator,)]]
 
 
-@dataclass(frozen=True)
 class IntegerLattice(SetOracle):
     """The integers as a subset of the line."""
+
+    __slots__ = ()
 
     def distance(self, x) -> Fraction:
         x = Fraction(x)
@@ -167,7 +175,6 @@ class IntegerLattice(SetOracle):
         return [(1, ks, ks)] if ks else []
 
 
-@dataclass(frozen=True)
 class Generated(SetOracle):
     """A generator stage E_n (optionally reflected through 0), held as the
     sorted integer numerators of its points over one denominator ``den``.
@@ -181,16 +188,21 @@ class Generated(SetOracle):
     (sequence, level, reflection), which fixes the points.
     """
 
-    seq: ContractionSequence
-    level: int
-    with_reflection: bool = False
-    # E[X_m^theta] by theta, one ``Prefixes`` of ``porestats.moment_stream``
-    # each, filled by the closed-form envelope means of ``weights``.
-    moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, seq: ContractionSequence, level: int, with_reflection: bool = False):
+        if level < 0:
             raise PreconditionError("level must be nonnegative")
+        self.seq, self.level, self.with_reflection = seq, level, with_reflection
+        # E[X_m^theta] by theta, one ``Prefixes`` of ``porestats.moment_stream``
+        # each, filled by the closed-form envelope means of ``weights``.
+        self.moments = {}
+
+    def __eq__(self, other):
+        return isinstance(other, Generated) and (self.seq, self.level, self.with_reflection) == (
+            other.seq, other.level, other.with_reflection
+        )
+
+    def __hash__(self):
+        return hash((self.seq, self.level, self.with_reflection))
 
     @cached_property
     def den(self) -> int:
@@ -281,7 +293,6 @@ def _box_interval(box) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-@dataclass(frozen=True)
 class BoxUnion(SetOracle):
     """A finite union of closed intervals [lo, hi] (lo == hi is a point),
     given as ``((lo,), (hi,))`` corner pairs.
@@ -291,11 +302,9 @@ class BoxUnion(SetOracle):
     his[k] < los[k + 1]; both tuples are sorted and every query bisects them.
     """
 
-    boxes: InitVar[tuple]
-    los: tuple = field(init=False)
-    his: tuple = field(init=False)
+    __slots__ = ("los", "his")
 
-    def __post_init__(self, boxes):
+    def __init__(self, boxes):
         spans = sorted(map(_box_interval, boxes))
         if not spans:
             raise PreconditionError("BoxUnion needs at least one box")
@@ -306,8 +315,7 @@ class BoxUnion(SetOracle):
             else:
                 los.append(lo)
                 his.append(hi)
-        object.__setattr__(self, "los", tuple(los))
-        object.__setattr__(self, "his", tuple(his))
+        self.los, self.his = tuple(los), tuple(his)
 
     def distance(self, x) -> Fraction:
         x = Fraction(x)

@@ -22,8 +22,7 @@ mean that diverges.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, repeat
 from fractions import Fraction
 from operator import mul, sub
@@ -40,16 +39,13 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class ApQuery:
     """Exponent alpha (weight dist^-alpha) and integrability index p."""
 
-    alpha: Fraction
-    p: Fraction
+    __slots__ = ("alpha", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "p", Fraction(self.p))
+    def __init__(self, alpha, p):
+        self.alpha, self.p = Fraction(alpha), Fraction(p)
         if self.p < 1:
             raise PreconditionError("p must be at least 1")
 
@@ -185,8 +181,7 @@ def profile_peak(h: Fraction, d_left: Fraction, d_right: Fraction) -> Fraction:
     return min(d_left, d_right) + h
 
 
-@dataclass(frozen=True)
-class _ScaledMean:
+class _ScaledMean(namedtuple("_ScaledMean", "unit norm n_terms")):
     """Normalized mean: the cube mean of dist^theta equals unit**theta * norm.
 
     The unit is the window side on the gap walk and 1/2 in the closed form on
@@ -195,9 +190,7 @@ class _ScaledMean:
     norm, which set how far it is widened.
     """
 
-    unit: Fraction
-    norm: Bracket
-    n_terms: int
+    __slots__ = ()
 
     def to_mean_value(self, base: Fraction, e: Fraction) -> Bracket:
         """The normalized mean times base**e: the cube mean for base = unit
@@ -209,17 +202,13 @@ class _ScaledMean:
         return _assemble(float(scale) * float(norm.lo), hi, self.n_terms + 2)
 
 
-@dataclass(frozen=True)
-class _Window:
+class _Window(namedtuple("_Window", "cube pieces d_lo d_hi")):
     """A window and the set's one answer about it: the closed pieces that
     meet it (``piece_runs``; none when it misses the set) and the distances
     from its two ends.  An end inside a piece is at distance 0, so only an
     end in a gap is queried, once."""
 
-    cube: Cube
-    pieces: list
-    d_lo: Fraction
-    d_hi: Fraction
+    __slots__ = ()
 
     @classmethod
     def read(cls, oracle: SetOracle, q0: Cube) -> "_Window":
@@ -234,8 +223,7 @@ class _Window:
         return cls(q0, pieces, d_lo, d_hi)
 
 
-@dataclass(frozen=True)
-class _Gaps:
+class _Gaps(namedtuple("_Gaps", "side ends distinct counts order covered")):
     """The gap components of a window, walked once for every mean over it.
 
     A component endpoint other than a window end is a point of the closed
@@ -244,14 +232,15 @@ class _Gaps:
     do not, that end lies in the set and its distance is 0 as well.  So only
     the two window ends need a distance, and every component between the
     end ones is determined by its length alone.
+
+    ``ends`` holds (h, d_left, d_right) of the first and the last component,
+    ``distinct`` the distinct interior lengths, ``counts`` how many interior
+    components have each, ``order`` the index into ``distinct`` of each
+    interior component in window order, and ``covered`` the total length of
+    the components.
     """
 
-    side: Fraction
-    ends: tuple  # (h, d_left, d_right) of the first and the last component
-    distinct: tuple  # distinct interior lengths
-    counts: tuple  # how many interior components have each distinct length
-    order: tuple  # index into ``distinct`` of each interior component, in window order
-    covered: Fraction  # total length of the components
+    __slots__ = ()
 
     @classmethod
     def of(cls, window: _Window) -> "_Gaps":
@@ -382,11 +371,9 @@ def _divergent_partial(window: _Window, theta, max_gen) -> _ScaledMean:
     return _ScaledMean(q0.side, Bracket(total, math.inf), max(n, 1))
 
 
-@dataclass(frozen=True)
-class ApResult:
-    product: Bracket
-    case: str  # "I" far cube, "II" near disjoint cube, "III" cube meeting the set
-    path: str  # one of MEAN_PATHS: how the two means were found
+# case: "I" far cube, "II" near disjoint cube, "III" cube meeting the set;
+# path: one of MEAN_PATHS, how the two means were found.
+ApResult = namedtuple("ApResult", "product case path")
 
 
 # How ap_product found its means: the envelope closed form, the gap walk,

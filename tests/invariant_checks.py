@@ -25,7 +25,7 @@ DEPTH = 30
 
 def check_instance(oracle, window: Cube, t: Fraction, t2: Fraction) -> None:
     family = enumerate_pores(oracle, window, DEPTH)
-    total = window.measure
+    total = window.side
 
     # Pairwise disjointness and exact mass accounting of the enumeration.
     pores = sorted(p.as_interval() for p in bfs_pore_cubes(oracle, window, 12))

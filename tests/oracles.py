@@ -695,7 +695,7 @@ def _scan_smallest(family, target):
 
 def _assert_threshold_bounds(family, query, value):
     # mass{l >= L(t)} >= t|Q0| and mass{l < L(t)} <= (1-t)|Q0|, and the duals.
-    total = family.root.measure
+    total = family.root.side
     at_least = sum(
         (_pore_mass(family, g) for g in family.counts if family.length_of(g) >= value),
         Fraction(0),
@@ -718,7 +718,7 @@ def fraction_length_reference(family, query):
     """``pores.fraction_length`` by Fraction walks over the pore masses, with
     both threshold inequalities summed again over the whole family after an
     exact answer."""
-    total = family.root.measure
+    total = family.root.side
     target = query.t * total
     if family.tail_mass >= min(query.t, 1 - query.t) * total:
         raise InsufficientDepthError(

@@ -42,7 +42,6 @@ from poremetrics.pores import (
 from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
     binomial_check,
-    divergence_scan,
     length_law,
     tilde_quantiles,
 )
@@ -53,7 +52,7 @@ from poremetrics.setmodels import (
     IntegerLattice,
 )
 from poremetrics.weights import ApQuery, a1_quotient, ap_product
-from test_porestats import expectation_product
+from test_porestats import divergence_scan, expectation_product
 
 HALF = ContractionSequence.constant(Fraction(1, 2))
 HH = ContractionSequence.half_harmonic()
@@ -311,7 +310,7 @@ def test_criterion_8_weak_porosity():
         for kexp in range(1, 9):
             gamma = Fraction(1, 2**kexp)
             res = weak_porosity_check(Z, window, Fraction(1, 2), gamma)
-            if res.achieved_mass >= (1 - s) * window.measure:
+            if res.achieved_mass >= (1 - s) * window.side:
                 triggered += 1
                 assert small >= gamma * max_len, (window, gamma)
     elapsed = time.time() - start

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poremetrics import cli
+from poremetrics import cli, porestats
 from poremetrics.dyadic import Cube
-from poremetrics.porestats import binomial_check, length_law, moment_stream
+from poremetrics.porestats import binomial_check, binomial_numerators, length_law, moment_stream
 from poremetrics.rationals import parse_rational
 from poremetrics.setmodels import ContractionSequence, Generated
 
@@ -187,6 +187,26 @@ class TestReports:
         assert row["case_tag"] == "I"
         assert row["product_lo"] == "1/1"
         assert float(row["product_hi"]) >= 1
+
+    def test_negative_fraction_after_its_option(self, capsys):
+        # -1/2 after --alpha is a value, not an option: the line prints the
+        # same bytes as with --alpha=-1/2.
+        args = ["ap-scan", "--set", "point:0", "--cubes", "interval:[10,11)", "--p", "3/2"]
+        runs = []
+        for alpha in (["--alpha", "-1/2"], ["--alpha=-1/2"]):
+            runs.append((cli.main([*args, *alpha]), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == (0, 'cube_id,alpha,p,product_lo,product_hi,case_tag\n"0:[10,11)",-1/2,3/2,1/1,2/1,I\n')
+
+    @pytest.mark.parametrize("options,message", [
+        (["--c", "1/2", "--divergence-t", "-1/10"], "divergence scan needs t in (0, 1/8)"),
+        (["--c", "-1/2"], "constant rule needs c in (0, 1]"),
+    ], ids=["divergence-t", "c"])
+    def test_negative_fraction_refused_by_its_domain(self, capsys, options, message):
+        # A negative fraction parses as the option's value and is refused
+        # by the domain check, not by the parser.
+        code = cli.main(["prob-stats", "--rule", "constant", "--levels", "0..2", *options])
+        assert (code, *capsys.readouterr()) == (2, "", f"precondition violated: {message}\n")
 
     @pytest.mark.parametrize(
         "set_spec,cubes,alpha,paths",
@@ -707,6 +727,30 @@ class TestExitCodes:
         assert first < 6000
         assert sorted(drawn) == [-1, 1]
         assert max(drawn.values()) == first + 1  # the entries 0..first, none past it
+
+    def test_prob_stats_builds_one_binomial_row_per_level(self, monkeypatch, tmp_path):
+        # The binomial check and the divergence scan of a level share its
+        # Bin(n, 1/5) row: 41 rows for levels 0..40, and both reports keep
+        # their bytes.
+        built = []
+
+        def counted(n, q):
+            built.append(n)
+            return binomial_numerators(n, q)
+
+        monkeypatch.setattr(cli, "binomial_numerators", counted)
+        monkeypatch.setattr(porestats, "binomial_numerators", counted)
+        const, div = tmp_path / "const.csv", tmp_path / "div.csv"
+        code = cli.main([
+            "prob-stats", "--rule", "constant", "--c", "1/2", "--levels", "0..40",
+            "--out", str(const), "--divergence-t", "1/10", "--divergence-out", str(div),
+        ])
+        assert code == 0
+        assert built == list(range(41))
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (const, div)] == [
+            "89d40447fc46b60c2c2d83ed642fd6d93e0b133ea2bd2a737fa0da44bc75e674",
+            "75c2088496833968c6359c00eaa9e86245fa3e2963bb0703a8adba2670b97127",
+        ]
 
     @pytest.mark.parametrize("args,what", [
         (["ls-ratio", "--cubes", "envelopes:10000..10000", "--s", "1/10"], "cube 0: its ends"),

@@ -34,14 +34,14 @@ def test_children_of_inner_cube():
 @pytest.mark.parametrize("depth,origin,side", [(12, Fraction(-3, 7), Fraction(5, 3)), (10, Fraction(0), Fraction(1))])
 def test_descendants_partition_interval(depth, origin, side):
     # The cubes of one generation, halved generation by generation, tile the
-    # root in order: Cube.interval, side, measure and as_interval below it.
+    # root in order: Cube.interval, side and as_interval below it.
     root = Cube.interval(origin, origin + side)
     cells = [root]
     for _ in range(depth):
         cells = [kid for cell in cells for kid in children(cell)]
     assert len(cells) == 2**depth
     assert all(c.side == side / 2**depth for c in cells)
-    assert sum(c.measure for c in cells) == root.measure
+    assert sum(c.side for c in cells) == root.side
     cursor = origin
     for cell in cells:
         lo, hi = cell.as_interval()
@@ -66,7 +66,7 @@ def cubes(draw, max_gen=20):
 def test_children_partition_parent(q):
     kids = children(q)
     assert len(kids) == 2
-    assert sum(k.measure for k in kids) == q.measure
+    assert sum(k.side for k in kids) == q.side
     assert kids[0].as_interval()[0] == q.as_interval()[0]
     assert kids[0].as_interval()[1] == kids[1].as_interval()[0]
     assert kids[1].as_interval()[1] == q.as_interval()[1]

@@ -10,7 +10,8 @@ every method of a module-level class must appear as a name or an attribute
 in the package, ``scripts/`` or ``bench/``: what only tests call does not
 belong in the package.  Dunder methods are called implicitly and are
 exempt.  A fresh interpreter imports every module of the package and must
-not have loaded numpy.
+not have loaded numpy, nor ``dataclasses`` or ``inspect``: the package's
+value types are plain classes and named tuples.
 """
 
 import ast
@@ -102,10 +103,23 @@ def test_no_unreferenced_definitions():
     assert unreferenced_definitions(modules, others) == []
 
 
-def test_package_import_loads_no_numpy():
-    # Every module but __main__, which runs the command line on import.
+def loaded_by_package_import(candidates: list[str]) -> list[str]:
+    """The ``candidates`` that a fresh interpreter has in ``sys.modules``
+    after importing every package module but __main__, which runs the
+    command line on import."""
     names = [f"poremetrics.{p.stem}" for p in MODULES if p.stem not in ("__init__", "__main__")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
-    code = f"import importlib, sys\nfor name in {names!r}: importlib.import_module(name)\nprint('numpy' in sys.modules)"
+    code = (
+        f"import importlib, sys\nfor name in {names!r}: importlib.import_module(name)\n"
+        f"print(' '.join(m for m in {candidates!r} if m in sys.modules))"
+    )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.split()
+
+
+def test_package_import_loads_no_numpy():
+    assert loaded_by_package_import(["numpy"]) == []
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    assert loaded_by_package_import(["dataclasses", "inspect"]) == []

@@ -1,6 +1,6 @@
 """Repeatable mutation checks for the exact cores: the pore layer, the gap
-walk of the weight means, the binomial rows, the CSV writer and the
-exactness of a ``Bracket``.
+walk of the weight means, the binomial rows, the CSV writer, the exactness
+of a ``Bracket`` and the equality of generated sets and their sequences.
 
 A mutant is one edit to the syntax tree of one function: the one node whose
 source reads ``old`` becomes ``new`` (an expression where ``old`` is one,
@@ -30,11 +30,13 @@ from types import ModuleType
 import pytest
 
 import test_cli
+import test_integer_generated
 import test_pores
 import test_porestats
 import test_rationals
+import test_setmodels
 import test_weights
-from poremetrics import cli, pores, porestats, rationals, weights
+from poremetrics import cli, pores, porestats, rationals, setmodels, weights
 
 
 def cell_rule():
@@ -71,6 +73,14 @@ def binomial_rows():
 
 def bracket_exactness():
     test_rationals.test_bracket_exactness_is_read_from_its_ends()
+
+
+def generated_equality():
+    test_integer_generated.TestLazyPoints().test_equality_and_hash_follow_the_spec()
+
+
+def sequence_equality():
+    test_setmodels.test_sequence_equality_follows_rule_and_c()
 
 
 @dataclass(frozen=True)
@@ -118,11 +128,20 @@ MUTANTS = (
         "newlines left unquoted", cli, "_csv_cell",
         r"""',' in s or '"' in s or '\n' in s""", """',' in s or '"' in s""", csv_text,
     ),
-    Mutant("binomial row from b ** n", porestats, "_binomial_numerators", "(b - a) ** n", "b ** n", binomial_rows),
-    Mutant("binomial ratio one factor short", porestats, "_binomial_numerators", "n - k", "n - k - 1", binomial_rows),
+    Mutant("binomial row from b ** n", porestats, "binomial_numerators", "(b - a) ** n", "b ** n", binomial_rows),
+    Mutant("binomial ratio one factor short", porestats, "binomial_numerators", "n - k", "n - k - 1", binomial_rows),
     Mutant(
         "Bracket.exact without its Fraction test", rationals, "Bracket.exact",
         "isinstance(self.lo, Fraction) and self.lo == self.hi", "self.lo == self.hi", bracket_exactness,
+    ),
+    Mutant(
+        "Generated equality without the reflection flag", setmodels, "Generated.__eq__",
+        "(self.seq, self.level, self.with_reflection) == (other.seq, other.level, other.with_reflection)",
+        "(self.seq, self.level) == (other.seq, other.level)", generated_equality,
+    ),
+    Mutant(
+        "ContractionSequence equality without c", setmodels, "ContractionSequence.__eq__",
+        "(self.rule, self.c) == (other.rule, other.c)", "self.rule == other.rule", sequence_equality,
     ),
 )
 

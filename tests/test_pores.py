@@ -126,7 +126,7 @@ class TestEnumerate:
         for (a1, b1), (a2, b2) in zip(pores, pores[1:]):
             assert b1 <= a2
         fam = enumerate_pores(oracle, UNIT, 8)
-        assert sum(mass for *_, mass in fam.entries()) + fam.tail_mass == UNIT.measure
+        assert sum(mass for *_, mass in fam.entries()) + fam.tail_mass == UNIT.side
 
     def test_tail_mass_decreases_with_depth(self):
         oracle = FinitePoints((Fraction(0), Fraction(1, 3), Fraction(1)))
@@ -244,7 +244,7 @@ class TestBoxPruning:
         assert cubes == list(bfs_pore_cubes(union, window, depth))
         fam = enumerate_pores(union, window, depth)
         assert fam.counts == bfs_counts(union, window, depth)
-        assert fam.tail_mass == window.measure - sum(cube.measure for cube in cubes)
+        assert fam.tail_mass == window.side - sum(cube.side for cube in cubes)
 
     def test_covers_cube(self):
         covers = _covers(BOXES_1D)
@@ -346,7 +346,7 @@ class TestPiecesMatchTheBfs:
             cubes = list(bfs_pore_cubes(union, window, max_gen, covers))
             fam = enumerate_pores(union, window, max_gen)
             assert fam.counts == bfs_counts(union, window, max_gen, covers), (spans, window, max_gen)
-            assert fam.tail_mass == window.measure - sum(c.measure for c in cubes)
+            assert fam.tail_mass == window.side - sum(c.side for c in cubes)
             profiles = [
                 (Fraction(h, den), Fraction(d_l, den), Fraction(d_r, den))
                 for h, d_l, d_r, den in cell_pore_profiles(
@@ -818,7 +818,7 @@ class TestWeakPorosity:
             window = Cube.interval(*g.envelope)
             res = weak_porosity_check(g, window, Fraction(1, 2), Fraction(1, 2), max_gen=40)
             assert not res.holds
-            fractions_seen.append(res.achieved_mass / window.measure)
+            fractions_seen.append(res.achieved_mass / window.side)
         assert max(fractions_seen) < Fraction(1, 2)
 
     def test_gamma_below_resolution_refused(self):

@@ -36,7 +36,8 @@ from poremetrics.porestats import (
     EXPECTATION_PRODUCT_BOUND,
     LengthDistribution,
     binomial_check,
-    divergence_scan,
+    binomial_numerators,
+    divergence_row,
     expectation_products,
     length_law,
     tilde_quantiles,
@@ -49,6 +50,12 @@ QUARTER = ContractionSequence.constant(Fraction(1, 4))
 TWO_SEVENTHS = ContractionSequence.constant(Fraction(2, 7))
 TWO_THIRDS = ContractionSequence.constant(Fraction(2, 3))
 ONE = ContractionSequence.constant(1)
+
+
+def divergence_scan(t, levels):
+    """The divergence rows of the constant-1/2 law at ``levels``, each from
+    its own binomial row."""
+    return [divergence_row(Fraction(t), binomial_numerators(n, Fraction(1, 5))) for n in levels]
 
 
 def expectation_product(seq, level):
@@ -352,14 +359,14 @@ class TestBinomialReduction:
     @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(1, 3), Fraction(2, 7)])
     def test_integer_rows_match_fraction_formula(self, q):
         for n in range(61):
-            nums, den = porestats._binomial_numerators(n, q)
+            nums, den = binomial_numerators(n, q)
             assert den == q.denominator**n
             assert [Fraction(x, den) for x in nums] == [fraction_binomial_pmf(n, k, q) for k in range(n + 1)]
             assert [Fraction(x, den) for x in accumulate(nums)] == fraction_binomial_cdf_row(n, q)
 
     @pytest.mark.parametrize("n", [1, 5, 12, 40])
     def test_cdf_matches_pascal_oracle(self, n):
-        nums, den = porestats._binomial_numerators(n, Fraction(1, 5))
+        nums, den = binomial_numerators(n, Fraction(1, 5))
         for k, total in enumerate(accumulate(nums)):
             assert Fraction(total, den) == pascal_binomial_cdf(n, k, Fraction(1, 5))
 

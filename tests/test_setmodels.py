@@ -353,6 +353,13 @@ class TestSpecRoundTrip:
         assert again.points == oracle.points
 
 
+def test_sequence_equality_follows_rule_and_c():
+    assert HALF == ContractionSequence("constant", Fraction(2, 4))
+    assert hash(HALF) == hash(ContractionSequence.constant(Fraction(1, 2)))
+    assert HALF != ContractionSequence.constant(Fraction(1, 3))
+    assert HALF != HH and HH == ContractionSequence.half_harmonic()
+
+
 def test_rational_parsing():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7/2") == Fraction(-7, 2)

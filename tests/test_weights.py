@@ -239,7 +239,7 @@ class TestMeanDistPower:
             oracle = FinitePoints(pts)
             fam = enumerate_pores(oracle, window, 40)
             partial = sum(
-                float(length) ** float(theta) * float(mass) / float(window.measure)
+                float(length) ** float(theta) * float(mass) / float(window.side)
                 for _, length, _, mass in fam.entries()
             )
             mean = mean_dist_power(oracle, window, theta)
