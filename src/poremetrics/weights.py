@@ -5,14 +5,13 @@ profile inside a gap is the minimum of two linear ramps, so each piece
 integrates to a difference of antiderivatives F(u) = u^(theta+1)/(theta+1).
 Every mean over a window is built from one answer of the set: its closed
 pieces in the window (``piece_runs``) and the distances from the window's
-two ends.
-
-Exponent bookkeeping keeps the window side length symbolic, so products in
-which the side's powers cancel (the A_p product, the A_1 quotient) come out
-exact whenever the normalized integrals are rational.  On the envelope
-windows of a generated set the means need no gaps at all: they are the
-closed form 2^-theta E[X_m^theta]/(theta+1) in the moments of the gap-length
-variable, with the factor 2^-theta kept symbolic the same way.
+two ends.  It is taken in the window's relative frame, where the window is
+[0, 1) and a piece end is an integer over its run's denominator
+(``pores._scaled_runs``), so no mean carries the window side.  On the
+envelope windows of a generated set the means need no gaps at all: they are
+the closed form 2^-theta E[X_m^theta]/(theta+1) in the moments of the
+gap-length variable, taken in the unit 1/2, which drops the factor 2^-theta
+from every product of means over one window.
 
 Every mean, product and quotient is a ``Bracket``: exact when its ends are
 one Fraction, else float ends widened outward, with ``math.inf`` above a
@@ -29,14 +28,13 @@ from operator import mul, sub
 
 from .dyadic import Cube
 from .errors import PreconditionError
-from .pores import cell_pore_profiles
+from .pores import _scaled_runs, cell_pore_profiles
 from .porestats import moment_stream
 from .rationals import Bracket, power_pair, rational_pow
 from .setmodels import Generated, Prefixes, SetOracle
 
 _BASE_SLACK = 1e-15
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class ApQuery:
@@ -167,34 +165,29 @@ def profile_integral(h: int, d_left: int, d_right: int, den: int, theta: Fractio
     return 2 * _float(m_v) - _float(a_v) - _float(b_v), False
 
 
-def _over_one_den(*values: Fraction) -> tuple:
-    """(n_1, ..., n_k, den): the Fractions as integer numerators over their
-    least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return (*(v.numerator * (den // v.denominator) for v in values), den)
+def _profile(*pairs) -> tuple:
+    """(n_1, n_2, n_3, den): three (numerator, denominator) pairs over their
+    lcm, in lowest terms, so that equal profiles are equal tuples."""
+    den = math.lcm(*(d for _, d in pairs))
+    profile = (*(n * (den // d) for n, d in pairs), den)
+    g = math.gcd(*profile)
+    return tuple(k // g for k in profile)
 
 
-def profile_peak(h: Fraction, d_left: Fraction, d_right: Fraction) -> Fraction:
-    """Maximum of the two-ramp distance profile over the component."""
-    if abs(d_left - d_right) <= h:
-        return (h + d_left + d_right) / 2
-    return min(d_left, d_right) + h
-
-
-class _ScaledMean(namedtuple("_ScaledMean", "unit norm n_terms")):
-    """Normalized mean: the cube mean of dist^theta equals unit**theta * norm.
-
-    The unit is the window side on the gap walk and 1/2 in the closed form on
-    an envelope; products of means over one window share it, so its powers
-    cancel exactly.  ``n_terms`` counts the float terms behind an inexact
-    norm, which set how far it is widened.
+class _ScaledMean(namedtuple("_ScaledMean", "norm n_terms")):
+    """A mean of dist^theta over a window in a length unit u shared by every
+    mean over the window: the cube mean is u**theta * norm, with u the window
+    side on the gap walk (the mean over the relative frame) and 1/2 in the
+    closed form on an envelope.  The A_p product and the A_1 quotient cancel
+    the powers of u, so u is never formed.  ``n_terms`` counts the float
+    terms behind an inexact norm, which set how far it is widened.
     """
 
     __slots__ = ()
 
     def to_mean_value(self, base: Fraction, e: Fraction) -> Bracket:
-        """The normalized mean times base**e: the cube mean for base = unit
-        and e = theta, the A_1 quotient for base = peak / unit and e = -theta."""
+        """The norm times base**e: the cube mean for base = u and e = theta,
+        the A_1 quotient for base = the peak in the unit u and e = -theta."""
         scale, norm = _pow_any(base, e), self.norm
         if norm.exact and isinstance(scale, Fraction):
             return Bracket(scale * norm.lo, scale * norm.lo)
@@ -223,7 +216,7 @@ class _Window(namedtuple("_Window", "cube pieces d_lo d_hi")):
         return cls(q0, pieces, d_lo, d_hi)
 
 
-class _Gaps(namedtuple("_Gaps", "side ends distinct counts order covered")):
+class _Gaps(namedtuple("_Gaps", "ends distinct counts order inside")):
     """The gap components of a window, walked once for every mean over it.
 
     A component endpoint other than a window end is a point of the closed
@@ -233,70 +226,76 @@ class _Gaps(namedtuple("_Gaps", "side ends distinct counts order covered")):
     the two window ends need a distance, and every component between the
     end ones is determined by its length alone.
 
-    ``ends`` holds (h, d_left, d_right) of the first and the last component,
-    ``distinct`` the distinct interior lengths, ``counts`` how many interior
-    components have each, ``order`` the index into ``distinct`` of each
-    interior component in window order, and ``covered`` the total length of
-    the components.
+    Relative to the window, ``ends`` holds the integer profiles (h, d_left,
+    d_right, den) of the first and the last component, ``distinct`` the
+    distinct interior lengths as coprime pairs (h, den), ``counts`` how many
+    interior components have each, ``order`` the index into ``distinct`` of
+    each interior component in window order, and ``inside`` the set's measure.
     """
 
     __slots__ = ()
 
     @classmethod
     def of(cls, window: _Window) -> "_Gaps":
-        """Walk the window's piece runs in integers and build one Fraction
-        per distinct length, indexed in window order.
+        """Walk the window's piece runs in the frame of ``_scaled_runs`` at
+        generation 0, where an end a/b of a run lies at (a scale - off)/div,
+        ``scale`` being the run's ``mul``.
 
-        The gaps inside a run are integer differences over the run's own
-        denominator b.  A gap between a window end and a run, or between two
-        runs, is taken over the lcm of its two ends' denominators only, so
-        no denominator grows with the number of runs.  Each gap is an
-        unreduced (numerator, denominator) pair; only the distinct pairs
-        become Fractions."""
-        lo, hi = window.cube.as_interval()
-        gaps = []
-        # The cursor n/d is where the next gap starts; hi closes the walk as
-        # a run of one point.
-        n, d = lo.numerator, lo.denominator
-        for b, lefts, rights in [*window.pieces, (hi.denominator, (hi.numerator,), (hi.numerator,))]:
-            m = math.lcm(d, b)
-            h = lefts[0] * (m // b) - n * (m // d)
+        The gaps inside a run are integer differences over its div; a gap
+        between a window end and a run, or between two runs, is taken over
+        the lcm of its two ends' denominators only, so no denominator grows
+        with the number of runs.  Each distinct gap is reduced by one gcd."""
+        _, hi = window.cube.as_interval()
+        b = hi.denominator
+        # hi, at 1, closes the walk as a run of one point over b.
+        *pieces, closing = _scaled_runs([*window.pieces, (b, (hi.numerator,), (hi.numerator,))], window.cube, 0)
+        # That run puts a length u/v = (u b / v) / b at u b scale / (v div).
+        *_, div, scale, _, _, _ = closing
+        d_lo, d_hi = ((d.numerator * b * scale, d.denominator * div) for d in (window.d_lo, window.d_hi))
+        gaps, inside = [], _ZERO
+        # The cursor n/d is where the next gap starts.
+        n, d = 0, 1
+        for *_, div, scale, off, lefts, rights in [*pieces, closing]:
+            m = math.lcm(d, div)
+            h = (lefts[0] * scale - off) * (m // div) - n * (m // d)
             if h > 0:
                 gaps.append((h, m))
-            gaps += zip(map(sub, lefts[1:], rights), repeat(b))
-            n, d = rights[-1], b
+            gaps += zip(map(mul, map(sub, lefts[1:], rights), repeat(scale)), repeat(div))
+            if rights is not lefts:  # intervals, clamped to the window
+                covered = sum(min(r * scale - off, div) - max(l * scale - off, 0) for l, r in zip(lefts, rights))
+                inside += Fraction(covered, div)
+            n, d = rights[-1] * scale - off, div
         if len(gaps) > 1:
-            ends = ((Fraction(*gaps[0]), window.d_lo, _ZERO), (Fraction(*gaps[-1]), _ZERO, window.d_hi))
+            ends = (_profile(gaps[0], d_lo, (0, 1)), _profile(gaps[-1], (0, 1), d_hi))
         else:
-            ends = tuple((Fraction(*pair), window.d_lo, window.d_hi) for pair in gaps)
+            ends = tuple(_profile(pair, d_lo, d_hi) for pair in gaps)
         interior = gaps[1:-1]
         # Equal lengths may come as different pairs; they share one index.
         index, distinct = {}, {}
-        for pair in dict.fromkeys(interior):
-            index[pair] = distinct.setdefault(Fraction(*pair), len(distinct))
+        for h, m in dict.fromkeys(interior):
+            g = math.gcd(h, m)
+            index[h, m] = distinct.setdefault((h // g, m // g), len(distinct))
         order = tuple(map(index.__getitem__, interior))
         counts = tuple(Counter(order).values())  # the indices first occur in increasing order
-        covered = sum((h for h, _, _ in ends), _ZERO) + sum(map(mul, distinct, counts), _ZERO)
-        return cls(hi - lo, ends, tuple(distinct), counts, order, covered)
+        return cls(ends, tuple(distinct), counts, order, inside)
 
     def peak(self) -> Fraction:
-        """Maximum of the distance profile: half the longest interior gap,
-        or the peak of an end component."""
-        interior = max(self.distinct, default=_ZERO) / 2
-        return max([interior] + [profile_peak(*end) for end in self.ends])
+        """Maximum of the relative distance profile: half the longest
+        interior gap, or the peak of an end component."""
+        peaks = [Fraction(h, 2 * den) for h, den in self.distinct]
+        for h, d_l, d_r, den in self.ends:
+            top = h + d_l + d_r if abs(d_l - d_r) <= h else 2 * (min(d_l, d_r) + h)
+            peaks.append(Fraction(top, 2 * den))
+        return max(peaks)
 
     def mean(self, theta: Fraction) -> _ScaledMean:
-        """The normalized mean.  With every term exact it is the sum of
+        """The relative mean.  With every term exact it is the sum of
         count * integral per distinct length; otherwise it is summed over the
         components in window order, so that the float sum is the same as one
         integral per component."""
-        side = self.side
         n = len(self.ends) + len(self.order)
-        interior = [profile_integral(*_over_one_den(h / side, _ZERO, _ZERO), theta) for h in self.distinct]
-        ends = [
-            profile_integral(*_over_one_den(h / side, d_l / side, d_r / side), theta)
-            for h, d_l, d_r in self.ends
-        ]
+        interior = [profile_integral(h, 0, 0, den, theta) for h, den in self.distinct]
+        ends = [profile_integral(*end, theta) for end in self.ends]
         if all(is_exact for _, is_exact in chain(interior, ends)):
             total = sum((val for val, _ in ends), _ZERO)
             total = sum((val * m for (val, _), m in zip(interior, self.counts)), total)
@@ -304,14 +303,14 @@ class _Gaps(namedtuple("_Gaps", "side ends distinct counts order covered")):
             terms = chain(ends[:1], (interior[k] for k in self.order), ends[1:])
             total, _, _ = _sum_terms(terms)
         # Distance vanishes on the part of the window inside the set: it adds
-        # nothing for theta > 0, exactly its normalized measure for theta = 0,
+        # nothing for theta > 0, exactly its relative measure for theta = 0,
         # and diverges for theta < 0.
-        if self.covered < side:
+        if self.inside:
             if theta == 0:
-                total += (side - self.covered) / side
+                total += self.inside
             elif theta < 0:
-                return _ScaledMean(side, Bracket(total, math.inf), n + 1)
-        return _ScaledMean(side, Bracket(total, total), n)
+                return _ScaledMean(Bracket(total, math.inf), n + 1)
+        return _ScaledMean(Bracket(total, total), n)
 
 
 def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | None:
@@ -322,11 +321,11 @@ def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | 
     Inside Q_m every stage of level >= m equals stage m, and both ends of
     Q_m are set points, so each gap h of the stage contributes
     2 (h/2)^(theta+1)/(theta+1) and the mean is 2^-theta E[X_m^theta]/(theta+1),
-    with X_m the gap-length variable of ``porestats``: unit 1/2 and norm
-    E[X_m^theta]/(theta+1).  One pass of ``moment_stream`` per exponent,
-    kept on the oracle and drawn as far as the largest m asked for, serves
-    every envelope of the set; its exact entries are integer pairs, and only
-    the one read here becomes a Fraction.
+    with X_m the gap-length variable of ``porestats``: the norm
+    E[X_m^theta]/(theta+1) in the unit 1/2.  One pass of ``moment_stream``
+    per exponent, kept on the oracle and drawn as far as the largest m asked
+    for, serves every envelope of the set; its exact entries are integer
+    pairs, and only the one read here becomes a Fraction.
     """
     if not isinstance(oracle, Generated) or min(thetas) <= -1:
         return None
@@ -341,12 +340,12 @@ def _envelope_means(oracle: SetOracle, q0: Cube, thetas) -> list[_ScaledMean] | 
         moment = moments.upto(m)[m]
         norm = Fraction(*moment) / (theta + 1) if type(moment) is tuple else moment / float(theta + 1)
         # The terms behind a float norm: m stage factors and the division.
-        out.append(_ScaledMean(_HALF, Bracket(norm, norm), m + 2))
+        out.append(_ScaledMean(Bracket(norm, norm), m + 2))
     return out
 
 
 def _means(window: _Window, thetas, max_gen: int, gaps: _Gaps) -> list[_ScaledMean]:
-    """Normalized means over a window, one per exponent, from the window's
+    """The relative means over a window, one per exponent, from the window's
     one gap walk ``gaps``.
 
     For theta <= -1 on a window meeting the set the mean diverges and the
@@ -365,10 +364,9 @@ def _divergent_partial(window: _Window, theta, max_gen) -> _ScaledMean:
     The pores come from the integer cells of the set's pieces in the window,
     generation by generation and left to right, so the float sum and its
     term count are fixed by the window alone."""
-    q0 = window.cube
-    pores = cell_pore_profiles(q0, window.pieces, window.d_lo, window.d_hi, max_gen)
+    pores = cell_pore_profiles(window.cube, window.pieces, window.d_lo, window.d_hi, max_gen)
     total, _, n = _sum_terms(profile_integral(*pore, theta) for pore in pores)
-    return _ScaledMean(q0.side, Bracket(total, math.inf), max(n, 1))
+    return _ScaledMean(Bracket(total, math.inf), max(n, 1))
 
 
 # case: "I" far cube, "II" near disjoint cube, "III" cube meeting the set;
@@ -382,7 +380,7 @@ MEAN_PATHS = ("closed_form", "gap_walk", "far_cube", "divergent")
 
 
 def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> Bracket:
-    """(unit^-a m1) * (unit^(a/(p-1)) m2)^(p-1): the unit powers cancel exactly."""
+    """(u^-a m1) * (u^(a/(p-1)) m2)^(p-1): the powers of the shared unit u cancel."""
     n1, e = sm1.norm, p - 1
     lo2, hi2 = _pow_any(sm2.norm.lo, e), _pow_any(sm2.norm.hi, e)
     if n1.exact and sm2.norm.exact and isinstance(lo2, Fraction):
@@ -398,9 +396,9 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
     Envelope windows of a generated set take the closed form first (they
     meet the set, case III, and need no points).  Far cubes (gap at least
     twice the diameter) short-circuit to the bracket [1, 4^|alpha|].
-    Elsewhere both mean factors are evaluated and multiplied with the window
-    scale cancelled symbolically, so dilation-invariant configurations give
-    exactly dilation-invariant products.
+    Elsewhere both means are taken in the window's relative frame, so the
+    product is the same for the set and the window mapped together by any
+    x -> lam x + tau with lam > 0.
     """
     if query.p <= 1:
         raise PreconditionError("ap_product needs p > 1; use a1_quotient for p = 1")
@@ -451,8 +449,8 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> Bracke
     The essential infimum comes from the farthest point of the window from
     the set, the peak of the piecewise-linear distance profile.  On an
     envelope window of a generated set the peak is 1/2, half the unit gap
-    that survives every stage, so the closed-form quotient is
-    E[X_m^-alpha]/(1-alpha).
+    that survives every stage and 1 in the closed form's unit, so the
+    quotient is E[X_m^-alpha]/(1-alpha).
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -460,10 +458,10 @@ def a1_quotient(oracle: SetOracle, q0: Cube, alpha, max_gen: int = 40) -> Bracke
     closed = _envelope_means(oracle, q0, (-alpha,))
     if closed is not None:
         (sm,) = closed
-        return sm.to_mean_value(_HALF / sm.unit, alpha)
+        return sm.to_mean_value(Fraction(1), alpha)
     window = _Window.read(oracle, q0)
     gaps = _Gaps.of(window)
     if not gaps.ends:
         raise PreconditionError("window is covered by the set")
     (sm,) = _means(window, (-alpha,), max_gen, gaps)
-    return sm.to_mean_value(gaps.peak() / sm.unit, alpha)
+    return sm.to_mean_value(gaps.peak(), alpha)

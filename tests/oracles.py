@@ -535,8 +535,15 @@ def fraction_profile_integral(h, d_left, d_right, theta):
     return 2 * float(m_v) - float(a_v) - float(b_v), False
 
 
+def over_one_den(*values):
+    """(n_1, ..., n_k, den): the Fractions as integer numerators over their
+    least common denominator, the form ``profile_integral`` takes."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (den // v.denominator) for v in values), den)
+
+
 def per_component_mean(oracle, q0, theta):
-    """Normalized 1-D mean of dist^theta for a window the set does not make
+    """The relative 1-D mean of dist^theta for a window the set does not make
     divergent: a distance query at both endpoints of every gap component and
     one profile integral per component, summed in window order.  Returns the
     library's ``_ScaledMean`` so the same assembly turns it into a public
@@ -553,7 +560,7 @@ def per_component_mean(oracle, q0, theta):
         d_r = oracle.distance(comp.right)
         val, is_exact = fraction_profile_integral(comp.length / side, d_l / side, d_r / side, theta)
         if val == math.inf:
-            return _ScaledMean(side, Bracket(math.inf, math.inf), len(comps))
+            return _ScaledMean(Bracket(math.inf, math.inf), len(comps))
         if is_exact and exact:
             total += val
         else:
@@ -566,17 +573,22 @@ def per_component_mean(oracle, q0, theta):
             total += (side - covered) / side
         elif theta < 0:
             lo_norm = total if exact else total_f
-            return _ScaledMean(side, Bracket(lo_norm, math.inf), len(comps) + 1)
+            return _ScaledMean(Bracket(lo_norm, math.inf), len(comps) + 1)
     if exact:
-        return _ScaledMean(side, Bracket(total, total), len(comps))
-    return _ScaledMean(side, Bracket(total_f, total_f), len(comps))
+        return _ScaledMean(Bracket(total, total), len(comps))
+    return _ScaledMean(Bracket(total_f, total_f), len(comps))
+
+
+def profile_peak(h, d_left, d_right):
+    """Maximum of min(d_left + x, d_right + h - x) over [0, h]: at the
+    crossing of the two ramps, clamped to the component."""
+    x = min(max((d_right + h - d_left) / 2, 0), h)
+    return min(d_left + x, d_right + h - x)
 
 
 def per_component_peak(oracle, q0):
     """Largest value of dist(., E) over a 1-D window, from the two-ramp
     profile of every component with both endpoint distances queried."""
-    from poremetrics.weights import profile_peak
-
     lo, hi = q0.as_interval()
     return max(
         profile_peak(c.length, oracle.distance(c.left), oracle.distance(c.right))

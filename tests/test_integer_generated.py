@@ -99,7 +99,7 @@ def test_queries_match_fraction_points(name, level, reflect):
         gaps, expected = _Gaps.of(_Window.read(g, cube)), _Gaps.of(_Window.read(f, cube))
         assert gaps.distinct == expected.distinct
         assert gaps.order == expected.order
-        assert gaps.covered == expected.covered
+        assert gaps.inside == expected.inside
         assert gaps.ends == expected.ends
         assert gaps == expected
         if meets(f, w_lo, w_hi):

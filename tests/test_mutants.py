@@ -1,6 +1,7 @@
 """Repeatable mutation checks for the exact cores: the pore layer, the gap
-walk of the weight means, the binomial rows, the CSV writer, the exactness
-of a ``Bracket`` and the equality of generated sets and their sequences.
+walk of the weight means, the profile integral, the far-cube test, the
+binomial rows, the CSV writer, the exactness of a ``Bracket`` and the
+equality of generated sets and their sequences.
 
 A mutant is one edit to the syntax tree of one function: the one node whose
 source reads ``old`` becomes ``new`` (an expression where ``old`` is one,
@@ -13,8 +14,8 @@ attribute on its class.  The named check, a test of the suite run
 in-process, must then fail with an ``AssertionError``.  The same round trip
 without the edit must pass every check its mutants name, so a patch that
 breaks a function by itself cannot pass for a kill, and an ``old`` that no
-longer matches exactly one node of its function fails the table.
-Standard library only: ``ast``, ``inspect`` and ``compile``.
+longer matches exactly one node of its function fails the table.  The
+edits need the standard library only: ``ast``, ``inspect`` and ``compile``.
 """
 
 import __future__
@@ -28,9 +29,11 @@ from fractions import Fraction
 from types import ModuleType
 
 import pytest
+from hypothesis import Phase, given, settings
 
 import test_cli
 import test_integer_generated
+import test_metamorphic
 import test_pores
 import test_porestats
 import test_rationals
@@ -58,6 +61,18 @@ def integer_walk():
 
 def random_gap_sets():
     test_weights.TestGapWalkMatchesPerComponent().test_random_sets()
+
+
+def integer_profile():
+    test_weights.TestIntegerProfileIntegral().test_random_profiles()
+
+
+def affine_invariance():
+    # A mutant only has to fail, so the failing example is not shrunk:
+    # shrinking it would take about half the table's time.
+    test = test_metamorphic.test_reports_are_invariant_under_positive_affine_maps.hypothesis.inner_test
+    unshrunk = settings(test_metamorphic.SETTINGS, phases=(Phase.explicit, Phase.generate))
+    unshrunk(given(test_metamorphic.cases())(test))()
 
 
 def csv_text():
@@ -117,9 +132,15 @@ MUTANTS = (
     Mutant("zero-length gaps kept", weights, "_Gaps.of", "h > 0", "h >= 0", random_gap_sets),
     Mutant(
         "closing gap to hi dropped", weights, "_Gaps.of",
-        "[*window.pieces, (hi.denominator, (hi.numerator,), (hi.numerator,))]", "window.pieces", random_gap_sets,
+        "[*pieces, closing]", "pieces", random_gap_sets,
     ),
-    Mutant("cross-run gap over the run's denominator", weights, "_Gaps.of", "math.lcm(d, b)", "b", random_gap_sets),
+    Mutant("cross-run gap over the run's denominator", weights, "_Gaps.of", "math.lcm(d, div)", "div", random_gap_sets),
+    Mutant("profile powers of unreduced quotients", weights, "_antiderivative", "math.gcd(n, d)", "1", integer_profile),
+    # Not scale-free, so only the affine-invariance test sees it.
+    Mutant(
+        "far-cube test without the side", weights, "ap_product",
+        "min(window.d_lo, window.d_hi) >= 2 * q0.side", "min(window.d_lo, window.d_hi) >= 2", affine_invariance,
+    ),
     Mutant(
         "one-empty-cell rule dropped", cli, "_csv_text",
         """'""' if not line and len(row) == 1 else line""", "line", csv_text,

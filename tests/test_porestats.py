@@ -52,6 +52,11 @@ TWO_THIRDS = ContractionSequence.constant(Fraction(2, 3))
 ONE = ContractionSequence.constant(1)
 
 
+def seq_id(seq):
+    """A test ID naming the rule and c: ``half_harmonic``, ``constant-1/2``."""
+    return seq.rule if seq.c is None else f"{seq.rule}-{seq.c}"
+
+
 def divergence_scan(t, levels):
     """The divergence rows of the constant-1/2 law at ``levels``, each from
     its own binomial row."""
@@ -511,7 +516,7 @@ class TestExactQuantiles:
     """tilde_quantiles against the Fraction law and, deep down, against a
     certificate checked on Fraction half laws."""
 
-    @pytest.mark.parametrize("seq", [HH, HALF, QUARTER, TWO_SEVENTHS], ids=str)
+    @pytest.mark.parametrize("seq", [HH, HALF, QUARTER, TWO_SEVENTHS], ids=seq_id)
     def test_matches_fraction_law(self, seq):
         for level in range(0, 15):
             masses = length_law(seq, level).masses
@@ -610,7 +615,7 @@ class TestWarmBrackets:
     behind, narrowed by the run bounds, so its answer must not depend on
     which queries came first."""
 
-    @pytest.mark.parametrize("seq", [HH, HALF, TWO_SEVENTHS], ids=str)
+    @pytest.mark.parametrize("seq", [HH, HALF, TWO_SEVENTHS], ids=seq_id)
     @pytest.mark.parametrize(
         "ts", [(Fraction(1, 10), Fraction(1, 2)), (Fraction(77, 1024), Fraction(501, 1024))],
         ids=lambda ts: ",".join(map(str, ts)),

@@ -15,6 +15,7 @@ from oracles import (
     fraction_profile_integral,
     meets,
     moment_prefixes,
+    over_one_den,
     per_component_mean,
     per_component_peak,
     to_decimal,
@@ -40,7 +41,6 @@ from poremetrics.weights import (
     _Gaps,
     _means,
     _Window,
-    _over_one_den,
     _ScaledMean,
     _sum_terms,
     a1_quotient,
@@ -65,18 +65,18 @@ def mean_dist_power(oracle, q0, theta, max_gen=40):
     """
     theta = Fraction(theta)
     if (closed := _envelope_means(oracle, q0, (theta,))) is not None:
-        (sm,) = closed
+        (sm,), unit = closed, Fraction(1, 2)
     else:
         window = _Window.read(oracle, q0)
-        (sm,) = _means(window, (theta,), max_gen, _Gaps.of(window))
-    return sm.to_mean_value(sm.unit, theta)
+        (sm,), unit = _means(window, (theta,), max_gen, _Gaps.of(window)), q0.side
+    return sm.to_mean_value(unit, theta)
 
 
 def integral(h, d_left, d_right, theta):
     """profile_integral on Fractions, given to it as integer numerators over
     one denominator; it must return what the Fraction reference returns."""
     h, d_left, d_right, theta = map(Fraction, (h, d_left, d_right, theta))
-    value = profile_integral(*_over_one_den(h, d_left, d_right), theta)
+    value = profile_integral(*over_one_den(h, d_left, d_right), theta)
     assert repr(value) == repr(fraction_profile_integral(h, d_left, d_right, theta))
     return value
 
@@ -151,7 +151,7 @@ class TestIntegerProfileIntegral:
         rng = random.Random(14)
         seen = set()
         for h, d_left, d_right, theta, scale in _random_profiles(rng, 3000):
-            *nums, den = _over_one_den(h, d_left, d_right)
+            *nums, den = over_one_den(h, d_left, d_right)
             value, exact = profile_integral(*(k * scale for k in nums), den * scale, theta)
             ref_value, ref_exact = fraction_profile_integral(h, d_left, d_right, theta)
             assert exact == ref_exact
@@ -389,7 +389,7 @@ def _bfs_partial(oracle, q0, theta, max_gen, covers=None):
     integrated by the Fraction reference with both end distances queried."""
     terms = (fraction_profile_integral(*profile, theta) for profile in bfs_profiles(oracle, q0, max_gen, covers))
     total, _, n = _sum_terms(terms)
-    return _ScaledMean(q0.side, Bracket(total, math.inf), max(n, 1))
+    return _ScaledMean(Bracket(total, math.inf), max(n, 1))
 
 
 def _divergent_cases():
@@ -649,7 +649,7 @@ class TestGapWalkMatchesPerComponent:
                 read = _Window.read(oracle, window)
                 gaps = _Gaps.of(read)
                 (sm,) = _means(read, (-alpha,), 40, gaps)
-                actual = sm.to_mean_value(gaps.peak() / window.side, alpha)
+                actual = sm.to_mean_value(gaps.peak(), alpha)
             else:
                 actual = a1_quotient(oracle, window, alpha)
             assert repr(actual) == repr(expected)
@@ -667,8 +667,9 @@ class TestGapWalkMatchesPerComponent:
             lo, hi = window.as_interval()
             seen |= _gap_features(spans, window)
             gaps = _Gaps.of(_Window.read(oracle, window))
-            lengths = [gaps.distinct[k] for k in gaps.order]
-            lengths = [h for h, _, _ in gaps.ends[:1]] + lengths + [h for h, _, _ in gaps.ends[1:]]
+            lengths = [Fraction(*gaps.distinct[k]) * window.side for k in gaps.order]
+            ends = [Fraction(h, den) * window.side for h, _, _, den in gaps.ends]
+            lengths = ends[:1] + lengths + ends[1:]
             assert lengths == [c.length for c in components(oracle, lo, hi)], (spans, window)
             for theta in THETAS:
                 expected = per_component_mean(oracle, window, theta).to_mean_value(window.side, theta)
@@ -768,7 +769,7 @@ class TestEnvelopeClosedForm:
                 norm2 = decimal_envelope_mean(g.seq, m, theta2)[1]
                 _check_cell(res.product, old, norm1 * norm2 ** to_decimal(p - 1))
             for alpha in a1:
-                old = walk_mean(-alpha).to_mean_value(gaps.peak() / window.side, alpha)
+                old = walk_mean(-alpha).to_mean_value(gaps.peak(), alpha)
                 _check_cell(a1_quotient(g, window, alpha), old, decimal_envelope_mean(g.seq, m, -alpha)[1])
 
     @pytest.mark.parametrize("reflect", [False, True])
