@@ -19,11 +19,14 @@ from poremetrics.cli import main as cli  # noqa: E402
 def command_lines(out_dir: Path) -> list[list[str]]:
     return [
         # Admissible exponent: the product is constant 4/3 across every scale.
+        # Every window [0, 2^k) has the first one's relative gap walk, so the
+        # scan computes the first row and reuses it for the other 40.
         [
             "ap-scan", "--set", "point:0", "--alpha", "1/2", "--p", "2",
             "--cubes", "dyadic:-20..20", "--out", str(out_dir / "ap_origin_alpha_half.csv"),
         ],
         # Outside the admissible range: the certified lower bound diverges.
+        # The window holds one point, so the divergent row is reused too.
         [
             "ap-scan", "--set", "point:0", "--alpha", "3/2", "--p", "2",
             "--cubes", "dyadic:-10..10", "--out", str(out_dir / "ap_origin_alpha_three_halves.csv"),

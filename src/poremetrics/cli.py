@@ -46,7 +46,7 @@ from .setmodels import (
     load_set_spec,
     save_set_spec,
 )
-from .weights import MEAN_PATHS, ApQuery, ap_product
+from .weights import MEAN_PATHS, ApQuery, ApScan, ap_product
 
 SCHEMA = "pore-metrics/1"
 
@@ -360,9 +360,10 @@ def cmd_ap_scan(args, argv) -> int:
     query = ApQuery(_rational(args.alpha), _rational(args.p))
     rows = []
     paths = dict.fromkeys(MEAN_PATHS, 0)
+    scan = ApScan()
     for i, cube in enumerate(cubes):
         _check_digits(cube.as_interval(), f"cube {i}: its ends")
-        res = ap_product(oracle, cube, query, args.max_gen)
+        res = ap_product(oracle, cube, query, args.max_gen, scan)
         if res.product.exact:
             _check_digits([res.product.lo], f"cube {i}: the exact product")
         paths[res.path] += 1
@@ -380,7 +381,7 @@ def cmd_ap_scan(args, argv) -> int:
         _csv_text(["cube_id", "alpha", "p", "product_lo", "product_hi", "case_tag"], rows),
         args.out,
         argv,
-        {"mean_paths": paths},
+        {"mean_paths": paths, "reused_rows": scan.reused},
     )
     return 0
 

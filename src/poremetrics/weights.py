@@ -7,11 +7,12 @@ Every mean over a window is built from one answer of the set: its closed
 pieces in the window (``piece_runs``) and the distances from the window's
 two ends.  It is taken in the window's relative frame, where the window is
 [0, 1) and a piece end is an integer over its run's denominator
-(``pores._scaled_runs``), so no mean carries the window side.  On the
-envelope windows of a generated set the means need no gaps at all: they are
-the closed form 2^-theta E[X_m^theta]/(theta+1) in the moments of the
-gap-length variable, taken in the unit 1/2, which drops the factor 2^-theta
-from every product of means over one window.
+(``pores._scaled_runs``), so no mean carries the window side, and a scan
+row whose window repeats the last one's gap walk reuses its row
+(``ApScan``).  On the envelope windows of a generated set the means need no
+gaps at all: they are the closed form 2^-theta E[X_m^theta]/(theta+1) in the
+moments of the gap-length variable, taken in the unit 1/2, which drops the
+factor 2^-theta from every product of means over one window.
 
 Every mean, product and quotient is a ``Bracket``: exact when its ends are
 one Fraction, else float ends widened outward, with ``math.inf`` above a
@@ -390,7 +391,18 @@ def _combine_product(sm1: _ScaledMean, sm2: _ScaledMean, p: Fraction) -> Bracket
     return _assemble(lo, hi, sm1.n_terms + sm2.n_terms)
 
 
-def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -> ApResult:
+class ApScan:
+    """One scan of ``ap_product`` (one set, query and max_gen): the last key
+    kept, its row, and how many rows were taken from it."""
+
+    __slots__ = ("key", "result", "reused")
+
+    def __init__(self):
+        self.key = self.result = None
+        self.reused = 0
+
+
+def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40, scan: ApScan | None = None) -> ApResult:
     """Bracket of the two-factor Muckenhoupt product for w = dist^-alpha.
 
     Envelope windows of a generated set take the closed form first (they
@@ -399,6 +411,11 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
     Elsewhere both means are taken in the window's relative frame, so the
     product is the same for the set and the window mapped together by any
     x -> lam x + tau with lam > 0.
+
+    With a ``scan``, a window keyed (meets, gap walk) like the last one kept
+    returns its row, bit for bit: integrals reduce n/d before any power or
+    float.  A divergent window with intervals is neither reused nor kept: its
+    pores read interval ends that the gap walk does not fix.
     """
     if query.p <= 1:
         raise PreconditionError("ap_product needs p > 1; use a1_quotient for p = 1")
@@ -423,16 +440,23 @@ def ap_product(oracle: SetOracle, q0: Cube, query: ApQuery, max_gen: int = 40) -
             result = ApResult(Bracket(Fraction(1), hi), "I", "far_cube")
             _assert_holder_floor(result.product)
             return result
+    gaps = _Gaps.of(window)
+    divergent = meets and min(thetas) <= -1
+    reusable = scan is not None and not (divergent and any(r is not l for _, l, r in window.pieces))
+    if reusable and scan.key == (meets, gaps):
+        scan.reused += 1
+        return scan.result
     try:
-        sm1, sm2 = _means(window, thetas, max_gen, _Gaps.of(window))
+        sm1, sm2 = _means(window, thetas, max_gen, gaps)
         product = _combine_product(sm1, sm2, p)
     except OverflowError:
         raise PreconditionError(
             f"the partial product to max_gen {max_gen} has a term outside the float range"
         ) from None
-    path = "divergent" if meets and min(thetas) <= -1 else "gap_walk"
-    result = ApResult(product, "III" if meets else "II", path)
+    result = ApResult(product, "III" if meets else "II", "divergent" if divergent else "gap_walk")
     _assert_holder_floor(result.product)
+    if reusable:
+        scan.key, scan.result = (meets, gaps), result
     return result
 
 

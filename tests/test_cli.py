@@ -209,17 +209,18 @@ class TestReports:
         assert (code, *capsys.readouterr()) == (2, "", f"precondition violated: {message}\n")
 
     @pytest.mark.parametrize(
-        "set_spec,cubes,alpha,paths",
+        "set_spec,cubes,alpha,paths,reused",
         [
-            ("generated:half_harmonic:4", "envelopes:0..4", "1/3", {"closed_form": 5}),
+            ("generated:half_harmonic:4", "envelopes:0..4", "1/3", {"closed_form": 5}, 0),
             # [0, 1) is the envelope Q_0 of every generated set.
-            ("generated:constant:1/2:4:reflect", "dyadic:0..2", "1/3", {"closed_form": 1, "gap_walk": 2}),
-            ("point:0", "interval:[5,6)", "1/3", {"far_cube": 1}),
-            ("point:0", "dyadic:0..1", "3/2", {"divergent": 2}),
+            ("generated:constant:1/2:4:reflect", "dyadic:0..2", "1/3", {"closed_form": 1, "gap_walk": 2}, 0),
+            ("point:0", "interval:[5,6)", "1/3", {"far_cube": 1}, 0),
+            # [0, 2) is [0, 1) dilated about the point, so its row is the first one's.
+            ("point:0", "dyadic:0..1", "3/2", {"divergent": 2}, 1),
         ],
         ids=["closed-form", "envelope-among-dyadic", "far-cube", "divergent"],
     )
-    def test_ap_scan_sidecar_counts_mean_paths(self, tmp_path, set_spec, cubes, alpha, paths):
+    def test_ap_scan_sidecar_counts_mean_paths(self, tmp_path, set_spec, cubes, alpha, paths, reused):
         import poremetrics
 
         args = ["ap-scan", "--set", set_spec, "--cubes", cubes, f"--alpha={alpha}", "--p", "2", "--max-gen", "12"]
@@ -234,6 +235,7 @@ class TestReports:
             "argv": [*args, "--out", str(out)],
             "version": poremetrics.__version__,
             "mean_paths": {name: paths.get(name, 0) for name in ("closed_form", "gap_walk", "far_cube", "divergent")},
+            "reused_rows": reused,
         }
 
     def test_envelope_scan_past_the_level_cap(self):

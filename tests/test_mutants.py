@@ -1,5 +1,6 @@
 """Repeatable mutation checks for the exact cores: the pore layer, the gap
 walk of the weight means, the profile integral, the far-cube test, the
+reuse of a scan row, the moment and product streams, the integer root, the
 binomial rows, the CSV writer, the exactness of a ``Bracket`` and the
 equality of generated sets and their sequences.
 
@@ -65,6 +66,26 @@ def random_gap_sets():
 
 def integer_profile():
     test_weights.TestIntegerProfileIntegral().test_random_profiles()
+
+
+def interval_layouts():
+    test_weights.TestScanReuse().test_interval_layouts_with_one_gap_walk()
+
+
+def moment_reference():
+    # The stream that test_a_skipped_cross_reduction_is_caught builds by hand.
+    test_porestats.TestIntegerMomentStream().test_matches_fraction_reference_to_level_200(test_porestats.HH, 1)
+
+
+def moment_products():
+    test_porestats.TestKakeyaProduct().test_expectation_products_are_the_moment_products(test_porestats.HH)
+
+
+def integer_roots():
+    test_rationals.test_int_nth_root_exact_cases()
+    test_rationals.test_int_nth_root_rejects_non_powers()
+    test_rationals.test_int_nth_root_of_large_integers()
+    test_rationals.test_int_nth_root_round_trip()
 
 
 def affine_invariance():
@@ -136,10 +157,31 @@ MUTANTS = (
     ),
     Mutant("cross-run gap over the run's denominator", weights, "_Gaps.of", "math.lcm(d, div)", "div", random_gap_sets),
     Mutant("profile powers of unreduced quotients", weights, "_antiderivative", "math.gcd(n, d)", "1", integer_profile),
+    Mutant(
+        "profile peak at twice its height", weights, "profile_integral",
+        "_antiderivative(h + d_left + d_right, 2 * den, e_num, e_den)",
+        "_antiderivative(h + d_left + d_right, den, e_num, e_den)", integer_profile,
+    ),
     # Not scale-free, so only the affine-invariance test sees it.
     Mutant(
         "far-cube test without the side", weights, "ap_product",
         "min(window.d_lo, window.d_hi) >= 2 * q0.side", "min(window.d_lo, window.d_hi) >= 2", affine_invariance,
+    ),
+    Mutant(
+        "divergent row reused across interval layouts", weights, "ap_product",
+        "not (divergent and any(r is not l for _, l, r in window.pieces))", "True", interval_layouts,
+    ),
+    Mutant(
+        "moment stage without its numerator cross-reduction", porestats, "_times",
+        "n, f_den = n // g, f_den // g", "pass", moment_reference,
+    ),
+    Mutant(
+        "product factor 3 / (2 + c) read as 3 / 2", porestats, "expectation_products",
+        "(2 * b + a) ** 2", "(2 * b + a) * (2 * b)", moment_products,
+    ),
+    Mutant(
+        "root seed left at the float root", rationals, "int_nth_root",
+        "int(m ** (1.0 / k) * (1 + 2.0**-40)) + 1", "int(m ** (1.0 / k))", integer_roots,
     ),
     Mutant(
         "one-empty-cell rule dropped", cli, "_csv_text",

@@ -3,8 +3,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import (
@@ -35,6 +38,7 @@ from poremetrics.setmodels import (
 from poremetrics.weights import (
     ApQuery,
     ApResult,
+    ApScan,
     _combine_product,
     _divergent_partial,
     _envelope_means,
@@ -360,6 +364,139 @@ class TestApProduct:
                 assert lo10 == math.inf and lo25 == math.inf
             else:
                 assert lo10 < lo25 < math.inf
+
+
+COORDS = st.fractions(-6, 6, max_denominator=12)
+POSITIVE = st.fractions(0, 1, max_denominator=12).filter(lambda x: x > 0)
+# The edits of a motif: its gaps (0) or its piece lengths (1) reversed, or
+# their first and last averaged.  Each keeps both totals.
+EDITS = st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(("reverse", "average"))), max_size=2)
+
+
+def _motif(gaps, lengths, edits):
+    """The pieces (x, x + w) of ``lengths`` from 0 in order, ``gaps`` apart,
+    after the ``edits``."""
+    lists = [list(gaps), list(lengths)]
+    for which, how in edits:
+        xs = lists[which]
+        if how == "reverse":
+            xs.reverse()
+        elif xs:
+            xs[0] = xs[-1] = (xs[0] + xs[-1]) / 2
+    x, pieces = Fraction(0), []
+    for gap, width in zip([0, *lists[0]], lists[1]):
+        pieces.append((x + gap, x + gap + width))
+        x += gap + width
+    return pieces
+
+
+@st.composite
+def affine_scans(draw):
+    """(oracle, cubes): windows of one set in which consecutive windows are
+    often affine images of each other, with the set mapped along.
+    - Dyadic scales of one window about an isolated point of a cloud; near
+      the cloud's other points the geometry changes.
+    - One window over copies of a motif of intervals and points in a
+      ``BoxUnion``, translated and scaled.  A copy may reverse or average
+      its gaps or its piece lengths, which keeps the window's end gaps and
+      the measure inside: its gap walk then changes, or only where the
+      pieces lie.
+    - One window over the three copies of the previous stage in a generated
+      stage: the first, the one contracted by c and the translated one.
+    """
+    kind = draw(st.sampled_from(("cloud", "boxes", "generated")))
+    a = draw(st.fractions(-2, 2, max_denominator=8))
+    b = a + 3 * draw(POSITIVE)
+    if kind == "cloud":
+        x0 = draw(COORDS)
+        others = draw(st.lists(COORDS.filter(lambda x: abs(x - x0) >= 1), max_size=6))
+        scales = [Fraction(2) ** -k for k in range(draw(st.integers(-3, 2)), draw(st.integers(3, 10)))]
+        return FinitePoints([x0, *others]), [Cube.interval(x0 + a * s, x0 + b * s) for s in scales]
+    if kind == "boxes":
+        gaps = draw(st.lists(POSITIVE, min_size=2, max_size=4))
+        widths = st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=12))
+        lengths = draw(st.lists(widths, min_size=len(gaps) + 1, max_size=len(gaps) + 1))
+        copies = draw(st.lists(st.tuples(st.sampled_from((1, Fraction(1, 2), 2, Fraction(1, 3))), EDITS),
+                               min_size=2, max_size=4))
+        # The window reaches u past the motif's first piece and v past its last.
+        u, v = draw(st.fractions(0, 1, max_denominator=6)), draw(POSITIVE)
+        total = sum(gaps) + sum(lengths)
+        boxes = [((40 * i + s * x,), (40 * i + s * y,)) for i, (s, edits) in enumerate(copies)
+                 for x, y in _motif(gaps, lengths, edits)]
+        order = draw(st.lists(st.integers(0, len(copies) - 1), min_size=2, max_size=6))
+        cubes = [Cube.interval(40 * i - copies[i][0] * u, 40 * i + copies[i][0] * (total + v)) for i in order]
+        return BoxUnion(boxes), cubes
+    seq = draw(st.sampled_from((ContractionSequence.half_harmonic(), ContractionSequence.constant(Fraction(1, 2)),
+                                ContractionSequence.constant(Fraction(2, 3)))))
+    level = draw(st.integers(1, 5))
+    # Stage `level` is stage level - 1 on [0, l], contracted by c onto
+    # [l, l + c l] and translated onto [l + c l, (2 + c) l].
+    l = Generated(seq, level - 1).envelope[1]
+    c = Fraction(*next(islice(seq.stages(), level - 1, None)))
+    copies = ((0, 1), (l, c), ((1 + c) * l, 1))
+    order = draw(st.lists(st.sampled_from(copies), min_size=2, max_size=6))
+    return Generated(seq, level), [Cube.interval(t + s * l * a / 4, t + s * l * b / 4) for t, s in order]
+
+
+class TestScanReuse:
+    # A scan row whose window has the last window's key (whether it meets
+    # the set, and its gap walk) is that window's row; it must be the row
+    # the window gives alone, to the bit.
+    QUERIES = tuple(ApQuery(alpha, 2) for alpha in (Fraction(1, 3), Fraction(-1, 2), Fraction(1), Fraction(3, 2)))
+
+    def test_scan_rows_are_the_stateless_rows(self):
+        reused = set()
+
+        @settings(max_examples=120, derandomize=True, deadline=None)
+        @given(affine_scans())
+        def check(case):
+            oracle, cubes = case
+            for query in self.QUERIES:
+                scan = ApScan()
+                for cube in cubes:
+                    alone, before = ap_product(oracle, cube, query, 12), scan.reused
+                    row = ap_product(oracle, cube, query, 12, scan)
+                    assert repr(row) == repr(alone)
+                    if scan.reused > before:
+                        reused.add(row.path)
+
+        check()
+        assert reused == {"gap_walk", "divergent"}
+
+    def test_interval_layouts_with_one_gap_walk(self):
+        # Both windows have one gap of 1/5 between two intervals, 2/5 from the
+        # last interval to the upper end, at distance 2/5, and 2/5 inside the
+        # set.  On the gap walk that fixes the row; the divergent row reads
+        # its pores from where the intervals end, which differs.
+        spans = ((0, Fraction(1, 5)), (Fraction(2, 5), Fraction(3, 5)),
+                 (10, 10 + Fraction(1, 7)), (10 + Fraction(12, 35), 10 + Fraction(3, 5)))
+        oracle = BoxUnion([((Fraction(lo),), (Fraction(hi),)) for lo, hi in spans])
+        cubes = (Cube.interval(0, 1), Cube.interval(10, 11))
+        first, second = (_Gaps.of(_Window.read(oracle, cube)) for cube in cubes)
+        assert first == second
+        for alpha, lows, reused in (
+            (Fraction(3, 2), [22.882657423447323, 23.371358470950693], 0),
+            (Fraction(1, 3), [0.42456254192240406] * 2, 1),
+        ):
+            scan = ApScan()
+            rows = [ap_product(oracle, cube, ApQuery(alpha, 2), 12, scan) for cube in cubes]
+            assert [row.product.lo for row in rows] == lows
+            assert scan.reused == reused
+
+    def test_interior_order_keeps_rows_apart(self):
+        # Interior gaps 2/7, 6/5, 2/7 and then 2/7, 2/7, 6/5, with the window
+        # reaching 1 past the end points: the same end profiles, lengths and
+        # counts, but the float sums run in window order, so the rows differ
+        # in the last bits.
+        a, b = Fraction(2, 7), Fraction(6, 5)
+        oracle = FinitePoints([0, a, a + b, 2 * a + b, 100, 100 + a, 100 + 2 * a, 100 + 2 * a + b])
+        cubes = (Cube.interval(-1, 2 * a + b + 1), Cube.interval(99, 101 + 2 * a + b))
+        first, second = (_Gaps.of(_Window.read(oracle, cube)) for cube in cubes)
+        assert first._replace(order=()) == second._replace(order=()) and first.order != second.order
+        scan = ApScan()
+        rows = [ap_product(oracle, cube, ApQuery(Fraction(1, 3), 2), 12, scan) for cube in cubes]
+        assert [row.product.lo for row in rows] == [1.1825492467779117, 1.1825492467779122]
+        assert scan.reused == 0
 
 
 class TestA1Quotient:
